@@ -189,12 +189,14 @@ class DimensionReport:
 def dimension_report(spec: IfsSpec, s: float,
                      mode_request: ProjectedMode | None = None,
                      user_value: float | None = None,
-                     mc_options: dict | None = None) -> DimensionReport:
-    """Assemble hypothesis checks, thermodynamic summary and the dimension."""
+                     mc_options: dict | None = None,
+                     affinity_dim: float | None = None) -> DimensionReport:
+    """Assemble hypothesis checks, thermodynamic summary and the dimension;
+    a given affinity_dim (the pressure root) is not searched for again."""
     notes = []
     separation = check_strong_separation(spec)
     transversality = check_transversality(spec)
-    summary = thermo_summary(spec, s)
+    summary = thermo_summary(spec, s, affinity_dim)
     if not separation.strong_separation:
         notes.append("strong separation not certified at level 1; the dimension "
                      "formula is reported without its separation hypothesis")

@@ -134,15 +134,21 @@ def projection_error_bound(spec: IfsSpec, w) -> float:
     return product_signature(as_word(w, spec.d), spec).alpha1 * math.sqrt(2.0) / 2.0
 
 
+def csv_lines(samples: SampleSet):
+    """Yield the x,y,word header and rows; the word column is the digit string of
+    the sample's word, joined by '-' when a symbol has two digits (d >= 10): 4-10-3."""
+    sep = "-" if samples.words.max() >= 10 else ""
+    yield "x,y,word\n"
+    for point, word in zip(samples.points, samples.words):
+        x, y = point.tolist()
+        yield f"{x!r},{y!r},{sep.join(map(str, word.tolist()))}\n"
+
+
 def write_csv(samples: SampleSet, path) -> None:
-    """x,y,word rows; the word column is the digit string of the sample's word
-    (unambiguous for the desk-scale systems here, d <= 9)."""
-    lines = ["x,y,word"]
-    for (px, py), wd in zip(samples.points, samples.words):
-        lines.append(f"{float(px)!r},{float(py)!r},{''.join(str(int(i)) for i in wd)}")
+    """Write csv_lines(samples) to path."""
     try:
         with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.writelines(csv_lines(samples))
     except OSError as e:
         raise IoFailure(str(e)) from None
 

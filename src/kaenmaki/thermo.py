@@ -45,9 +45,6 @@ from .errors import (
 from .ifs import IfsSpec
 
 ENUMERATION_CAP = 10 ** 7
-_POWER_TOL = 1e-15
-_POWER_MAX_ITER = 10 ** 6
-_RESIDUAL_TOL = 1e-12
 
 
 class PotentialIndex(IntEnum):
@@ -67,21 +64,20 @@ class Potential:
         self.weights.setflags(write=False)
 
 
+def _log_phi_from_alphas(log_a1, log_a2, s: float):
+    """log alpha1^s for s < 1, log(alpha1 alpha2^(s-1)) for s >= 1."""
+    if s < 1.0:
+        return s * log_a1
+    return log_a1 + (s - 1.0) * log_a2
+
+
 def _weight_vector(spec: IfsSpec, s: float, t: PotentialIndex) -> np.ndarray:
     """Weights for s in (0, 2]; the public wrapper enforces the open range."""
-    d = spec.d
-    w = np.empty(2 * d)
-    for sym in range(1, 2 * d + 1):
-        if sym <= d:
-            ra, rb = spec.a[sym - 1], spec.b[sym - 1]
-        else:
-            ra, rb = spec.b[sym - d - 1], spec.a[sym - d - 1]
-        r1, r2 = (ra, rb) if t == PotentialIndex.ONE else (rb, ra)
-        if s < 1.0:
-            w[sym - 1] = s * np.log(r1)
-        else:
-            w[sym - 1] = np.log(r1) + (s - 1.0) * np.log(r2)
-    return w
+    la, lb = np.log(spec.a), np.log(spec.b)
+    log_r1, log_r2 = np.concatenate([la, lb]), np.concatenate([lb, la])
+    if t == PotentialIndex.TWO:
+        log_r1, log_r2 = log_r2, log_r1
+    return _log_phi_from_alphas(log_r1, log_r2, s)
 
 
 def potential(spec: IfsSpec, s: float, t: PotentialIndex = PotentialIndex.ONE) -> Potential:
@@ -97,49 +93,58 @@ def potential(spec: IfsSpec, s: float, t: PotentialIndex = PotentialIndex.ONE) -
     return Potential(s=s, t=PotentialIndex(t), weights=_weight_vector(spec, s, t))
 
 
-def _transfer_matrix(spec: IfsSpec, s: float, t: PotentialIndex) -> np.ndarray:
-    A = transition_matrix(spec.d, spec.l).entries
-    return A * np.exp(_weight_vector(spec, s, t))[None, :]
+def _normalized_exp(x: np.ndarray) -> np.ndarray:
+    """exp(x) scaled to sum 1, without overflow or total underflow."""
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
-def _power_iteration(T: np.ndarray) -> tuple[float, np.ndarray]:
-    """Perron root and a positive right eigenvector of a primitive matrix.
+def _perron(w: np.ndarray, d: int, l: int) -> tuple[float, np.ndarray, np.ndarray]:
+    """Log Perron root and unnormalized log right/left eigenvectors of
+    T(i,j) = A(i,j) exp(w_j), in closed form.
 
-    Deterministic all-ones start; stops when successive eigenvalue estimates
-    agree to 1e-15 relative and the eigen residual is below 1e-12 sup norm.
+    A row of T allows either the unshifted symbols 1..d or the shifted ones,
+    so T has rank 2 and its Perron data is that of the 2x2 matrix
+    M = [[D_u, A_u], [A_s, D_s]] of summed exp(w) over the unshifted
+    diagonal, unshifted anti-diagonal, shifted anti-diagonal and shifted
+    diagonal symbols.  The right vector is constant on each row class (class
+    two: anti-diagonal unshifted and diagonal shifted symbols); the left
+    vector is exp(w_j) times M's left vector entry for j's half.  All in log
+    space, so ratios near the smallest double do not underflow.
     """
-    v = np.ones(T.shape[0])
-    v /= v.sum()
-    lam_prev = np.inf
-    for k in range(_POWER_MAX_ITER):
-        w = T @ v
-        tot = w.sum()
-        lam = tot  # v is L1-normalized and positive
-        v = w / tot
-        if abs(lam - lam_prev) <= _POWER_TOL * lam and k >= 5:
-            resid = float(np.abs(T @ v - lam * v).max())
-            if resid <= _RESIDUAL_TOL * max(1.0, lam):
-                return float(lam), v
-        lam_prev = lam
-    resid = float(np.abs(T @ v - lam * v).max())
-    raise ConvergenceFailure(f"power iteration hit the cap; residual={resid:.3e}")
+    k = l - 1
+    l_du, l_au, l_ds, l_as = (np.logaddexp.reduce(w[lo:hi])
+                              for lo, hi in ((0, k), (k, d), (d, d + k), (d + k, 2 * d)))
+    l_g = 0.5 * (l_au + l_as)  # log sqrt(A_u A_s)
+    c = max(l_du, l_ds, l_g)
+    du, ds = np.exp(l_du - c), np.exp(l_ds - c)
+    # lambda - min(D_u, D_s) = sqrt(h^2 + A_u A_s) + |h| with h = (D_u - D_s) / 2,
+    # a sum of positive terms, so it keeps full relative precision
+    half_gap = 0.5 * abs(du - ds)
+    l_h = np.log(half_gap) if half_gap > 0.0 else -np.inf
+    l_gap = c + np.logaddexp(0.5 * np.logaddexp(2.0 * l_h, 2.0 * (l_g - c)), l_h)
+    log_root = c + np.log(min(du, ds) + np.exp(l_gap - c))
+    # second-half / first-half ratios of M's right and left vectors, each from
+    # the eigen equation whose lambda - D term is lambda - min(D_u, D_s)
+    if du >= ds:
+        l_right, l_left = l_as - l_gap, l_au - l_gap
+    else:
+        l_right, l_left = l_gap - l_au, l_gap - l_as
+    log_right = np.repeat([0.0, l_right, 0.0], [k, d, d - k])
+    log_left = w + np.repeat([0.0, l_left], d)
+    return float(log_root), log_right, log_left
 
 
 def pressure(spec: IfsSpec, s: float, t: PotentialIndex = PotentialIndex.ONE) -> float:
     """Log spectral radius of the weighted transition matrix.
 
-    Symmetric in t; the t=ONE and t=TWO values agree to within the eigen
-    residual tolerance.
+    Computed in closed form from the rank-2 structure (see _perron); the
+    t=ONE and t=TWO values are bit-identical, since the two 2x2 matrices are
+    conjugate by the swap of the two halves.
     """
     if not (0.0 < s < 2.0):
         raise SOutOfRange(f"s={s} must lie in (0,2)")
-    return _pressure_any(spec, s, t)
-
-
-def _pressure_any(spec: IfsSpec, s: float, t: PotentialIndex = PotentialIndex.ONE) -> float:
-    """Pressure for s in (0, 2]; used by the affinity-dimension root finder."""
-    lam, _ = _power_iteration(_transfer_matrix(spec, s, t))
-    return float(np.log(lam))
+    return _perron(_weight_vector(spec, s, t), spec.d, spec.l)[0]
 
 
 @dataclass(frozen=True)
@@ -177,7 +182,7 @@ class MarkovGibbs:
         g(c_1) * right_vec(c_n) with g = stationary * root * exp(-weights) /
         right_vec, so the extreme products of g and right_vec bound it.
         """
-        g = self.stationary * self.perron_root * np.exp(-self.weights) / self.right_vec
+        g = self.stationary * np.exp(self.log_pressure - self.weights) / self.right_vec
         return float(g.min() * self.right_vec.min()), float(g.max() * self.right_vec.max())
 
 
@@ -189,21 +194,17 @@ def gibbs_markov(spec: IfsSpec, s: float, t: PotentialIndex = PotentialIndex.ONE
     tm = transition_matrix(spec.d, spec.l)
     if not check_mixing(tm):
         raise InternalMismatch("transition matrix is not mixing")
-    T = _transfer_matrix(spec, s, t)
-    lam, r = _power_iteration(T)
-    _, left = _power_iteration(T.T)
-    pi = left * r
-    pi /= pi.sum()
-    P = T * r[None, :] / (lam * r[:, None])
-    P /= P.sum(axis=1, keepdims=True)  # remove the eigen-residual from row sums
-    for _ in range(4):  # polish stationarity of pi under the renormalized P
-        pi = pi @ P
-        pi /= pi.sum()
+    w = _weight_vector(spec, s, t)
+    log_root, log_right, log_left = _perron(w, spec.d, spec.l)
+    # stochastic(i,j) = T(i,j) r(j) / (lambda r(i)); the row sums of T(i,j) r(j)
+    # are lambda r(i), so each row is T(i,.) r normalized to sum 1
+    log_tr = np.where(tm.entries == 1, (w + log_right)[None, :], -np.inf)
     return MarkovGibbs(
         s=s, t=PotentialIndex(t), d=spec.d, l=spec.l,
-        perron_root=lam, log_pressure=float(np.log(lam)),
-        right_vec=r, left_vec=left, stationary=pi, stochastic=P,
-        weights=_weight_vector(spec, s, t))
+        perron_root=float(np.exp(log_root)), log_pressure=log_root,
+        right_vec=_normalized_exp(log_right), left_vec=_normalized_exp(log_left),
+        stationary=_normalized_exp(log_left + log_right),
+        stochastic=_normalized_exp(log_tr), weights=w)
 
 
 def log_cylinder_measure_mt(g: MarkovGibbs, c: CodedWord) -> float:
@@ -288,10 +289,7 @@ def log_svf_phi(spec: IfsSpec, s: float, w) -> float:
         raise SOutOfRange(f"s={s} must lie in (0,2)")
     w = as_word(w, spec.d)
     sig = product_signature(w, spec)
-    if s < 1.0:
-        via_svd = s * sig.log_alpha1
-    else:
-        via_svd = sig.log_alpha1 + (s - 1.0) * sig.log_alpha2
+    via_svd = _log_phi_from_alphas(sig.log_alpha1, sig.log_alpha2, s)
     w1 = _weight_vector(spec, s, PotentialIndex.ONE)
     w2 = _weight_vector(spec, s, PotentialIndex.TWO)
     coded = np.asarray(encode_tau(w, spec).symbols) - 1
@@ -315,61 +313,51 @@ def _guard_enumeration(spec: IfsSpec, n: int):
         raise TooLarge(f"{spec.d}^{n} words exceed the enumeration cap {ENUMERATION_CAP}")
 
 
-def level_signature_logs(spec: IfsSpec, n: int):
-    """(log_alpha1, log_alpha2) over all d^n words in lexicographic order.
+def expand_levels(spec: IfsSpec, n: int):
+    """Yield (log_p, log_q, prev_coded, coded) for the word lengths 1..n.
 
-    Built by level expansion so no word matrix is materialized; the word with
-    index k has letters given by the base-d digits of k, most significant
-    first.
+    A level lists all words of its length m in lexicographic order (word k
+    has the base-d digits of k as letters), with the log top-row and
+    bottom-row magnitudes of its composed linear part and the 0-based tau
+    symbols of its last letter and of the one before (None when m = 1).
     """
     _guard_enumeration(spec, n)
-    la = np.log(np.asarray(spec.a))
-    lb = np.log(np.asarray(spec.b))
-    is_anti = np.arange(1, spec.d + 1) >= spec.l
-    log_p, log_q = la.copy(), lb.copy()
-    parity = is_anti.astype(np.int8)
+    d = spec.d
+    la, lb = np.log(spec.a), np.log(spec.b)
+    letters = np.arange(d)
+    is_anti = letters >= spec.l - 1
+    log_p, log_q, coded, odd = la, lb, letters, is_anti
+    yield log_p, log_q, None, coded
     for _ in range(n - 1):
-        m = log_p.size
-        jj = np.tile(np.arange(spec.d), m)
-        even = np.repeat(parity % 2 == 0, spec.d)
-        log_p = np.repeat(log_p, spec.d) + np.where(even, la[jj], lb[jj])
-        log_q = np.repeat(log_q, spec.d) + np.where(even, lb[jj], la[jj])
-        parity = np.repeat(parity, spec.d) + is_anti[jj].astype(np.int8)
+        jj = np.tile(letters, log_p.size)
+        even = np.repeat(~odd, d)
+        log_p = np.repeat(log_p, d) + np.where(even, la[jj], lb[jj])
+        log_q = np.repeat(log_q, d) + np.where(even, lb[jj], la[jj])
+        prev, coded = np.repeat(coded, d), np.where(even, jj, jj + d)
+        odd = np.repeat(odd, d) ^ is_anti[jj]
+        yield log_p, log_q, prev, coded
+
+
+def level_signature_logs(spec: IfsSpec, n: int):
+    """(log_alpha1, log_alpha2) over all d^n words in lexicographic order."""
+    *_, (log_p, log_q, _, _) = expand_levels(spec, n)
     return np.maximum(log_p, log_q), np.minimum(log_p, log_q)
-
-
-def _log_phi_from_alphas(log_a1: np.ndarray, log_a2: np.ndarray, s: float) -> np.ndarray:
-    if s < 1.0:
-        return s * log_a1
-    return log_a1 + (s - 1.0) * log_a2
 
 
 def level_log_measures(spec: IfsSpec, s: float, n: int):
     """(log_phi, log_nu) over all d^n words in lexicographic order."""
     _guard_enumeration(spec, n)
     nu = kaenmaki_measure(spec, s)
-    logP1 = np.log(nu.m1.stochastic + (nu.m1.stochastic == 0.0))
-    logP2 = np.log(nu.m2.stochastic + (nu.m2.stochastic == 0.0))
-    la = np.log(np.asarray(spec.a)); lb = np.log(np.asarray(spec.b))
-    is_anti = np.arange(1, spec.d + 1) >= spec.l
-    log_p, log_q = la.copy(), lb.copy()
-    parity = is_anti.astype(np.int8)
-    coded = np.arange(spec.d)
-    lg1 = np.log(nu.m1.stationary[coded]); lg2 = np.log(nu.m2.stationary[coded])
-    for _ in range(n - 1):
-        m = log_p.size
-        jj = np.tile(np.arange(spec.d), m)
-        even = np.repeat(parity % 2 == 0, spec.d)
-        log_p = np.repeat(log_p, spec.d) + np.where(even, la[jj], lb[jj])
-        log_q = np.repeat(log_q, spec.d) + np.where(even, lb[jj], la[jj])
-        new_coded = np.where(even, jj, jj + spec.d)
-        prev = np.repeat(coded, spec.d)
-        lg1 = np.repeat(lg1, spec.d) + logP1[prev, new_coded]
-        lg2 = np.repeat(lg2, spec.d) + logP2[prev, new_coded]
-        coded = new_coded
-        parity = np.repeat(parity, spec.d) + is_anti[jj].astype(np.int8)
+    chains = [(np.log(g.stationary), np.log(g.stochastic + (g.stochastic == 0.0)))
+              for g in (nu.m1, nu.m2)]
+    for log_p, log_q, prev, coded in expand_levels(spec, n):
+        if prev is None:
+            logs = [log_pi[coded] for log_pi, _ in chains]
+        else:
+            logs = [np.repeat(lg, spec.d) + log_P[prev, coded]
+                    for lg, (_, log_P) in zip(logs, chains)]
     log_phi = _log_phi_from_alphas(np.maximum(log_p, log_q), np.minimum(log_p, log_q), s)
-    return log_phi, np.logaddexp(lg1, lg2)
+    return log_phi, np.logaddexp(*logs)
 
 
 def subadditive_pressure_bruteforce(spec: IfsSpec, s: float, n: int) -> float:
@@ -384,8 +372,7 @@ def subadditive_pressure_bruteforce(spec: IfsSpec, s: float, n: int) -> float:
     """
     if not (0.0 < s < 2.0):
         raise SOutOfRange(f"s={s} must lie in (0,2)")
-    log_a1, log_a2 = level_signature_logs(spec, n)
-    log_phi = _log_phi_from_alphas(log_a1, log_a2, s)
+    log_phi = _log_phi_from_alphas(*level_signature_logs(spec, n), s)
     m = log_phi.max()
     return float((m + np.log(np.exp(log_phi - m).sum())) / n)
 
@@ -409,7 +396,7 @@ def affinity_dimension_detail(spec: IfsSpec) -> AffinityResult:
     trace = []
 
     def p(s):
-        v = _pressure_any(spec, s)
+        v = _perron(_weight_vector(spec, s, PotentialIndex.ONE), spec.d, spec.l)[0]
         trace.append((s, v))
         return v
 
@@ -472,9 +459,12 @@ def entropy(spec: IfsSpec, s: float, t: PotentialIndex = PotentialIndex.ONE) -> 
 def quasi_bernoulli_ratio(spec: IfsSpec, s: float, i: int, j: int, n: int) -> float:
     """phi^s(i^n j i^n) / (phi^s(i^n j) phi^s(i^n)).
 
-    Requires map i diagonal with a != b and map j anti-diagonal.  The ratio
-    decays geometrically in n, which is exactly why no two-sided Bernoulli
-    comparison can hold for the equilibrium measure.
+    Requires map i diagonal with a != b and map j anti-diagonal.  With
+    (a, b) the ratios of map i and (A, B) those of map j, and a < b, the
+    ratio equals min(1, (a/b)^n * max(1, A/B))^min(s, 2-s); for a > b swap
+    a with b and A with B.  It is exactly 1 while (b/a)^n <= A/B and decays
+    geometrically after that, so it tends to 0, which is exactly why no
+    two-sided Bernoulli comparison can hold for the equilibrium measure.
     """
     if n < 1:
         raise BadMapKinds("n must be >= 1")
@@ -521,7 +511,8 @@ class ThermoSummary:
     gibbs_upper: float
 
 
-def thermo_summary(spec: IfsSpec, s: float) -> ThermoSummary:
+def thermo_summary(spec: IfsSpec, s: float, affinity_dim: float | None = None) -> ThermoSummary:
+    """Quantities at s; the pressure root is searched for unless given as affinity_dim."""
     chi1, chi2 = lyapunov_exponents(spec, s)
     lo, up = kaenmaki_measure(spec, s).envelope()
     return ThermoSummary(
@@ -530,6 +521,6 @@ def thermo_summary(spec: IfsSpec, s: float) -> ThermoSummary:
         entropy=entropy(spec, s),
         chi1=chi1,
         chi2=chi2,
-        affinity_dim=affinity_dimension(spec),
+        affinity_dim=affinity_dimension(spec) if affinity_dim is None else affinity_dim,
         gibbs_lower=lo,
         gibbs_upper=up)

@@ -1,9 +1,11 @@
+import hashlib
 import io
 import json
 
 import pytest
 
 from conftest import EX1_JSON
+from kaenmaki import thermo
 from kaenmaki.cli import main
 
 
@@ -12,6 +14,13 @@ def ex1_path(tmp_path):
     p = tmp_path / "ex1.json"
     p.write_text(EX1_JSON)
     return str(p)
+
+
+GOLDEN_DIGESTS = {
+    "csv": "d0de68d88b14a3418b0b34eca3b756de69709ae8d7587d9be9f0aec826eb06e0",
+    "pgm": "4df71b71e6983f71e6dc678c1481e321fa3c0b309f1511ae6ec4bd0846f550bc",
+    "json": "5ac334f606f59355707dc6bae2f56ea1242025fe1fe8358ab722ffe4c5d7067f",
+}
 
 
 def run(capsys, *argv):
@@ -61,6 +70,29 @@ class TestReport:
     def test_s_out_of_range(self, capsys, ex1_path):
         code, _, err = run(capsys, "report", "--spec", ex1_path, "--s", "2.5")
         assert code == 2 and "SOutOfRange" in err
+
+    @pytest.mark.parametrize("s_args", [(), ("--s", "0.7")])
+    def test_root_searched_once(self, capsys, ex1_path, monkeypatch, s_args):
+        calls = []
+        detail = thermo.affinity_dimension_detail
+        monkeypatch.setattr(thermo, "affinity_dimension_detail",
+                            lambda spec: calls.append(spec) or detail(spec))
+        code, out, _ = run(capsys, "report", "--spec", ex1_path, "--output", "json",
+                           *s_args)
+        assert code == 0
+        assert len(calls) == 1
+        assert json.loads(out)["affinity_dim"] == pytest.approx(0.49247209, abs=1e-6)
+
+    def test_tiny_ratios_answer(self, capsys, tmp_path):
+        # ratios down to 1e-4: the Perron data comes in closed form, no iteration cap
+        p = tmp_path / "tiny.json"
+        p.write_text('{"maps": [{"kind": "diag", "a": 1e-3, "b": 1e-4, "tx": 0, "ty": 0},'
+                     ' {"kind": "anti", "a": 1e-3, "b": 0.5, "tx": 0.5, "ty": 0.5}]}')
+        code, out, _ = run(capsys, "report", "--spec", str(p), "--output", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert abs(payload["pressure"]) <= 1e-12
+        assert payload["affinity_dim"] == pytest.approx(0.12368481076775556, abs=1e-9)
 
     def test_out_file(self, capsys, ex1_path, tmp_path):
         out_path = tmp_path / "report.json"
@@ -118,6 +150,17 @@ class TestVerify:
         assert code == 1
         assert "FAIL" in out
 
+    def test_comparability_flat_then_decaying_passes(self, capsys, tmp_path):
+        # (b/a)^n stays below A/B up to n = 4, so all four ratios are exactly 1
+        p = tmp_path / "flat.json"
+        p.write_text('{"maps": [{"kind": "diag", "a": 0.071, "b": 0.090, "tx": 0, "ty": 0},'
+                     ' {"kind": "anti", "a": 0.276, "b": 0.058, "tx": 0.5, "ty": 0.5}]}')
+        code, out, _ = run(capsys, "verify", "--spec", str(p), "--s", "1.199",
+                           "--max-depth", "6")
+        assert code == 0, out
+        assert "ratios 1.000e+00, 1.000e+00, 1.000e+00, 1.000e+00" in out
+        assert len(out.splitlines()) == 6
+
     def test_depth_too_large(self, capsys, ex1_path):
         code, _, err = run(capsys, "verify", "--spec", ex1_path, "--max-depth", "40")
         assert code == 2 and "TooLarge" in err
@@ -131,6 +174,31 @@ class TestSampleRenderEstimate:
                              "--depth", "50", "--seed", "7", "--out", str(path))
             assert code == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_sample_stdout_matches_file(self, capsys, ex1_path, tmp_path):
+        path = tmp_path / "a.csv"
+        draw = ["--spec", ex1_path, "--count", "200", "--depth", "12", "--seed", "5"]
+        assert run(capsys, "sample", *draw, "--out", str(path))[0] == 0
+        code, out, _ = run(capsys, "sample", *draw)
+        assert code == 0
+        assert out == path.read_text()
+
+    def test_golden_digests(self, capsys, ex1_path, tmp_path):
+        """SHA-256 of the sample CSV, render PGM and estimate JSON for fixed seeds.
+
+        Pinned on the closed-form Perron data; a change of the chain data by
+        even one ulp can move a draw and shows up here.
+        """
+        paths = {k: tmp_path / f"golden.{k}" for k in ("csv", "pgm", "json")}
+        assert run(capsys, "sample", "--spec", ex1_path, "--count", "2000", "--depth", "50",
+                   "--seed", "7", "--out", str(paths["csv"]))[0] == 0
+        assert run(capsys, "render", "--spec", ex1_path, "--count", "20000", "--depth", "25",
+                   "--seed", "9", "--px", "256", "--out", str(paths["pgm"]))[0] == 0
+        assert run(capsys, "estimate", "--spec", ex1_path, "--count", "50000",
+                   "--depth", "20", "--seed", "11", "--radii", "0.01:0.2:5",
+                   "--out", str(paths["json"]))[0] == 0
+        digests = {k: hashlib.sha256(p.read_bytes()).hexdigest() for k, p in paths.items()}
+        assert digests == GOLDEN_DIGESTS
 
     def test_render_header(self, capsys, ex1_path, tmp_path):
         out = tmp_path / "img.pgm"

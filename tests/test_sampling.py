@@ -20,7 +20,7 @@ from kaenmaki import (
     write_csv,
 )
 from kaenmaki.errors import TooFewHits
-from kaenmaki.sampling import default_centers, projection_error_bound
+from kaenmaki.sampling import csv_lines, default_centers, projection_error_bound
 
 
 def synthetic_samples(points):
@@ -222,6 +222,16 @@ class TestCsv:
         x, y, word = lines[1].split(",")
         assert len(word) == 8 and set(word) <= {"1", "2"}
         assert 0 <= float(x) <= 1 and 0 <= float(y) <= 1
+
+    def test_word_column_separator_for_two_digit_symbols(self, tmp_path):
+        points = np.array([[0.25, 0.5], [0.1, 0.2]])
+        short = SampleSet(points=points, words=np.array([[4, 9, 3], [1, 1, 2]]),
+                          seed=0, depth=3, accuracy=0.0)
+        wide = SampleSet(points=points, words=np.array([[4, 10, 3], [1, 1, 2]]),
+                         seed=0, depth=3, accuracy=0.0)
+        assert "".join(csv_lines(short)) == "x,y,word\n0.25,0.5,493\n0.1,0.2,112\n"
+        write_csv(wide, tmp_path / "w.csv")
+        assert (tmp_path / "w.csv").read_text() == "x,y,word\n0.25,0.5,4-10-3\n0.1,0.2,1-1-2\n"
 
 
 class TestTrajectoryDiagnostics:

@@ -1,5 +1,9 @@
+import warnings
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import all_words, anti, diag, random_spec, uniform_spec
 from kaenmaki import (
@@ -28,7 +32,7 @@ from kaenmaki import (
     thermo_summary,
 )
 from kaenmaki.coding import signature_arrays, tau_arrays
-from kaenmaki.errors import BadMapKinds, SOutOfRange, TooLarge
+from kaenmaki.errors import BadMapKinds, DegenerateSystemWarning, SOutOfRange, TooLarge
 from kaenmaki.thermo import _weight_vector
 
 ONE, TWO = PotentialIndex.ONE, PotentialIndex.TWO
@@ -38,10 +42,15 @@ ONE, TWO = PotentialIndex.ONE, PotentialIndex.TWO
 EX1_PRESSURE_AT_1 = np.log(0.5)
 
 
+def dense_transfer(spec, s, t):
+    """The dense 2d x 2d weighted transition matrix T(i,j) = A(i,j) exp(w_j)."""
+    A = transition_matrix(spec.d, spec.l).entries
+    return A * np.exp(_weight_vector(spec, s, t))[None, :]
+
+
 def dense_eig_oracle(spec, s, t):
     """Independent dense eigensolve of the weighted transition matrix."""
-    A = transition_matrix(spec.d, spec.l).entries
-    T = A * np.exp(_weight_vector(spec, s, t))[None, :]
+    T = dense_transfer(spec, s, t)
     vals, vecs = np.linalg.eig(T)
     k = int(np.argmax(vals.real))
     lam = float(vals.real[k])
@@ -114,6 +123,98 @@ class TestPressure:
             grid = np.linspace(0.05, 1.95, 20)
             vals = [pressure(spec, s) for s in grid]
             assert all(v2 < v1 for v1, v2 in zip(vals, vals[1:]))
+
+
+def dense_root(spec):
+    """Pressure root by bisection on the dense eigenvalues (no clamping case)."""
+    lo, hi = 1e-9, 2.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if dense_eig_oracle(spec, mid, ONE)[0] > 1.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def decimal_log_root(a1, b1, a2, b2, s):
+    """50-digit log Perron root for d = 2 (diag (a1, b1), anti (a2, b2)), t=ONE.
+
+    For d = 2 the nonzero spectrum of T is that of
+    [[phi(a1, b1), phi(a2, b2)], [phi(b2, a2), phi(b1, a1)]], phi the weight
+    of one symbol, so the root is the larger root of a quadratic.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 50
+        big_s = Decimal(s)
+
+        def phi(r1, r2):
+            r1, r2 = Decimal(r1), Decimal(r2)
+            if s < 1:
+                return (big_s * r1.ln()).exp()
+            return r1 * ((big_s - 1) * r2.ln()).exp()
+
+        du, au, ds, as_ = phi(a1, b1), phi(a2, b2), phi(b1, a1), phi(b2, a2)
+        lam = (du + ds) / 2 + ((du - ds) ** 2 / 4 + au * as_).sqrt()
+        return float(lam.ln())
+
+
+# valid systems on which a power iteration with a 1e-15 stopping rule spun
+# to its iteration cap: tiny ratios, and a d=7 system with a healthy gap
+NAMED_TINY = [diag(1e-3, 1e-4, 0.0, 0.0), anti(1e-3, 0.5, 0.5, 0.5)]
+D7_RATIOS = [(diag, 0.06, 0.14), (diag, 0.26, 0.19), (diag, 0.18, 0.21), (diag, 0.21, 0.19),
+             (diag, 0.15, 0.09), (anti, 0.12, 0.12), (anti, 0.15, 0.29)]
+D7_GRID = [kind(a, b, (k % 3) / 3, (k // 3) / 3) for k, (kind, a, b) in enumerate(D7_RATIOS)]
+
+
+class TestPerronClosedForm:
+    @pytest.mark.parametrize("maps", [NAMED_TINY, D7_GRID], ids=["named-tiny", "d7-grid"])
+    def test_regression_root_matches_dense(self, maps):
+        spec = make_spec(maps)
+        detail = affinity_dimension_detail(spec)
+        assert not detail.clamped
+        assert abs(detail.value - dense_root(spec)) <= 1e-9
+        for s in (0.1, 0.5, 1.0, 1.5, 1.9):
+            lam, _, _ = dense_eig_oracle(spec, s, ONE)
+            assert pressure(spec, s) == pytest.approx(np.log(lam), abs=1e-12)
+
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    @given(st.data())
+    def test_matches_dense_eig_property(self, data):
+        d = data.draw(st.integers(2, 40), label="d")
+        n_diag = data.draw(st.integers(1, d - 1), label="n_diag")
+        log_ratio = st.floats(np.log(1e-6), np.log(0.5))
+        maps = [(diag if k < n_diag else anti)(float(np.exp(data.draw(log_ratio))),
+                                              float(np.exp(data.draw(log_ratio))), 0.0, 0.0)
+                for k in range(d)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegenerateSystemWarning)
+            spec = make_spec(maps)
+        s = data.draw(st.floats(0.0, 2.0, exclude_min=True, exclude_max=True), label="s")
+        lam, _, _ = dense_eig_oracle(spec, s, ONE)
+        assert pressure(spec, s) == pytest.approx(np.log(lam), abs=1e-12)
+        assert pressure(spec, s, TWO) == pressure(spec, s, ONE)
+        for t in (ONE, TWO):
+            g = gibbs_markov(spec, s, t)
+            assert np.abs(g.stochastic.sum(axis=1) - 1.0).max() <= 1e-12
+            assert np.abs(g.stationary @ g.stochastic - g.stationary).max() <= 1e-12
+            T = dense_transfer(spec, s, t)
+            root, r, left = g.perron_root, g.right_vec, g.left_vec
+            assert np.abs(T @ r - root * r).max() <= 1e-12 * root * r.max()
+            assert np.abs(left @ T - root * left).max() <= 1e-12 * root * left.max()
+
+    def test_decimal_oracle_down_to_tiny_ratios(self):
+        rng = np.random.default_rng(300)
+        for k in range(60):
+            a1, b1, a2, b2 = np.exp(rng.uniform(np.log(1e-300), np.log(0.5), 4))
+            if k % 4 == 0:
+                b1 = a1  # equal diagonal sums: the 2x2 eigenvalue gap is the anti coupling
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", DegenerateSystemWarning)
+                spec = make_spec([diag(a1, b1, 0.0, 0.0), anti(a2, b2, 0.0, 0.0)])
+            for s in (1e-3, 0.5, 1.0, 1.5, 1.999):
+                want = decimal_log_root(a1, b1, a2, b2, s)
+                assert abs(pressure(spec, s) - want) <= 1e-14 * max(1.0, abs(want))
 
 
 class TestBruteForcePressure:
