@@ -9,11 +9,8 @@ from .coding import (
     Word,
     check_mixing,
     coded_word,
-    decode_tau,
-    encode_omega,
     encode_tau,
     product_signature,
-    rho_symbol,
     transition_matrix,
 )
 from .dimension import (
@@ -39,7 +36,6 @@ from .ifs import (
     check_strong_separation,
     check_transversality,
     make_spec,
-    map_image_rect,
     parse_ifs,
 )
 from .sampling import (
@@ -51,7 +47,6 @@ from .sampling import (
     estimate_local_dimension,
     estimate_projected_dim,
     make_strip_query,
-    project_point,
     render_attractor,
     sample_symbolic,
     strip_measure_oracle,
@@ -66,7 +61,6 @@ from .thermo import (
     ThermoSummary,
     affinity_dimension,
     affinity_dimension_detail,
-    cylinder_measure_mt,
     entropy,
     gibbs_markov,
     kaenmaki_cylinder,
@@ -79,7 +73,6 @@ from .thermo import (
     quasi_bernoulli_ratio,
     subadditive_pressure_bruteforce,
     submultiplicativity_check,
-    svf_phi,
     thermo_summary,
 )
 

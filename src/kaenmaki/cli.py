@@ -118,12 +118,10 @@ def cmd_measure(args) -> int:
     return 0
 
 
-def _verify_key_identity(spec: IfsSpec, s: float, depth: int, corrupt: bool) -> float:
+def _verify_key_identity(spec: IfsSpec, s: float, depth: int) -> float:
     """Worst log disagreement between phi of the side lengths and the larger
     Birkhoff sum of the two potentials along the tau lift, words up to depth."""
     w = np.stack([thermo._weight_vector(spec, s, t) for t in PotentialIndex])
-    if corrupt:
-        w[0, 0] += 1e-6  # negative-control hook
     worst = 0.0
     for log_p, log_q, prev, coded in thermo.expand_levels(spec, depth):
         sums = w[:, coded] if prev is None else np.repeat(sums, spec.d, axis=1) + w[:, coded]
@@ -141,7 +139,7 @@ def cmd_verify(args) -> int:
     s, _ = _resolve_s(spec, args.s)
     results = []
 
-    worst = _verify_key_identity(spec, s, min(depth, 8), corrupt=args.corrupt_potential)
+    worst = _verify_key_identity(spec, s, min(depth, 8))
     results.append(("phi max-of-sides identity", worst <= 1e-12, f"max log diff {worst:.3e}"))
 
     nu = thermo.kaenmaki_measure(spec, s)
@@ -321,7 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
                                       "enumeration depth")
     common(p)
     p.add_argument("--max-depth", type=int, default=8)
-    p.add_argument("--corrupt-potential", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("sample", help="draw measure-distributed points as CSV")

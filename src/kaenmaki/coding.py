@@ -4,10 +4,11 @@ Words over {1..d} index compositions of the planar maps.  Because every
 composed linear part is again diagonal or anti-diagonal, a word is fully
 described by three numbers: the magnitudes of the top-row and bottom-row
 entries of the product (tracked in log space) and the parity of the number of
-anti-diagonal factors.  The doubled alphabet {1..2d} additionally records, per
-position, whether the composition so far preserves the coordinate axes: the
-lift tau shifts a symbol by d exactly when the preceding composition is
-anti-diagonal, and the companion lift omega is tau shifted by d modulo 2d.
+anti-diagonal factors.  signature_arrays composes batches of words in one
+right-to-left pass and is the one word composer besides the level expander in
+thermo.  The doubled alphabet {1..2d} additionally records, per position,
+whether the composition so far preserves the coordinate axes: the lift tau
+shifts a symbol by d exactly when the preceding composition is anti-diagonal.
 Admissibility of lifted words is governed by a fixed 0/1 transition matrix.
 """
 
@@ -18,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import BadShape, NotInImage
+from .errors import BadShape
 from .ifs import IfsSpec
 
 Word = tuple[int, ...]
@@ -74,11 +75,6 @@ def check_mixing(tm: TransitionMatrix) -> bool:
     return bool((sq > 0).all())
 
 
-def rho_symbol(i: int, d: int) -> int:
-    """Shift-by-d involution on {1..2d}."""
-    return (i + d - 1) % (2 * d) + 1
-
-
 @dataclass(frozen=True)
 class CodedWord:
     """A word over the doubled alphabet with its admissibility decided eagerly."""
@@ -97,10 +93,6 @@ def coded_word(symbols, tm: TransitionMatrix) -> CodedWord:
     return CodedWord(symbols=syms, admissible=ok)
 
 
-def _tm_for(spec: IfsSpec) -> TransitionMatrix:
-    return transition_matrix(spec.d, spec.l)
-
-
 def encode_tau(w, spec: IfsSpec) -> CodedWord:
     """Lift a word into the doubled alphabet.
 
@@ -109,36 +101,7 @@ def encode_tau(w, spec: IfsSpec) -> CodedWord:
     far swaps the axes.  The result is always admissible and starts <= d.
     """
     w = as_word(w, spec.d)
-    out = []
-    odd = False
-    for i in w:
-        out.append(i + spec.d if odd else i)
-        if i >= spec.l:
-            odd = not odd
-    return coded_word(out, _tm_for(spec))
-
-
-def encode_omega(w, spec: IfsSpec) -> CodedWord:
-    """The complementary lift: encode_tau with every symbol shifted by d mod 2d."""
-    w = as_word(w, spec.d)
-    out = []
-    odd = False
-    for i in w:
-        out.append(i if odd else i + spec.d)
-        if i >= spec.l:
-            odd = not odd
-    return coded_word(out, _tm_for(spec))
-
-
-def decode_tau(c: CodedWord, spec: IfsSpec) -> Word:
-    """Inverse of encode_tau on its image.
-
-    Admissible coded words starting <= d are exactly the image, and on the
-    image the inverse is symbol-wise reduction modulo d into {1..d}.
-    """
-    if not c.admissible or c.symbols[0] > spec.d:
-        raise NotInImage(f"{c.symbols} is not an admissible lift starting <= d")
-    return tuple((x - 1) % spec.d + 1 for x in c.symbols)
+    return coded_word(tau_arrays(np.array([w]), spec)[0], transition_matrix(spec.d, spec.l))
 
 
 @dataclass(frozen=True)
@@ -179,57 +142,45 @@ class ProductSignature:
         return float(np.exp(self.log_alpha2))
 
 
-def signature_step(log_p: float, log_q: float, odd: bool,
-                   log_a: float, log_b: float, anti: bool) -> tuple[float, float, bool]:
-    """Append one letter on the right of a composition.
-
-    With even parity the rows pick up (a, b); with odd parity the incoming
-    letter meets swapped axes and the rows pick up (b, a).  Appending an
-    anti-diagonal letter flips the parity for subsequent letters.
-    """
-    if odd:
-        log_p, log_q = log_p + log_b, log_q + log_a
-    else:
-        log_p, log_q = log_p + log_a, log_q + log_b
-    return log_p, log_q, odd ^ anti
-
-
 def product_signature(w, spec: IfsSpec) -> ProductSignature:
-    w = as_word(w, spec.d)
-    log_p = log_q = 0.0
-    odd = False
-    for i in w:
-        m = spec.map(i)
-        log_p, log_q, odd = signature_step(
-            log_p, log_q, odd, np.log(m.a), np.log(m.b), m.anti)
-    return ProductSignature(log_p=log_p, log_q=log_q, antidiagonal_parity=odd)
+    log_p, log_q, parity, _, _ = signature_arrays(np.array([as_word(w, spec.d)]), spec)
+    return ProductSignature(log_p=float(log_p[0]), log_q=float(log_q[0]),
+                            antidiagonal_parity=bool(parity[0]))
 
 
 # -- vectorized helpers -------------------------------------------------------
 #
-# Several consumers (brute-force pressure, cylinder enumeration, sampling
-# diagnostics) need the signature and the tau lift for large batches of words.
 # Words are passed as an (N, n) integer array with values in 1..d.
 
 def signature_arrays(words: np.ndarray, spec: IfsSpec):
-    """Per-row (log_p, log_q, parity) for a batch of words.
+    """Per-row (log_p, log_q, parity, x, y) for a batch of words.
 
-    Returns float arrays log_p, log_q and an int array of anti-diagonal
-    parities (0 or 1).
+    One right-to-left pass composes each word: prepending letter j to a
+    product with row magnitudes (p, q) gives (a_j p, b_j q) when map j is
+    diagonal and (a_j q, b_j p) when it is anti-diagonal, whatever the parity
+    of the product.  log_p and log_q are the logs of the top-row and
+    bottom-row magnitudes, parity is the number of anti-diagonal letters mod 2
+    (0 or 1), and (x, y) is the image of the square's centre (0.5, 0.5).  The
+    cylinder rectangle of a row is (x, y) +- (p, q) / 2.  An (N, 0) batch
+    gives the identity.
     """
     words = np.asarray(words)
     n_rows, n_cols = words.shape
-    la = np.log(np.asarray(spec.a))[words - 1]
-    lb = np.log(np.asarray(spec.b))[words - 1]
-    is_anti = (words >= spec.l)
-    # parity before each position = cumulative count of anti letters so far
-    before = np.zeros_like(words)
-    before[:, 1:] = np.cumsum(is_anti[:, :-1], axis=1)
-    even = (before % 2 == 0)
-    log_p = np.where(even, la, lb).sum(axis=1)
-    log_q = np.where(even, lb, la).sum(axis=1)
-    parity = is_anti.sum(axis=1) % 2
-    return log_p, log_q, parity
+    la, lb = np.log(spec.a), np.log(spec.b)
+    a, b = np.asarray(spec.a), np.asarray(spec.b)
+    tx = np.array([m.tx for m in spec.maps])
+    ty = np.array([m.ty for m in spec.maps])
+    anti = np.array([m.anti for m in spec.maps])
+    log_p, log_q = np.zeros(n_rows), np.zeros(n_rows)
+    parity = np.zeros(n_rows, dtype=np.int64)
+    x, y = np.full(n_rows, 0.5), np.full(n_rows, 0.5)
+    for t in range(n_cols - 1, -1, -1):
+        j = words[:, t] - 1
+        swap = anti[j]
+        x, y = a[j] * np.where(swap, y, x) + tx[j], b[j] * np.where(swap, x, y) + ty[j]
+        log_p, log_q = la[j] + np.where(swap, log_q, log_p), lb[j] + np.where(swap, log_p, log_q)
+        parity ^= swap
+    return log_p, log_q, parity, x, y
 
 
 def tau_arrays(words: np.ndarray, spec: IfsSpec) -> np.ndarray:

@@ -4,7 +4,8 @@ The x-extents of cylinder rectangles are generated by 2d interval
 contractions indexed by the doubled alphabet: ratio a_i and offset tx_i for
 unshifted symbols, ratio b_(i-d) and offset ty_(i-d) for shifted ones.  The
 x-interval of the planar cylinder of a word equals the interval of its tau
-lift in this system (and the y-interval corresponds to the omega lift).
+lift in this system; the y-interval is that of the tau lift with every
+symbol shifted by d mod 2d, a lift this package does not build.
 
 The dimension of the measure combines entropy, the two Lyapunov exponents
 and the dimension of the x-projection:

@@ -41,10 +41,6 @@ class BadShape(KaenmakiError):
     code = "BadShape"
 
 
-class NotInImage(KaenmakiError):
-    code = "NotInImage"
-
-
 class SOutOfRange(KaenmakiError):
     code = "SOutOfRange"
 

@@ -92,17 +92,12 @@ class AffineMap2D:
         return self.a * x + self.tx, self.b * y + self.ty
 
     def __call__(self, rect: Rect) -> Rect:
-        """Exact image rectangle; see map_image_rect."""
+        """Exact image rectangle (again axis-aligned)."""
         if self.anti:
             return Rect(self.a * rect.y0 + self.tx, self.a * rect.y1 + self.tx,
                         self.b * rect.x0 + self.ty, self.b * rect.x1 + self.ty)
         return Rect(self.a * rect.x0 + self.tx, self.a * rect.x1 + self.tx,
                     self.b * rect.y0 + self.ty, self.b * rect.y1 + self.ty)
-
-
-def map_image_rect(m: AffineMap2D, rect: Rect) -> Rect:
-    """Image of an axis-aligned rectangle under one map (again a rectangle)."""
-    return m(rect)
 
 
 @dataclass(frozen=True)

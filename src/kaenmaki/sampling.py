@@ -4,8 +4,9 @@ Sampling draws words with the exact cylinder law of the measure: pick one of
 the two Gibbs chains with its lift mass, start the chain in the unshifted
 half of the doubled alphabet (stationary law conditioned there), run it for
 the requested depth, and reduce symbols modulo d.  Points are the composed
-maps applied to the center of the unit square, which pins every point inside
-its cylinder rectangle up to the reported accuracy bound.
+maps applied to the center of the unit square (composed, with the side
+lengths, by coding.signature_arrays), which pins every point inside its
+cylinder rectangle up to the reported accuracy bound.
 
 All randomness flows through a counter-based generator seeded once per
 sample set, with a fixed draw schedule (one branch draw, one initial-state
@@ -19,7 +20,9 @@ the estimate.
 
 The strip oracle checks, at finite enumeration depth, the upper bound on the
 measure of a thin sub-strip of a cylinder rectangle by the product of the
-cylinder mass and a projected measure of the blown-up strip interval.
+cylinder mass and a projected measure of the blown-up strip interval.  Both
+strip oracles enumerate level by level, with cylinder rectangles from
+signature_arrays and batch log masses.
 """
 
 from __future__ import annotations
@@ -30,10 +33,10 @@ from enum import Enum
 
 import numpy as np
 
-from .coding import as_word, encode_tau, product_signature, signature_arrays
+from .coding import as_word, product_signature, signature_arrays, tau_arrays, transition_matrix
 from .errors import InternalMismatch, IoFailure, NoCertificate, TooFewHits, TooLarge
-from .ifs import AffineMap2D, IfsSpec, Rect, check_strong_separation
-from .thermo import ENUMERATION_CAP, kaenmaki_measure, log_cylinder_measure_mt
+from .ifs import IfsSpec, check_strong_separation
+from .thermo import ENUMERATION_CAP, kaenmaki_measure
 
 
 class Axis(Enum):
@@ -51,8 +54,10 @@ class SampleSet:
     """Points drawn from the measure, with their generating words.
 
     words is an (N, depth) array over 1..d; points is (N, 2) in the closed
-    unit square; accuracy bounds the sup distance from each point to the set
-    of true addresses extending its word.
+    unit square, each the centre of its word's cylinder rectangle; accuracy
+    is sqrt(2)/2 times the longest side of those rectangles, max(p, q) over
+    the set, so it bounds the Euclidean (hence also the sup) distance from
+    each point to every address extending its word.
     """
 
     points: np.ndarray
@@ -66,68 +71,45 @@ class SampleSet:
         self.words.setflags(write=False)
 
 
+def _lifted_columns(nu, count: int, depth: int, rng):
+    """Yield the 0-based lifted states of ``count`` sampled words, column by column.
+
+    Follows the draw schedule: one branch draw, one initial-state draw, then
+    one transition draw per further column.  All rows of one row class of a
+    chain are equal, and a class-0 row moves into the unshifted half, a
+    class-1 row into the shifted half; so the next state is class * d + j,
+    with j the inverse CDF of the (chain, class) cumulative row at the draw,
+    capped at d - 1 where the cumulative sum tops out 1 ulp below it.
+    """
+    d = nu.spec.d
+    chain = (rng.random(count) >= nu.tau_start_mass()).astype(np.int64)  # 0: m1, 1: m2
+    init = np.array([np.cumsum(g.stationary[:d] / g.stationary[:d].sum())
+                     for g in (nu.m1, nu.m2)])
+    state = np.minimum((rng.random(count)[:, None] > init[chain]).sum(axis=1), d - 1)
+    yield state
+    # rows 0 and d are of class 0 and 1: 0 is diagonal, d is its shift
+    tables = np.array([[np.cumsum(g.stochastic[0, :d]), np.cumsum(g.stochastic[d, d:])]
+                       for g in (nu.m1, nu.m2)])
+    row_class = transition_matrix(d, nu.spec.l).entries[:, d]
+    for _ in range(1, depth):
+        u = rng.random(count)
+        cls = row_class[state]
+        state = cls * d + np.minimum((u[:, None] > tables[chain, cls]).sum(axis=1), d - 1)
+        yield state
+
+
 def sample_symbolic(spec: IfsSpec, s: float, count: int, depth: int, seed: int) -> SampleSet:
     """Draw ``count`` words of length ``depth`` with exact cylinder law, plus points."""
     if depth < 1 or count < 1:
         raise ValueError("count and depth must be >= 1")
-    nu = kaenmaki_measure(spec, s)
-    d = spec.d
     rng = np.random.Generator(np.random.Philox(np.uint64(seed)))
-
-    p1 = nu.tau_start_mass()
-    branch_one = rng.random(count) < p1
-    init1 = nu.m1.stationary[:d] / nu.m1.stationary[:d].sum()
-    init2 = nu.m2.stationary[:d] / nu.m2.stationary[:d].sum()
-    u0 = rng.random(count)
-    states = np.empty((count, depth), dtype=np.int64)
-    # clip guards the 1-ulp case where a cumulative row tops out below a draw
-    states[:, 0] = np.minimum(np.where(branch_one,
-                                       np.searchsorted(np.cumsum(init1), u0),
-                                       np.searchsorted(np.cumsum(init2), u0)), d - 1)
-    cum1 = np.cumsum(nu.m1.stochastic, axis=1)
-    cum2 = np.cumsum(nu.m2.stochastic, axis=1)
-    for t in range(1, depth):
-        u = rng.random(count)
-        prev = states[:, t - 1]
-        nxt1 = (u[:, None] > cum1[prev]).sum(axis=1)
-        nxt2 = (u[:, None] > cum2[prev]).sum(axis=1)
-        states[:, t] = np.minimum(np.where(branch_one, nxt1, nxt2), 2 * d - 1)
-
-    words = states % d + 1  # decode the lift: reduce mod d into 1..d
-
-    a = np.asarray(spec.a)
-    b = np.asarray(spec.b)
-    tx = np.array([m.tx for m in spec.maps])
-    ty = np.array([m.ty for m in spec.maps])
-    anti = np.array([m.anti for m in spec.maps])
-    x = np.full(count, 0.5)
-    y = np.full(count, 0.5)
-    for t in range(depth - 1, -1, -1):
-        j = words[:, t] - 1
-        swap = anti[j]
-        nx = a[j] * np.where(swap, y, x) + tx[j]
-        ny = b[j] * np.where(swap, x, y) + ty[j]
-        x, y = nx, ny
-    points = np.column_stack([x, y])
-
-    log_a1, _, _ = signature_arrays(words, spec)
-    accuracy = float(np.exp(log_a1.max()) * math.sqrt(2.0) / 2.0)
-    return SampleSet(points=points, words=words, seed=int(seed),
+    words = np.empty((count, depth), dtype=np.int64)
+    for t, state in enumerate(_lifted_columns(kaenmaki_measure(spec, s), count, depth, rng)):
+        words[:, t] = state % spec.d + 1  # decode the lift: reduce mod d into 1..d
+    log_p, log_q, _, x, y = signature_arrays(words, spec)
+    accuracy = float(np.exp(np.maximum(log_p, log_q).max()) * math.sqrt(2.0) / 2.0)
+    return SampleSet(points=np.column_stack([x, y]), words=words, seed=int(seed),
                      depth=int(depth), accuracy=accuracy)
-
-
-def project_point(spec: IfsSpec, w) -> tuple[float, float]:
-    """Image of the square center under the composed map of a word.
-
-    Lies within the cylinder rectangle of the word, hence within
-    alpha1 * sqrt(2)/2 of every address extending the word (see
-    projection_error_bound).
-    """
-    w = as_word(w, spec.d)
-    x, y = 0.5, 0.5
-    for i in reversed(w):
-        x, y = spec.map(i).apply(x, y)
-    return x, y
 
 
 def projection_error_bound(spec: IfsSpec, w) -> float:
@@ -231,47 +213,6 @@ def box_count(samples: SampleSet, scales) -> float:
 # -- primary strips ------------------------------------------------------------
 
 @dataclass(frozen=True)
-class _Affine:
-    """Composed map with diagonal or anti-diagonal linear part, linear space."""
-
-    odd: bool
-    p: float
-    q: float
-    tx: float
-    ty: float
-
-    def compose(self, m: AffineMap2D) -> "_Affine":
-        if self.odd:
-            ntx = self.p * m.ty + self.tx
-            nty = self.q * m.tx + self.ty
-            np_, nq = self.p * m.b, self.q * m.a
-        else:
-            ntx = self.p * m.tx + self.tx
-            nty = self.q * m.ty + self.ty
-            np_, nq = self.p * m.a, self.q * m.b
-        return _Affine(odd=self.odd ^ m.anti, p=np_, q=nq, tx=ntx, ty=nty)
-
-    def rect(self) -> Rect:
-        return Rect(self.tx, self.tx + self.p, self.ty, self.ty + self.q)
-
-    def fixed_point(self) -> tuple[float, float]:
-        if self.odd:
-            x = (self.p * self.ty + self.tx) / (1.0 - self.p * self.q)
-            return x, self.q * x + self.ty
-        return self.tx / (1.0 - self.p), self.ty / (1.0 - self.q)
-
-
-_IDENTITY = _Affine(odd=False, p=1.0, q=1.0, tx=0.0, ty=0.0)
-
-
-def _compose_word(spec: IfsSpec, w) -> _Affine:
-    st = _IDENTITY
-    for i in w:
-        st = st.compose(spec.map(i))
-    return st
-
-
-@dataclass(frozen=True)
 class StripQuery:
     """A cylinder prefix with a strip half-width through its fixed point.
 
@@ -291,13 +232,12 @@ class StripQuery:
 
 def make_strip_query(spec: IfsSpec, prefix, r: float) -> StripQuery:
     prefix = as_word(prefix, spec.d)
-    st = _compose_word(spec, prefix)
-    alpha1 = max(st.p, st.q)
-    if not (0.0 < r <= alpha1 * (1.0 + 1e-12)):
-        raise ValueError(f"strip width r={r} must lie in (0, alpha1={alpha1}]")
-    horizontal = st.p > st.q
+    sig = product_signature(prefix, spec)
+    if not (0.0 < r <= sig.alpha1 * (1.0 + 1e-12)):
+        raise ValueError(f"strip width r={r} must lie in (0, alpha1={sig.alpha1}]")
+    horizontal = sig.p > sig.q
     primary = Axis.HORIZONTAL if horizontal else Axis.VERTICAL
-    if not st.odd:
+    if not sig.antidiagonal_parity:
         secondary = Projection.X if horizontal else Projection.Y
     else:
         secondary = Projection.Y if horizontal else Projection.X
@@ -317,37 +257,58 @@ class StripOracleResult:
     undecided: bool
 
 
-def _extent(rect: Rect, horizontal: bool) -> tuple[float, float]:
-    return (rect.x0, rect.x1) if horizontal else (rect.y0, rect.y1)
+def _strip_setup(spec: IfsSpec, q: StripQuery):
+    """(parity, primary extent, strip, blown-up interval) of a query's prefix.
+
+    The strip has half-width r/2 around the primary coordinate of the fixed
+    point of the prefix's composed map, and the blown-up interval half-width
+    r / (2 alpha1) around its secondary coordinate.
+    """
+    log_p, log_q, parity, x, y = signature_arrays(np.array([q.word_prefix]), spec)
+    p, h, cx, cy = (float(v[0]) for v in (np.exp(log_p), np.exp(log_q), x, y))
+    tx, ty = cx - p / 2.0, cy - h / 2.0  # image of the origin
+    if parity[0]:
+        fx = (p * ty + tx) / (1.0 - p * h)
+        fy = h * fx + ty
+    else:
+        fx, fy = tx / (1.0 - p), ty / (1.0 - h)
+    c, side, fp = (cx, p, fx) if q.primary_axis is Axis.HORIZONTAL else (cy, h, fy)
+    fs = fx if q.secondary_projection is Projection.X else fy
+    half = q.r / (2.0 * max(p, h))
+    return (bool(parity[0]), (c - side / 2.0, c + side / 2.0),
+            (fp - q.r / 2.0, fp + q.r / 2.0), (fs - half, fs + half))
 
 
-def _enumerate_interval_mass(spec: IfsSpec, start: _Affine, interval, horizontal: bool,
-                             cap: int, log_mass, prefix: tuple[int, ...]):
+def _interval_mass(spec: IfsSpec, prefix, interval, horizontal: bool, cap: int, log_mass):
     """Stopping-time sum of word masses over cells against an interval.
 
-    Walks extensions of ``prefix`` depth-first from the composed state
-    ``start``; a cell whose extent along the chosen axis is inside the
-    interval contributes its mass and stops, a disjoint cell stops with
-    nothing, and a straddling cell recurses until the cap, where it lands in
-    the undecided part of the bracket.  Returns (decided, undecided).
+    Walks the extensions of ``prefix`` level by level: a cell whose extent
+    along the chosen axis is inside the interval contributes its mass and
+    stops, a disjoint cell stops with nothing, and a straddling cell is
+    extended by every letter until the cap, where it lands in the undecided
+    part of the bracket.  ``log_mass`` maps an (N, n) batch of words with
+    n >= 1 to log masses; the empty word has mass 1.  Returns (decided,
+    undecided).
     """
+    def total(words):
+        if words.shape[1] == 0:
+            return float(len(words))
+        return float(np.exp(log_mass(words)).sum())
+
     lo_i, hi_i = interval
+    words = np.array([prefix], dtype=np.int64)
     decided = 0.0
-    undecided = 0.0
-    stack = [(prefix, start, 0)]
-    while stack:
-        word, st, depth = stack.pop()
-        lo, hi = _extent(st.rect(), horizontal)
-        if lo >= lo_i and hi <= hi_i:
-            decided += math.exp(log_mass(word))
-        elif hi < lo_i or lo > hi_i:
-            continue
-        elif depth == cap:
-            undecided += math.exp(log_mass(word))
-        else:
-            for i in range(1, spec.d + 1):
-                stack.append((word + (i,), st.compose(spec.map(i)), depth + 1))
-    return decided, undecided
+    for depth in range(cap + 1):
+        log_p, log_q, _, x, y = signature_arrays(words, spec)
+        centre, side = (x, np.exp(log_p)) if horizontal else (y, np.exp(log_q))
+        lo, hi = centre - side / 2.0, centre + side / 2.0
+        inside = (lo >= lo_i) & (hi <= hi_i)
+        decided += total(words[inside])
+        words = words[~inside & (hi >= lo_i) & (lo <= hi_i)]
+        if depth < cap:
+            words = np.column_stack([np.repeat(words, spec.d, axis=0),
+                                     np.tile(np.arange(1, spec.d + 1), len(words))])
+    return decided, total(words)
 
 
 def strip_measure_oracle(spec: IfsSpec, s: float, q: StripQuery,
@@ -371,31 +332,17 @@ def strip_measure_oracle(spec: IfsSpec, s: float, q: StripQuery,
     c_sub = up_env / lo_env ** 2
 
     prefix = q.word_prefix
-    st0 = _compose_word(spec, prefix)
-    alpha1 = max(st0.p, st0.q)
-    horizontal = q.primary_axis is Axis.HORIZONTAL
-    fx, fy = st0.fixed_point()
-    center_p = fx if horizontal else fy
-    strip = (center_p - q.r / 2.0, center_p + q.r / 2.0)
-
-    cyl_lo, cyl_hi = _extent(st0.rect(), horizontal)
-    covered = strip[0] <= cyl_lo and cyl_hi <= strip[1]
-    if covered:
+    _, (cyl_lo, cyl_hi), strip, blown = _strip_setup(spec, q)
+    if strip[0] <= cyl_lo and cyl_hi <= strip[1]:
         mass = nu.cylinder(prefix)
         return StripOracleResult(mu_lower=mass, mu_upper=mass,
                                  bound=c_sub * mass, proj_lower=1.0, proj_upper=1.0,
                                  submult_const=c_sub, covered=True, undecided=False)
 
-    mu_dec, mu_und = _enumerate_interval_mass(
-        spec, st0, strip, horizontal, extension_cap,
-        log_mass=nu.log_cylinder, prefix=prefix)
-
-    sec_x = q.secondary_projection is Projection.X
-    c_s = fx if sec_x else fy
-    blown = (c_s - q.r / (2.0 * alpha1), c_s + q.r / (2.0 * alpha1))
-    pr_dec, pr_und = _enumerate_interval_mass(
-        spec, _IDENTITY, blown, sec_x, extension_cap,
-        log_mass=lambda w: 0.0 if not w else nu.log_cylinder(w), prefix=())
+    mu_dec, mu_und = _interval_mass(spec, prefix, strip, q.primary_axis is Axis.HORIZONTAL,
+                                    extension_cap, nu.log_cylinder_batch)
+    pr_dec, pr_und = _interval_mass(spec, (), blown, q.secondary_projection is Projection.X,
+                                    extension_cap, nu.log_cylinder_batch)
 
     mass_prefix = nu.cylinder(prefix)
     bound = c_sub * mass_prefix * (pr_dec + pr_und)
@@ -432,36 +379,25 @@ def strip_reverse_oracle(spec: IfsSpec, s: float, q: StripQuery, extension_cap: 
     if spec.d ** extension_cap > ENUMERATION_CAP:
         raise TooLarge(f"{spec.d}^{extension_cap} exceeds the enumeration cap")
     prefix = q.word_prefix
-    n_anti = sum(1 for i in prefix if i >= spec.l)
-    if n_anti % 2 != 0:
+    odd, _, strip, blown = _strip_setup(spec, q)
+    if odd:
         raise ValueError("reverse bound applies only to axis-preserving prefixes")
     nu = kaenmaki_measure(spec, s)
     g = nu.m1 if t == 1 else nu.m2
 
-    def log_mt(w):
-        return log_cylinder_measure_mt(g, encode_tau(w, spec))
+    def log_mt(words):
+        return g.log_cylinder_batch(tau_arrays(words, spec) - 1)
 
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = g.stochastic / g.stationary[None, :]
     c_chain = float(np.min(np.where(g.stochastic > 0.0, ratios, np.inf)))
 
-    st0 = _compose_word(spec, prefix)
-    alpha1 = max(st0.p, st0.q)
-    horizontal = q.primary_axis is Axis.HORIZONTAL
-    fx, fy = st0.fixed_point()
-    center_p = fx if horizontal else fy
-    strip = (center_p - q.r / 2.0, center_p + q.r / 2.0)
-    mu_dec, mu_und = _enumerate_interval_mass(
-        spec, st0, strip, horizontal, extension_cap, log_mass=log_mt, prefix=prefix)
+    mu_dec, mu_und = _interval_mass(spec, prefix, strip, q.primary_axis is Axis.HORIZONTAL,
+                                    extension_cap, log_mt)
+    pr_dec, pr_und = _interval_mass(spec, (), blown, q.secondary_projection is Projection.X,
+                                    extension_cap, log_mt)
 
-    sec_x = q.secondary_projection is Projection.X
-    c_s = fx if sec_x else fy
-    blown = (c_s - q.r / (2.0 * alpha1), c_s + q.r / (2.0 * alpha1))
-    pr_dec, pr_und = _enumerate_interval_mass(
-        spec, _IDENTITY, blown, sec_x, extension_cap,
-        log_mass=lambda w: 0.0 if not w else log_mt(w), prefix=())
-
-    mass_prefix = math.exp(log_mt(prefix))
+    mass_prefix = float(np.exp(log_mt(np.array([prefix]))[0]))
     return StripReverseResult(
         mu_lower=mu_dec, mu_upper=mu_dec + mu_und,
         rhs_lower=c_chain * mass_prefix * pr_dec,

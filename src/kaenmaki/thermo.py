@@ -27,7 +27,6 @@ from functools import lru_cache
 import numpy as np
 
 from .coding import (
-    CodedWord,
     as_word,
     check_mixing,
     encode_tau,
@@ -71,13 +70,16 @@ def _log_phi_from_alphas(log_a1, log_a2, s: float):
     return log_a1 + (s - 1.0) * log_a2
 
 
-def _weight_vector(spec: IfsSpec, s: float, t: PotentialIndex) -> np.ndarray:
-    """Weights for s in (0, 2]; the public wrapper enforces the open range."""
+def _side_logs(spec: IfsSpec, t: PotentialIndex) -> tuple[np.ndarray, np.ndarray]:
+    """Per doubled symbol, the log side lengths playing alpha1 and alpha2 for t."""
     la, lb = np.log(spec.a), np.log(spec.b)
     log_r1, log_r2 = np.concatenate([la, lb]), np.concatenate([lb, la])
-    if t == PotentialIndex.TWO:
-        log_r1, log_r2 = log_r2, log_r1
-    return _log_phi_from_alphas(log_r1, log_r2, s)
+    return (log_r2, log_r1) if t == PotentialIndex.TWO else (log_r1, log_r2)
+
+
+def _weight_vector(spec: IfsSpec, s: float, t: PotentialIndex) -> np.ndarray:
+    """Weights for s in (0, 2]; the public wrapper enforces the open range."""
+    return _log_phi_from_alphas(*_side_logs(spec, t), s)
 
 
 def potential(spec: IfsSpec, s: float, t: PotentialIndex = PotentialIndex.ONE) -> Potential:
@@ -152,7 +154,8 @@ class MarkovGibbs:
     """Perron eigendata realizing one Gibbs measure as a stationary Markov chain.
 
     stochastic(i,j) = T(i,j) * right_vec(j) / (perron_root * right_vec(i)),
-    stationary(i) proportional to left_vec(i) * right_vec(i).  The cylinder
+    stationary(i) proportional to left_vec(i) * right_vec(i); log_right and
+    log_left are the unnormalized logs of the two eigenvectors.  The cylinder
     mass of an admissible coded word c is stationary[c1] * prod stochastic
     along c, and it obeys two-sided Gibbs bounds with the explicit constants
     returned by gibbs_bounds().
@@ -164,26 +167,44 @@ class MarkovGibbs:
     l: int
     perron_root: float
     log_pressure: float
-    right_vec: np.ndarray
-    left_vec: np.ndarray
+    log_right: np.ndarray
+    log_left: np.ndarray
     stationary: np.ndarray
     stochastic: np.ndarray
     weights: np.ndarray
 
     def __post_init__(self):
-        for arr in (self.right_vec, self.left_vec, self.stationary,
+        for arr in (self.log_right, self.log_left, self.stationary,
                     self.stochastic, self.weights):
             arr.setflags(write=False)
+
+    @property
+    def right_vec(self) -> np.ndarray:
+        return _normalized_exp(self.log_right)
+
+    @property
+    def left_vec(self) -> np.ndarray:
+        return _normalized_exp(self.log_left)
 
     def gibbs_bounds(self) -> tuple[float, float]:
         """Constants (lo, up) with lo <= m([c]) / exp(S_n f - n P) <= up.
 
         The cylinder formula gives the ratio exactly as
-        g(c_1) * right_vec(c_n) with g = stationary * root * exp(-weights) /
-        right_vec, so the extreme products of g and right_vec bound it.
+        left(c_1) exp(-weights(c_1)) * right(c_n) * root / sum(left * right),
+        so the extremes of the two factors bound it.  Taken in log space: the
+        normalized right vector can underflow where these logs do not.
         """
-        g = self.stationary * np.exp(self.log_pressure - self.weights) / self.right_vec
-        return float(g.min() * self.right_vec.min()), float(g.max() * self.right_vec.max())
+        head = self.log_left - self.weights
+        shift = self.log_pressure - np.logaddexp.reduce(self.log_left + self.log_right)
+        return (float(np.exp(head.min() + self.log_right.min() + shift)),
+                float(np.exp(head.max() + self.log_right.max() + shift)))
+
+    def log_cylinder_batch(self, coded: np.ndarray) -> np.ndarray:
+        """log m([c]) over an (N, n) array of admissible lifts with 0-based symbols."""
+        lg = np.log(self.stationary[coded[:, 0]])
+        if coded.shape[1] > 1:
+            lg = lg + np.log(self.stochastic[coded[:, :-1], coded[:, 1:]]).sum(axis=1)
+        return lg
 
 
 @lru_cache(maxsize=256)
@@ -202,25 +223,9 @@ def gibbs_markov(spec: IfsSpec, s: float, t: PotentialIndex = PotentialIndex.ONE
     return MarkovGibbs(
         s=s, t=PotentialIndex(t), d=spec.d, l=spec.l,
         perron_root=float(np.exp(log_root)), log_pressure=log_root,
-        right_vec=_normalized_exp(log_right), left_vec=_normalized_exp(log_left),
+        log_right=log_right, log_left=log_left,
         stationary=_normalized_exp(log_left + log_right),
         stochastic=_normalized_exp(log_tr), weights=w)
-
-
-def log_cylinder_measure_mt(g: MarkovGibbs, c: CodedWord) -> float:
-    if not c.admissible:
-        return -np.inf
-    syms = np.asarray(c.symbols) - 1
-    v = np.log(g.stationary[syms[0]])
-    if len(syms) > 1:
-        v += np.log(g.stochastic[syms[:-1], syms[1:]]).sum()
-    return float(v)
-
-
-def cylinder_measure_mt(g: MarkovGibbs, c: CodedWord) -> float:
-    """Mass of the cylinder of a coded word; 0 for inadmissible words."""
-    lv = log_cylinder_measure_mt(g, c)
-    return 0.0 if lv == -np.inf else float(np.exp(lv))
 
 
 @dataclass(frozen=True)
@@ -236,9 +241,7 @@ class KaenmakiMeasure:
     m2: MarkovGibbs
 
     def log_cylinder(self, w) -> float:
-        c = encode_tau(w, self.spec)
-        return float(np.logaddexp(log_cylinder_measure_mt(self.m1, c),
-                                  log_cylinder_measure_mt(self.m2, c)))
+        return float(self.log_cylinder_batch(np.array([as_word(w, self.spec.d)]))[0])
 
     def cylinder(self, w) -> float:
         return float(np.exp(self.log_cylinder(w)))
@@ -246,12 +249,8 @@ class KaenmakiMeasure:
     def log_cylinder_batch(self, words: np.ndarray) -> np.ndarray:
         """Vectorized log nu over an (N, n) array of words (values 1..d)."""
         coded = tau_arrays(words, self.spec) - 1
-        lg1 = np.log(self.m1.stationary[coded[:, 0]])
-        lg2 = np.log(self.m2.stationary[coded[:, 0]])
-        if coded.shape[1] > 1:
-            lg1 = lg1 + np.log(self.m1.stochastic[coded[:, :-1], coded[:, 1:]]).sum(axis=1)
-            lg2 = lg2 + np.log(self.m2.stochastic[coded[:, :-1], coded[:, 1:]]).sum(axis=1)
-        return np.logaddexp(lg1, lg2)
+        return np.logaddexp(self.m1.log_cylinder_batch(coded),
+                            self.m2.log_cylinder_batch(coded))
 
     def tau_start_mass(self) -> float:
         """m1-mass of coded words starting in the unshifted half."""
@@ -298,10 +297,6 @@ def log_svf_phi(spec: IfsSpec, s: float, w) -> float:
         raise InternalMismatch(
             f"phi routes disagree: {via_svd!r} vs {via_birkhoff!r} for word {w}")
     return float(via_svd)
-
-
-def svf_phi(spec: IfsSpec, s: float, w) -> float:
-    return float(np.exp(log_svf_phi(spec, s, w)))
 
 
 # -- exhaustive enumeration over all words of one length ----------------------
@@ -391,7 +386,8 @@ def affinity_dimension_detail(spec: IfsSpec) -> AffinityResult:
 
     The pressure is strictly decreasing in s (verified on the trace of
     evaluations); when it is still positive at s=2 the value clamps to 2 and
-    the flag is set.
+    the flag is set.  ConvergenceFailure is raised when |P| at the root
+    exceeds 1e-12 * max(1, |dP/ds|).
     """
     trace = []
 
@@ -415,8 +411,14 @@ def affinity_dimension_detail(spec: IfsSpec) -> AffinityResult:
         else:
             hi = mid
     root = 0.5 * (lo + hi)
-    p_root = p(root)
-    if abs(p_root) > 1e-12:
+    p_root, log_right, log_left = _perron(
+        _weight_vector(spec, root, PotentialIndex.ONE), spec.d, spec.l)
+    trace.append((root, p_root))
+    # the bisection pins s to 1e-13, so |P(s*)| is held relative to the slope
+    # dP/ds = stationary . dw/ds, with dw/ds = log_r1 for s < 1, log_r2 for s >= 1
+    slope = _normalized_exp(log_left + log_right) @ _side_logs(
+        spec, PotentialIndex.ONE)[0 if root < 1.0 else 1]
+    if abs(p_root) > 1e-12 * max(1.0, abs(slope)):
         raise ConvergenceFailure(f"|P(s*)|={abs(p_root):.3e} above tolerance")
     by_s = sorted(trace)
     for (s1, v1), (s2, v2) in zip(by_s, by_s[1:]):

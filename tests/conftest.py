@@ -75,6 +75,32 @@ def random_spec(rng, d=None):
     return make_spec(maps)
 
 
+def rho_symbol(i, d):
+    """Shift-by-d involution on {1..2d}."""
+    return (i + d - 1) % (2 * d) + 1
+
+
+def compose_loop(spec, w):
+    """(log_p, log_q, parity, x, y) of a word by one scalar pass per letter.
+
+    Left to right for the row magnitudes (with even parity a letter adds
+    (log a, log b) to the rows, with odd parity (log b, log a)) and right to
+    left for the image of the square's centre: the reference for the batch
+    kernel coding.signature_arrays.
+    """
+    log_p = log_q = 0.0
+    odd = False
+    for i in w:
+        m = spec.map(int(i))
+        la, lb = np.log(m.a), np.log(m.b)
+        log_p, log_q = (log_p + lb, log_q + la) if odd else (log_p + la, log_q + lb)
+        odd ^= m.anti
+    x, y = 0.5, 0.5
+    for i in reversed(w):
+        x, y = spec.map(int(i)).apply(x, y)
+    return log_p, log_q, odd, x, y
+
+
 def all_words(d, n):
     """(d^n, n) matrix of all words of length n over 1..d, lexicographic."""
     idx = np.arange(d ** n)

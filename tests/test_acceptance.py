@@ -68,7 +68,7 @@ def _dual_route_worst(spec, s, max_len):
     worst = 0.0
     for n in range(1, max_len + 1):
         words = all_words(spec.d, n)
-        lp, lq, _ = signature_arrays(words, spec)
+        lp, lq, *_ = signature_arrays(words, spec)
         coded = tau_arrays(words, spec) - 1
         via_b = np.maximum(w1[coded].sum(axis=1), w2[coded].sum(axis=1))
         la1, la2 = np.maximum(lp, lq), np.minimum(lp, lq)
@@ -284,7 +284,7 @@ def test_criterion_09_trajectory_diagnostics(ex1):
 
     depth, count, batches = 200, 64, 8
     samples = K.sample_symbolic(ex1, s, count, depth, seed=303)
-    lp, lq, _ = signature_arrays(samples.words, ex1)
+    lp, lq, *_ = signature_arrays(samples.words, ex1)
     log_nu = K.kaenmaki_measure(ex1, s).log_cylinder_batch(samples.words)
     zs = {}
     for name, est, target in [("chi1", -np.maximum(lp, lq) / depth, chi1),
@@ -296,7 +296,7 @@ def test_criterion_09_trajectory_diagnostics(ex1):
         assert zs[name] <= 3.0, f"{name}: {zs[name]:.2f} standard errors off"
 
     big = K.sample_symbolic(ex1, s, 20000, depth, seed=7)
-    lp, lq, _ = signature_arrays(big.words, ex1)
+    lp, lq, *_ = signature_arrays(big.words, ex1)
     frac = float(np.mean((np.minimum(lp, lq) - np.maximum(lp, lq))
                          < -depth * (chi2 - chi1) / 2))
     assert frac >= 0.95, f"only {frac:.3f} of samples beat the half-rate envelope"

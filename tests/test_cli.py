@@ -2,10 +2,13 @@ import hashlib
 import io
 import json
 
+from types import SimpleNamespace
+
+import numpy as np
 import pytest
 
 from conftest import EX1_JSON
-from kaenmaki import thermo
+from kaenmaki import cli, thermo
 from kaenmaki.cli import main
 
 
@@ -120,6 +123,16 @@ class TestScalarCommands:
         assert value == pytest.approx(0.49247209, abs=1e-6)
         assert "clamped: false" in out
 
+    def test_affinity_tiny_ratios(self, capsys, tmp_path):
+        # |dP/ds| is near 400 here: an absolute 1e-12 bound on |P(s*)| fails
+        # on a root the 1e-13 bisection placed correctly
+        p = tmp_path / "tiny.json"
+        p.write_text('{"maps": [{"kind": "diag", "a": 1e-200, "b": 1e-150, "tx": 0, "ty": 0},'
+                     ' {"kind": "anti", "a": 1e-180, "b": 0.5, "tx": 0.5, "ty": 0.5}]}')
+        code, out, err = run(capsys, "affinity", "--spec", str(p))
+        assert code == 0, err
+        assert "clamped: false" in out
+
     def test_measure(self, capsys, ex1_path):
         code, out, _ = run(capsys, "measure", "--spec", ex1_path, "--word", "1,2,2,1",
                            "--s", "1.0")
@@ -144,9 +157,17 @@ class TestVerify:
         assert code == 0
         assert "FAIL" not in out
 
-    def test_corrupt_potential_fails(self, capsys, ex1_path):
-        code, out, _ = run(capsys, "verify", "--spec", ex1_path, "--max-depth", "6",
-                           "--corrupt-potential")
+    def test_corrupt_potential_fails(self, capsys, ex1_path, monkeypatch):
+        # negative control: symbol 1 of the first potential off by 1e-6, as the
+        # verify rows see it; inside thermo the two-route check of log_svf_phi
+        # would stop the run with InternalMismatch before any row prints
+        def corrupted(spec, s, t):
+            w = thermo._weight_vector(spec, s, t)
+            return w + np.eye(w.size)[0] * 1e-6 if t == thermo.PotentialIndex.ONE else w
+
+        monkeypatch.setattr(cli, "thermo",
+                            SimpleNamespace(**{**vars(thermo), "_weight_vector": corrupted}))
+        code, out, _ = run(capsys, "verify", "--spec", ex1_path, "--max-depth", "6")
         assert code == 1
         assert "FAIL" in out
 

@@ -2,20 +2,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import all_words, anti, diag, random_spec
+from conftest import all_words, anti, compose_loop, diag, random_spec, rho_symbol
 from kaenmaki import (
     check_mixing,
-    coded_word,
-    decode_tau,
-    encode_omega,
     encode_tau,
     make_spec,
     product_signature,
-    rho_symbol,
     transition_matrix,
 )
 from kaenmaki.coding import TransitionMatrix, signature_arrays, tau_arrays
-from kaenmaki.errors import BadShape, NotInImage
+from kaenmaki.errors import BadShape
 
 
 def dummy_spec(d, l):
@@ -85,20 +81,6 @@ class TestTauOmega:
         spec = dummy_spec(2, 2)
         assert encode_tau((2,), spec).symbols == (2,)
 
-    def test_omega_example(self):
-        spec = dummy_spec(2, 2)
-        assert encode_omega((1, 2, 2, 1), spec).symbols == (3, 4, 2, 3)
-
-    def test_omega_is_shifted_tau(self):
-        rng = np.random.default_rng(5)
-        for _ in range(30):
-            spec = random_spec(rng)
-            n = int(rng.integers(1, 9))
-            w = tuple(int(x) for x in rng.integers(1, spec.d + 1, n))
-            om = encode_omega(w, spec).symbols
-            ta = encode_tau(w, spec).symbols
-            assert om == tuple(rho_symbol(x, spec.d) for x in ta)
-
     def test_tau_admissible_exhaustive(self):
         # every lift is admissible and starts in the unshifted half
         for d, l in [(2, 2), (3, 2), (3, 3)]:
@@ -112,20 +94,16 @@ class TestTauOmega:
                 assert ok.all() if n > 1 else True
 
     def test_omega_admissible_starts_high(self):
+        # the complementary lift (tau shifted by d mod 2d) is admissible too
         spec = dummy_spec(2, 2)
+        tm = transition_matrix(2, 2)
         for n in range(1, 9):
-            for idx in range(2 ** n):
-                w = tuple((idx >> k) % 2 + 1 for k in range(n))
-                c = encode_omega(w, spec)
-                assert c.admissible and c.symbols[0] > spec.d
+            omega = rho_symbol(tau_arrays(all_words(2, n), spec), spec.d)
+            assert (omega[:, 0] > spec.d).all()
+            assert tm.entries[omega[:, :-1] - 1, omega[:, 1:] - 1].all()
 
 
 class TestDecode:
-    def test_example(self):
-        spec = dummy_spec(2, 2)
-        tm = transition_matrix(2, 2)
-        assert decode_tau(coded_word((1, 2, 4, 1), tm), spec) == (1, 2, 2, 1)
-
     def test_roundtrip_exhaustive(self):
         for d, l in [(2, 2), (3, 2), (3, 3)]:
             spec = dummy_spec(d, l)
@@ -134,14 +112,6 @@ class TestDecode:
                 coded = tau_arrays(words, spec)
                 decoded = (coded - 1) % d + 1
                 assert (decoded == words).all()
-
-    def test_not_in_image(self):
-        spec = dummy_spec(2, 2)
-        tm = transition_matrix(2, 2)
-        with pytest.raises(NotInImage):
-            decode_tau(coded_word((3, 4), tm), spec)
-        with pytest.raises(NotInImage):
-            decode_tau(coded_word((1, 3), tm), spec)  # inadmissible
 
 
 class TestProductSignature:
@@ -196,10 +166,14 @@ class TestProductSignature:
         assert sig.alpha2 == pytest.approx(sv[1], rel=1e-12)
 
     def test_vectorized_matches_scalar(self, ex1):
-        words = all_words(2, 7)
-        lp, lq, par = signature_arrays(words, ex1)
-        for k in [0, 13, 77, 127]:
-            sig = product_signature(tuple(words[k]), ex1)
-            assert lp[k] == pytest.approx(sig.log_p, rel=1e-14)
-            assert lq[k] == pytest.approx(sig.log_q, rel=1e-14)
-            assert bool(par[k]) == sig.antidiagonal_parity
+        rng = np.random.default_rng(19)
+        for spec, words in [(ex1, all_words(2, 7)), (random_spec(rng, 3), all_words(3, 5))]:
+            lp, lq, par, x, y = signature_arrays(words, spec)
+            for k in range(len(words)):
+                want = compose_loop(spec, words[k])
+                assert lp[k] == pytest.approx(want[0], rel=1e-14)
+                assert lq[k] == pytest.approx(want[1], rel=1e-14)
+                assert bool(par[k]) == want[2]
+                assert (x[k], y[k]) == want[3:]  # same expression, same order
+            sig = product_signature(tuple(words[-1]), spec)
+            assert (sig.log_p, sig.log_q) == (lp[-1], lq[-1])

@@ -18,7 +18,6 @@ from kaenmaki import (
     ly_dimension,
     lyapunov_exponents,
     make_spec,
-    map_image_rect,
     projected_dimension,
     transition_matrix,
     UNIT_SQUARE,
@@ -48,7 +47,7 @@ class TestLineSystem:
             for w in all_words(2, n):
                 rect = UNIT_SQUARE
                 for i in reversed(w):
-                    rect = map_image_rect(ex1.map(int(i)), rect)
+                    rect = ex1.map(int(i))(rect)
                 lo, hi = 0.0, 1.0
                 for c in reversed(encode_tau(tuple(int(i) for i in w), ex1).symbols):
                     r, off = sys.ratios[c - 1], sys.offsets[c - 1]

@@ -8,7 +8,6 @@ from kaenmaki import (
     check_strong_separation,
     check_transversality,
     make_spec,
-    map_image_rect,
     parse_ifs,
     product_signature,
 )
@@ -78,16 +77,16 @@ class TestParse:
 
 class TestMapImage:
     def test_ex1_anti_on_unit_square(self, ex1):
-        img = map_image_rect(ex1.map(2), UNIT_SQUARE)
+        img = ex1.map(2)(UNIT_SQUARE)
         assert (img.x0, img.x1, img.y0, img.y1) == (0.5, 0.75, 0.5, 0.7)
 
     def test_ex1_diag_on_unit_square(self, ex1):
-        img = map_image_rect(ex1.map(1), UNIT_SQUARE)
+        img = ex1.map(1)(UNIT_SQUARE)
         assert img.x0 == 0.0 and img.y0 == 0.0
         assert img.x1 == pytest.approx(1 / 3, abs=0) and img.y1 == pytest.approx(1 / 5, abs=0)
 
     def test_zero_area(self, ex1):
-        img = map_image_rect(ex1.map(2), Rect(0.25, 0.25, 0.1, 0.9))
+        img = ex1.map(2)(Rect(0.25, 0.25, 0.1, 0.9))
         assert img.height == 0.0  # anti-diagonal: zero width becomes zero height
         assert img.width == pytest.approx(0.25 * 0.8)
 
@@ -100,7 +99,7 @@ class TestMapImage:
             w = tuple(int(x) for x in rng.integers(1, ex1.d + 1, n))
             rect = UNIT_SQUARE
             for i in reversed(w):
-                rect = map_image_rect(ex1.map(i), rect)
+                rect = ex1.map(i)(rect)
             sig = product_signature(w, ex1)
             assert rect.width == pytest.approx(sig.p, rel=1e-12)
             assert rect.height == pytest.approx(sig.q, rel=1e-12)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from conftest import all_words
+from conftest import all_words, anti, diag
 from kaenmaki import (
     Projection,
     SampleSet,
@@ -11,16 +11,19 @@ from kaenmaki import (
     estimate_local_dimension,
     estimate_projected_dim,
     kaenmaki_cylinder,
+    kaenmaki_measure,
+    make_spec,
     make_strip_query,
-    project_point,
     render_attractor,
     sample_symbolic,
     strip_measure_oracle,
     strip_reverse_oracle,
+    transition_matrix,
     write_csv,
 )
 from kaenmaki.errors import TooFewHits
-from kaenmaki.sampling import csv_lines, default_centers, projection_error_bound
+from kaenmaki.coding import signature_arrays
+from kaenmaki.sampling import _lifted_columns, csv_lines, default_centers, projection_error_bound
 
 
 def synthetic_samples(points):
@@ -30,6 +33,32 @@ def synthetic_samples(points):
 
 
 RADII = 2.0 ** np.arange(-4, -10, -1)
+
+
+class StubGenerator:
+    """Stands in for the sampler's generator: call k of random(n) returns
+    values[(k + i) % len(values)] at row i."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=float)
+        self.calls = 0
+
+    def random(self, n):
+        out = self.values[(self.calls + np.arange(n)) % len(self.values)]
+        self.calls += 1
+        return out
+
+
+def inverse_cdf(probs, u):
+    """Smallest state of the support whose cumulative mass reaches u; the last
+    state of the support when the cumulative sum tops out below u."""
+    support = [j for j, p in enumerate(probs) if p > 0.0]
+    total = 0.0
+    for j in support:
+        total += probs[j]
+        if total >= u:
+            return j
+    return support[-1]
 
 
 class TestSampler:
@@ -59,6 +88,41 @@ class TestSampler:
         stat = float(((observed - expected) ** 2 / expected).sum())
         assert stats.chi2.sf(stat, df=7) > 0.001
 
+    def test_transitions_follow_inverse_cdf_at_extreme_draws(self):
+        # at s = 0.5 the second chain's unshifted-successor row sums to 1 - 2^-52
+        spec = make_spec([diag(0.1, 0.2, 0.0, 0.0), diag(0.1, 0.3, 0.5, 0.0),
+                          anti(0.3, 0.3, 0.0, 0.5)])
+        nu, d, top = kaenmaki_measure(spec, 0.5), spec.d, 1.0 - 2.0 ** -53
+        values = [0.0, top, 0.0, 0.37, top, 0.81, 0.0]
+        count, depth = 42, 12
+        got = np.column_stack(list(_lifted_columns(nu, count, depth, StubGenerator(values))))
+        draws = StubGenerator(values)
+        branch = draws.random(count)
+        cols = [draws.random(count) for _ in range(depth)]
+        tm = transition_matrix(d, spec.l)
+        zero_after_shifted_row = top_above_row_sum = 0
+        for i in range(count):
+            g = nu.m1 if branch[i] < nu.tau_start_mass() else nu.m2
+            path = [inverse_cdf(g.stationary[:d] / g.stationary[:d].sum(), cols[0][i])]
+            for t in range(1, depth):
+                row, u = g.stochastic[path[-1]], cols[t][i]
+                zero_after_shifted_row += u == 0.0 and row[:d].sum() == 0.0
+                top_above_row_sum += u == top and np.cumsum(row[:d])[-1] < u
+                path.append(inverse_cdf(row, u))
+                assert tm.allowed(path[-2] + 1, path[-1] + 1)
+            assert got[i].tolist() == path
+        assert zero_after_shifted_row and top_above_row_sum
+
+    def test_accuracy_bounds_distance_to_extensions(self):
+        # word (1,) extends to map 1's fixed point (0, 0), at sup distance
+        # 0.225 from the word's point (0.05, 0.225)
+        spec = make_spec([diag(0.1, 0.45, 0.0, 0.0), anti(0.1, 0.45, 0.5, 0.5)])
+        samples = sample_symbolic(spec, 1.0, 200, 1, seed=3)
+        ones = samples.points[samples.words[:, 0] == 1]
+        assert len(ones) and np.abs(ones).max(axis=1) == pytest.approx(0.225, abs=1e-15)
+        assert samples.accuracy >= 0.225
+        assert samples.accuracy == pytest.approx(0.45 * np.sqrt(2.0) / 2.0, rel=1e-15)
+
     def test_single_cylinder_frequency(self, ex1):
         sstar = affinity_dimension(ex1)
         n = 50000
@@ -71,13 +135,13 @@ class TestSampler:
 
 class TestProjectPoint:
     def test_fixed_point_of_first_map(self, ex1):
-        x, y = project_point(ex1, (1,) * 20)
-        assert abs(x) <= 1e-9 and abs(y) <= 1e-9
+        *_, x, y = signature_arrays(np.array([(1,) * 20]), ex1)
+        assert abs(x[0]) <= 1e-9 and abs(y[0]) <= 1e-9
 
     def test_fixed_point_of_anti_map(self, ex1):
-        x, y = project_point(ex1, (2,) * 40)
-        assert x == pytest.approx(25 / 38, abs=1e-14)
-        assert y == pytest.approx(12 / 19, abs=1e-14)
+        *_, x, y = signature_arrays(np.array([(2,) * 40]), ex1)
+        assert x[0] == pytest.approx(25 / 38, abs=1e-14)
+        assert y[0] == pytest.approx(12 / 19, abs=1e-14)
 
     def test_error_bound(self, ex1):
         assert projection_error_bound(ex1, (1,) * 30) < 1e-14
@@ -236,11 +300,10 @@ class TestCsv:
 
 class TestTrajectoryDiagnostics:
     def test_exponent_concentration_small(self, ex1):
-        from kaenmaki.coding import signature_arrays
         from kaenmaki import lyapunov_exponents
         chi1, chi2 = lyapunov_exponents(ex1, 1.0)
         samples = sample_symbolic(ex1, 1.0, 100, 200, seed=303)
-        lp, lq, _ = signature_arrays(samples.words, ex1)
+        lp, lq, *_ = signature_arrays(samples.words, ex1)
         est1 = -np.maximum(lp, lq) / 200
         est2 = -np.minimum(lp, lq) / 200
         assert abs(est1.mean() - chi1) <= 4 * est1.std(ddof=1) / 10

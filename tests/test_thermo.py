@@ -5,29 +5,27 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import all_words, anti, diag, random_spec, uniform_spec
+from conftest import all_words, anti, diag, random_spec, rho_symbol, uniform_spec
 from kaenmaki import (
     PotentialIndex,
     affinity_dimension,
     affinity_dimension_detail,
     coded_word,
-    cylinder_measure_mt,
     encode_tau,
     entropy,
     gibbs_markov,
     kaenmaki_cylinder,
     kaenmaki_measure,
     level_log_measures,
+    log_svf_phi,
     lyapunov_exponents,
     make_spec,
     potential,
     pressure,
     quasi_bernoulli_ratio,
-    rho_symbol,
     sample_symbolic,
     subadditive_pressure_bruteforce,
     submultiplicativity_check,
-    svf_phi,
     transition_matrix,
     thermo_summary,
 )
@@ -40,6 +38,17 @@ ONE, TWO = PotentialIndex.ONE, PotentialIndex.TWO
 # hand value: at s=1 on EX1 the weighted matrix has constant 2x2 block
 # structure whose top eigenvalue solves x^2 - (8/15) x + 1/60 = 0, i.e. 1/2
 EX1_PRESSURE_AT_1 = np.log(0.5)
+
+
+def cylinder_measure_mt(g, c):
+    """Mass of the cylinder of a coded word under one chain; 0 for inadmissible words."""
+    if not c.admissible:
+        return 0.0
+    return float(np.exp(g.log_cylinder_batch(np.array([c.symbols]) - 1)[0]))
+
+
+def svf_phi(spec, s, w):
+    return float(np.exp(log_svf_phi(spec, s, w)))
 
 
 def dense_transfer(spec, s, t):
@@ -346,6 +355,19 @@ class TestKaenmakiCylinder:
             assert (ratio >= lo * (1 - 1e-9)).all()
             assert (ratio <= up * (1 + 1e-9)).all()
 
+    def test_envelope_finite_down_to_tiny_ratios(self):
+        # the normalized right vector underflows on some of these draws; the
+        # envelope comes from the log eigenvectors
+        rng = np.random.default_rng(900)
+        for _ in range(300):
+            a1, b1, a2, b2 = np.exp(rng.uniform(np.log(1e-300), np.log(0.5), 4))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", DegenerateSystemWarning)
+                spec = make_spec([diag(a1, b1, 0.0, 0.0), anti(a2, b2, 0.0, 0.0)])
+            for s in (0.3, 1.0, 1.7):
+                lo, up = kaenmaki_measure(spec, s).envelope()
+                assert np.isfinite([lo, up]).all() and lo <= up, (a1, b1, a2, b2, s)
+
     def test_probability_all_levels(self, ex1):
         for n in range(1, 9):
             _, log_nu = level_log_measures(ex1, 1.1, n)
@@ -374,7 +396,7 @@ class TestSvf:
             w2 = _weight_vector(ex1, s, TWO)
             for n in range(1, 9):
                 words = all_words(2, n)
-                lp, lq, _ = signature_arrays(words, ex1)
+                lp, lq, *_ = signature_arrays(words, ex1)
                 coded = tau_arrays(words, ex1) - 1
                 sb1 = w1[coded].sum(axis=1)
                 sb2 = w2[coded].sum(axis=1)
@@ -396,6 +418,19 @@ class TestAffinity:
         spec = make_spec([diag(0.9, 0.85, 0.0, 0.0), anti(0.9, 0.85, 0.05, 0.1)])
         detail = affinity_dimension_detail(spec)
         assert detail.value == 2.0 and detail.clamped
+
+    def test_root_check_relative_to_slope(self):
+        # |dP/ds| is near 400: |P(s*)| passes only relative to the slope, and
+        # the root agrees with bisection on the 50-digit pressure
+        a1, b1, a2, b2 = 1e-200, 1e-150, 1e-180, 0.5
+        detail = affinity_dimension_detail(
+            make_spec([diag(a1, b1, 0.0, 0.0), anti(a2, b2, 0.5, 0.5)]))
+        lo, hi = 1e-9, 2.0
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if decimal_log_root(a1, b1, a2, b2, mid) > 0 else (lo, mid)
+        assert not detail.clamped
+        assert abs(detail.value - 0.5 * (lo + hi)) <= 1e-12
 
     def test_bruteforce_root_agrees(self, ex1):
         # sign-change location of the depth-12 enumeration vs the bisection root
@@ -442,7 +477,7 @@ class TestLyapunovEntropy:
         chi1, chi2 = lyapunov_exponents(ex1, 1.0)
         h = entropy(ex1, 1.0)
         samples = sample_symbolic(ex1, 1.0, count=2, depth=50000, seed=55)
-        lp, lq, _ = signature_arrays(samples.words, ex1)
+        lp, lq, *_ = signature_arrays(samples.words, ex1)
         est1 = float(np.mean(-np.maximum(lp, lq) / samples.depth))
         est2 = float(np.mean(-np.minimum(lp, lq) / samples.depth))
         assert abs(est1 - chi1) <= 1e-2
