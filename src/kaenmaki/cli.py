@@ -143,7 +143,8 @@ def cmd_verify(args) -> int:
     results.append(("phi max-of-sides identity", worst <= 1e-12, f"max log diff {worst:.3e}"))
 
     nu = thermo.kaenmaki_measure(spec, s)
-    lo, up = nu.envelope()
+    log_lo, log_up = nu.log_envelope()
+    lo, up = np.exp([log_lo, log_up])
     log_phi, log_nu = thermo.level_log_measures(spec, s, depth)
     p = thermo.pressure(spec, s)
     ratio = np.exp(log_nu - log_phi + depth * p)
@@ -160,10 +161,11 @@ def cmd_verify(args) -> int:
     results.append(("side-length integrals ordered", chi_ok,
                     f"int f11 dm1 = {int_11_m1:.9f} >= int f21 dm1 = {int_21_m1:.9f}"))
 
-    c_sub = up / lo ** 2
+    log_c = log_up - 2.0 * log_lo  # C = up / lo^2 in logs: lo underflows at tiny ratios
     wu, wl = thermo.submultiplicativity_check(spec, s, min(depth, 8))
-    results.append(("submultiplicativity", wu <= c_sub * (1 + 1e-9),
-                    f"worst upper {wu:.4f} <= C {c_sub:.4f}; worst lower {wl:.3e}"))
+    with np.errstate(divide="ignore", over="ignore"):
+        results.append(("submultiplicativity", bool(np.log(wu) <= log_c + np.log1p(1e-9)),
+                        f"worst upper {wu:.4f} <= C {np.exp(log_c):.4f}; worst lower {wl:.3e}"))
 
     diag_idx = next((k + 1 for k, m in enumerate(spec.maps)
                      if not m.anti and m.a != m.b), None)
@@ -207,10 +209,14 @@ def cmd_verify(args) -> int:
     return 1 if failed else 0
 
 
-def cmd_sample(args) -> int:
+def _draw(args) -> sampling.SampleSet:
     spec = _read_spec(args.spec)
     s, _ = _resolve_s(spec, args.s)
-    samples = sampling.sample_symbolic(spec, s, args.count, args.depth, args.seed)
+    return sampling.sample_symbolic(spec, s, args.count, args.depth, args.seed)
+
+
+def cmd_sample(args) -> int:
+    samples = _draw(args)
     if args.out:
         sampling.write_csv(samples, args.out)
     else:
@@ -219,18 +225,13 @@ def cmd_sample(args) -> int:
 
 
 def cmd_render(args) -> int:
-    spec = _read_spec(args.spec)
-    s, _ = _resolve_s(spec, args.s)
-    samples = sampling.sample_symbolic(spec, s, args.count, args.depth, args.seed)
-    sampling.render_attractor(samples, args.px, args.out)
+    sampling.render_attractor(_draw(args), args.px, args.out)
     print(f"wrote {args.out}")
     return 0
 
 
 def cmd_estimate(args) -> int:
-    spec = _read_spec(args.spec)
-    s, _ = _resolve_s(spec, args.s)
-    samples = sampling.sample_symbolic(spec, s, args.count, args.depth, args.seed)
+    samples = _draw(args)
     radii = _parse_radii(args.radii)
     if args.target == "local":
         centers = sampling.default_centers(samples, args.centers)
@@ -279,6 +280,11 @@ def build_parser() -> argparse.ArgumentParser:
                     "diagonal/anti-diagonal systems")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def draw_options(p, count, depth=30):
+        p.add_argument("--count", type=int, default=count)
+        p.add_argument("--depth", type=int, default=depth)
+        p.add_argument("--seed", type=int, default=0)
+
     def common(p, s_opt=True):
         p.add_argument("--spec", required=True,
                        help="path to a JSON system config, or - for stdin")
@@ -323,26 +329,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample", help="draw measure-distributed points as CSV")
     common(p)
-    p.add_argument("--count", type=int, default=10000)
-    p.add_argument("--depth", type=int, default=30)
-    p.add_argument("--seed", type=int, default=0)
+    draw_options(p, 10000)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("render", help="render sampled points to a PGM image")
     common(p)
-    p.add_argument("--count", type=int, default=200000)
-    p.add_argument("--depth", type=int, default=30)
-    p.add_argument("--seed", type=int, default=0)
+    draw_options(p, 200000)
     p.add_argument("--px", type=int, default=512)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_render)
 
     p = sub.add_parser("estimate", help="Monte Carlo dimension estimators")
     common(p)
-    p.add_argument("--count", type=int, default=1000000)
-    p.add_argument("--depth", type=int, default=25)
-    p.add_argument("--seed", type=int, default=0)
+    draw_options(p, 1000000, 25)
     p.add_argument("--radii", default="0.002:0.0625:6", help="rmin:rmax:k geometric grid")
     p.add_argument("--centers", type=int, default=20)
     p.add_argument("--target", choices=["local", "projected", "box"], default="local")
@@ -354,9 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["auto", "ssc", "expected", "user", "mc"],
                    default="auto")
     p.add_argument("--value", type=float, default=None, help="value for --mode user")
-    p.add_argument("--count", type=int, default=200000)
-    p.add_argument("--depth", type=int, default=30)
-    p.add_argument("--seed", type=int, default=0)
+    draw_options(p, 200000)
     p.set_defaults(func=cmd_project_dim)
 
     return parser

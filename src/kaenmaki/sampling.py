@@ -10,8 +10,9 @@ cylinder rectangle up to the reported accuracy bound.
 
 All randomness flows through a counter-based generator seeded once per
 sample set, with a fixed draw schedule (one branch draw, one initial-state
-draw, then one transition draw per step, each vectorized over points), so
-identical inputs give bit-identical outputs regardless of worker counts.
+draw, then one transition draw per step, each vectorized over points and
+inverting a cumulative row by one gather per threshold), so identical inputs
+give bit-identical outputs.  Words are column-major; CSV rows are built by column.
 
 Local dimensions are estimated on sup-metric squares: the empirical measure
 of the square of half-side r around a center is the fraction of sample
@@ -33,10 +34,12 @@ from enum import Enum
 
 import numpy as np
 
-from .coding import as_word, product_signature, signature_arrays, tau_arrays, transition_matrix
+from .coding import as_word, product_signature, signature_arrays, tau_arrays
 from .errors import InternalMismatch, IoFailure, NoCertificate, TooFewHits, TooLarge
 from .ifs import IfsSpec, check_strong_separation
 from .thermo import ENUMERATION_CAP, kaenmaki_measure
+
+CSV_BLOCK_ROWS = 1 << 13  # rows per block yielded by csv_lines
 
 
 class Axis(Enum):
@@ -53,11 +56,11 @@ class Projection(Enum):
 class SampleSet:
     """Points drawn from the measure, with their generating words.
 
-    words is an (N, depth) array over 1..d; points is (N, 2) in the closed
-    unit square, each the centre of its word's cylinder rectangle; accuracy
-    is sqrt(2)/2 times the longest side of those rectangles, max(p, q) over
-    the set, so it bounds the Euclidean (hence also the sup) distance from
-    each point to every address extending its word.
+    words is an (N, depth) array over 1..d, column-major from sample_symbolic;
+    points is (N, 2) in the closed unit square, each the centre of its word's
+    cylinder rectangle; accuracy is sqrt(2)/2 times the longest side of those
+    rectangles, max(p, q) over the set, so it bounds the Euclidean (hence
+    also the sup) distance from each point to every address extending its word.
     """
 
     points: np.ndarray
@@ -75,27 +78,27 @@ def _lifted_columns(nu, count: int, depth: int, rng):
     """Yield the 0-based lifted states of ``count`` sampled words, column by column.
 
     Follows the draw schedule: one branch draw, one initial-state draw, then
-    one transition draw per further column.  All rows of one row class of a
-    chain are equal, and a class-0 row moves into the unshifted half, a
-    class-1 row into the shifted half; so the next state is class * d + j,
-    with j the inverse CDF of the (chain, class) cumulative row at the draw,
-    capped at d - 1 where the cumulative sum tops out 1 ulp below it.
+    one transition draw per further column.  Rows of one class c of a chain
+    are equal and move into half c, so the next state is c * d + j: c is the
+    anti-diagonal parity so far, and j = #{k < d - 1 : u > row[k]} is the inverse
+    CDF of the (nondecreasing) cumulative (chain, c) row at u, capped at d - 1.
     """
     d = nu.spec.d
     chain = (rng.random(count) >= nu.tau_start_mass()).astype(np.int64)  # 0: m1, 1: m2
-    init = np.array([np.cumsum(g.stationary[:d] / g.stationary[:d].sum())
-                     for g in (nu.m1, nu.m2)])
-    state = np.minimum((rng.random(count)[:, None] > init[chain]).sum(axis=1), d - 1)
-    yield state
-    # rows 0 and d are of class 0 and 1: 0 is diagonal, d is its shift
-    tables = np.array([[np.cumsum(g.stochastic[0, :d]), np.cumsum(g.stochastic[d, d:])]
-                       for g in (nu.m1, nu.m2)])
-    row_class = transition_matrix(d, nu.spec.l).entries[:, d]
-    for _ in range(1, depth):
+    # cumulative rows by key, one column each: 0, 1 the initial laws of m1, m2;
+    # 2 + 2 chain + class the rows 0 (class 0) and d (its shift, class 1)
+    cum = np.array([np.cumsum(g.stationary[:d] / g.stationary[:d].sum()) for g in (nu.m1, nu.m2)]
+                   + [np.cumsum(row) for g in (nu.m1, nu.m2)
+                      for row in (g.stochastic[0, :d], g.stochastic[d, d:])]).T.copy()
+    key, cls = chain, np.zeros(count, dtype=np.int64)
+    for _ in range(depth):
         u = rng.random(count)
-        cls = row_class[state]
-        state = cls * d + np.minimum((u[:, None] > tables[chain, cls]).sum(axis=1), d - 1)
-        yield state
+        j = np.zeros(count, dtype=np.int64)
+        for thresholds in cum[:d - 1]:
+            j += u > thresholds[key]
+        yield cls * d + j
+        cls ^= j >= nu.spec.l - 1
+        key = 2 + 2 * chain + cls
 
 
 def sample_symbolic(spec: IfsSpec, s: float, count: int, depth: int, seed: int) -> SampleSet:
@@ -103,7 +106,7 @@ def sample_symbolic(spec: IfsSpec, s: float, count: int, depth: int, seed: int) 
     if depth < 1 or count < 1:
         raise ValueError("count and depth must be >= 1")
     rng = np.random.Generator(np.random.Philox(np.uint64(seed)))
-    words = np.empty((count, depth), dtype=np.int64)
+    words = np.empty((count, depth), dtype=np.int64, order="F")
     for t, state in enumerate(_lifted_columns(kaenmaki_measure(spec, s), count, depth, rng)):
         words[:, t] = state % spec.d + 1  # decode the lift: reduce mod d into 1..d
     log_p, log_q, _, x, y = signature_arrays(words, spec)
@@ -112,18 +115,23 @@ def sample_symbolic(spec: IfsSpec, s: float, count: int, depth: int, seed: int) 
                      depth=int(depth), accuracy=accuracy)
 
 
-def projection_error_bound(spec: IfsSpec, w) -> float:
-    return product_signature(as_word(w, spec.d), spec).alpha1 * math.sqrt(2.0) / 2.0
-
-
 def csv_lines(samples: SampleSet):
-    """Yield the x,y,word header and rows; the word column is the digit string of
-    the sample's word, joined by '-' when a symbol has two digits (d >= 10): 4-10-3."""
-    sep = "-" if samples.words.max() >= 10 else ""
+    """Yield the x,y,word header, then blocks of CSV_BLOCK_ROWS rows built column
+    by column: the repr of each coordinate, and the word's digit string, sliced
+    from one ASCII buffer, or joined by '-' from a symbol table when a symbol
+    has two digits (d >= 10): 4-10-3."""
+    words = samples.words
+    symbols = np.array([str(k) for k in range(words.max(initial=0) + 1)], dtype=object)
     yield "x,y,word\n"
-    for point, word in zip(samples.points, samples.words):
-        x, y = point.tolist()
-        yield f"{x!r},{y!r},{sep.join(map(str, word.tolist()))}\n"
+    for lo in range(0, len(words), CSV_BLOCK_ROWS):
+        block, n = words[lo:lo + CSV_BLOCK_ROWS], words.shape[1]
+        if len(symbols) > 10:
+            col = map("-".join, symbols[block].tolist())
+        else:
+            text = (block + ord("0")).astype(np.uint8).tobytes().decode("ascii")
+            col = (text[i:i + n] for i in range(0, len(text), n))
+        x, y = samples.points[lo:lo + CSV_BLOCK_ROWS].T.tolist()
+        yield "\n".join(map(",".join, zip(map(repr, x), map(repr, y), col))) + "\n"
 
 
 def write_csv(samples: SampleSet, path) -> None:
@@ -318,25 +326,27 @@ def strip_measure_oracle(spec: IfsSpec, s: float, q: StripQuery,
     The strip mass is bracketed by summing the measure over extension cells
     inside the strip; the bound is C * nu([prefix]) * (projected mass of the
     strip interval blown up by 1/alpha1, enumerated on the interval system),
-    where C = up / lo^2 comes from the two-sided cylinder envelope and
-    dominates every ratio nu([uv]) / (nu([u]) nu([v])).  The upper bracket of
-    the left side never exceeds the bound built from the upper bracket of the
-    right side.
+    where C = up / lo^2 (formed in logs) comes from the two-sided cylinder
+    envelope and dominates every ratio nu([uv]) / (nu([u]) nu([v])).  The
+    upper bracket of the left side never exceeds the bound built from the
+    upper bracket of the right side.
     """
     if spec.d ** extension_cap > ENUMERATION_CAP:
         raise TooLarge(f"{spec.d}^{extension_cap} exceeds the enumeration cap")
     if not check_strong_separation(spec).strong_separation:
         raise NoCertificate("strip enumeration requires certified strong separation")
     nu = kaenmaki_measure(spec, s)
-    lo_env, up_env = nu.envelope()
-    c_sub = up_env / lo_env ** 2
-
     prefix = q.word_prefix
+    log_lo, log_up = nu.log_envelope()
+    log_c_sub = log_up - 2.0 * log_lo  # lo alone underflows at tiny ratios
+    log_mass = nu.log_cylinder(prefix)
+    with np.errstate(over="ignore"):  # C may overflow where C * nu([prefix]) does not
+        c_sub, c_mass, mass = np.exp([log_c_sub, log_c_sub + log_mass, log_mass]).tolist()
+
     _, (cyl_lo, cyl_hi), strip, blown = _strip_setup(spec, q)
     if strip[0] <= cyl_lo and cyl_hi <= strip[1]:
-        mass = nu.cylinder(prefix)
         return StripOracleResult(mu_lower=mass, mu_upper=mass,
-                                 bound=c_sub * mass, proj_lower=1.0, proj_upper=1.0,
+                                 bound=c_mass, proj_lower=1.0, proj_upper=1.0,
                                  submult_const=c_sub, covered=True, undecided=False)
 
     mu_dec, mu_und = _interval_mass(spec, prefix, strip, q.primary_axis is Axis.HORIZONTAL,
@@ -344,8 +354,7 @@ def strip_measure_oracle(spec: IfsSpec, s: float, q: StripQuery,
     pr_dec, pr_und = _interval_mass(spec, (), blown, q.secondary_projection is Projection.X,
                                     extension_cap, nu.log_cylinder_batch)
 
-    mass_prefix = nu.cylinder(prefix)
-    bound = c_sub * mass_prefix * (pr_dec + pr_und)
+    bound = c_mass * (pr_dec + pr_und)
     total = mu_dec + mu_und
     if total > bound * (1.0 + 1e-9):
         raise InternalMismatch(
@@ -415,16 +424,10 @@ def render_attractor(samples: SampleSet, px: int, path) -> None:
     """
     if not (16 <= px <= 8192):
         raise ValueError(f"px={px} must lie in [16, 8192]")
-    counts = np.zeros((px, px), dtype=np.int64)
-    if len(samples.points):
-        cols = np.clip((samples.points[:, 0] * px).astype(np.int64), 0, px - 1)
-        rows = px - 1 - np.clip((samples.points[:, 1] * px).astype(np.int64), 0, px - 1)
-        np.add.at(counts, (rows, cols), 1)
-    cmax = counts.max()
-    if cmax > 0:
-        img = np.rint(255.0 * np.log1p(counts) / np.log1p(cmax)).astype(np.uint8)
-    else:
-        img = counts.astype(np.uint8)
+    cols = np.clip((samples.points[:, 0] * px).astype(np.int64), 0, px - 1)
+    rows = px - 1 - np.clip((samples.points[:, 1] * px).astype(np.int64), 0, px - 1)
+    counts = np.bincount(rows * px + cols, minlength=px * px).reshape(px, px)
+    img = np.rint(255.0 * np.log1p(counts) / np.log1p(max(counts.max(), 1))).astype(np.uint8)
     header = f"P5\n{px} {px}\n255\n".encode("ascii")
     try:
         with open(path, "wb") as fh:

@@ -158,7 +158,7 @@ class MarkovGibbs:
     log_left are the unnormalized logs of the two eigenvectors.  The cylinder
     mass of an admissible coded word c is stationary[c1] * prod stochastic
     along c, and it obeys two-sided Gibbs bounds with the explicit constants
-    returned by gibbs_bounds().
+    whose logs log_gibbs_bounds() returns.
     """
 
     s: float
@@ -186,18 +186,18 @@ class MarkovGibbs:
     def left_vec(self) -> np.ndarray:
         return _normalized_exp(self.log_left)
 
-    def gibbs_bounds(self) -> tuple[float, float]:
-        """Constants (lo, up) with lo <= m([c]) / exp(S_n f - n P) <= up.
+    def log_gibbs_bounds(self) -> tuple[float, float]:
+        """Logs of the constants (lo, up) with lo <= m([c]) / exp(S_n f - n P) <= up.
 
         The cylinder formula gives the ratio exactly as
         left(c_1) exp(-weights(c_1)) * right(c_n) * root / sum(left * right),
         so the extremes of the two factors bound it.  Taken in log space: the
-        normalized right vector can underflow where these logs do not.
+        normalized right vector and lo itself can underflow where logs do not.
         """
         head = self.log_left - self.weights
         shift = self.log_pressure - np.logaddexp.reduce(self.log_left + self.log_right)
-        return (float(np.exp(head.min() + self.log_right.min() + shift)),
-                float(np.exp(head.max() + self.log_right.max() + shift)))
+        return (float(head.min() + self.log_right.min() + shift),
+                float(head.max() + self.log_right.max() + shift))
 
     def log_cylinder_batch(self, coded: np.ndarray) -> np.ndarray:
         """log m([c]) over an (N, n) array of admissible lifts with 0-based symbols."""
@@ -256,11 +256,10 @@ class KaenmakiMeasure:
         """m1-mass of coded words starting in the unshifted half."""
         return float(self.m1.stationary[:self.spec.d].sum())
 
-    def envelope(self) -> tuple[float, float]:
-        """Two-sided bounds for nu([w]) / (phi^s(w) exp(-n P)) over all words."""
-        lo1, up1 = self.m1.gibbs_bounds()
-        lo2, up2 = self.m2.gibbs_bounds()
-        return min(lo1, lo2), up1 + up2
+    def log_envelope(self) -> tuple[float, float]:
+        """Logs of two-sided bounds for nu([w]) / (phi^s(w) exp(-n P)) over all words."""
+        (lo1, up1), (lo2, up2) = self.m1.log_gibbs_bounds(), self.m2.log_gibbs_bounds()
+        return min(lo1, lo2), float(np.logaddexp(up1, up2))
 
 
 @lru_cache(maxsize=64)
@@ -516,7 +515,7 @@ class ThermoSummary:
 def thermo_summary(spec: IfsSpec, s: float, affinity_dim: float | None = None) -> ThermoSummary:
     """Quantities at s; the pressure root is searched for unless given as affinity_dim."""
     chi1, chi2 = lyapunov_exponents(spec, s)
-    lo, up = kaenmaki_measure(spec, s).envelope()
+    lo, up = np.exp(kaenmaki_measure(spec, s).log_envelope())  # lo may underflow to 0.0
     return ThermoSummary(
         s=s,
         pressure=pressure(spec, s),
@@ -524,5 +523,5 @@ def thermo_summary(spec: IfsSpec, s: float, affinity_dim: float | None = None) -
         chi1=chi1,
         chi2=chi2,
         affinity_dim=affinity_dimension(spec) if affinity_dim is None else affinity_dim,
-        gibbs_lower=lo,
-        gibbs_upper=up)
+        gibbs_lower=float(lo),
+        gibbs_upper=float(up))

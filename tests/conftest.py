@@ -106,3 +106,28 @@ def all_words(d, n):
     idx = np.arange(d ** n)
     cols = [(idx // d ** (n - 1 - k)) % d + 1 for k in range(n)]
     return np.column_stack(cols).astype(np.int64)
+
+
+def csv_text_loop(points, words):
+    """The x,y,word CSV text with one f-string per row: the reference for
+    sampling.csv_lines (repr of each coordinate; the word's digits, joined by
+    '-' when some symbol of the set has two digits)."""
+    sep = "-" if words.max() >= 10 else ""
+    rows = ["x,y,word\n"]
+    for point, word in zip(points, words):
+        x, y = point.tolist()
+        rows.append(f"{x!r},{y!r},{sep.join(map(str, word.tolist()))}\n")
+    return "".join(rows)
+
+
+def grid_spec(d, n_anti, seed=0):
+    """d maps, one per cell of the ceil(sqrt d) grid, the last n_anti anti-diagonal."""
+    rng = np.random.default_rng(seed)
+    g = int(np.ceil(np.sqrt(d)))
+    maps = []
+    for k in range(d):
+        cx, cy = divmod(k, g)
+        a, b = rng.uniform(0.2, 0.9, 2) / g
+        kind = anti if k >= d - n_anti else diag
+        maps.append(kind(float(a), float(b), cx / g, cy / g))
+    return make_spec(maps)

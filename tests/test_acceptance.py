@@ -181,13 +181,13 @@ def test_criterion_05_gibbs_envelope(ex1, sstar):
 
     nu[w]/phi^s(w) = R1(w) + R2(w), one term per lifted Gibbs chain.  Each
     component ratio m_i[tau w] / exp(S_n f_i(tau w) - n P) equals
-    g(c1) r(cn) exactly (see MarkovGibbs.gibbs_bounds), so its extremes must
+    g(c1) r(cn) exactly (see MarkovGibbs.log_gibbs_bounds), so its extremes must
     not drift.  The minimum of the sum still moves toward the envelope bound
     as the smaller term decays like (b1/a1)^(s n); that transient is not
     checked for drift.
     """
     nu = K.kaenmaki_measure(ex1, sstar)
-    lo, up = nu.envelope()
+    lo, up = np.exp(nu.log_envelope())
     big_c = max(1.0 / lo, up)
     nu_max, component = {}, {}
     for n in (6, 8, 10):

@@ -7,8 +7,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import EX1_JSON
-from kaenmaki import cli, thermo
+from conftest import EX1_JSON, grid_spec
+from kaenmaki import cli, errors, thermo
 from kaenmaki.cli import main
 
 
@@ -182,6 +182,23 @@ class TestVerify:
         assert "ratios 1.000e+00, 1.000e+00, 1.000e+00, 1.000e+00" in out
         assert len(out.splitlines()) == 6
 
+    def test_tiny_ratios_print_rows_or_typed_error(self, capsys, tmp_path):
+        # the envelope's lower constant underflows to 0.0 here; C = up / lo^2
+        # divided by it and ended the run in a ZeroDivisionError traceback
+        p = tmp_path / "tiny.json"
+        p.write_text('{"maps": [{"kind": "diag", "a": 5.48e-280, "b": 4.00e-17, "tx": 0, "ty": 0},'
+                     ' {"kind": "anti", "a": 8.11e-260, "b": 2.28e-181, "tx": 0.5, "ty": 0.5}]}')
+        with np.errstate(all="ignore"):
+            code, out, err = run(capsys, "verify", "--spec", str(p), "--s", "1.0",
+                                 "--max-depth", "4")
+        if code == 2:
+            assert err.split(":")[0] in {c.code for c in vars(errors).values()
+                                         if isinstance(c, type) and hasattr(c, "code")}
+        else:
+            rows = out.splitlines()
+            assert len(rows) == 6 and code == int(any(r.startswith("FAIL") for r in rows))
+            assert any(r.startswith("PASS  submultiplicativity") for r in rows), out
+
     def test_depth_too_large(self, capsys, ex1_path):
         code, _, err = run(capsys, "verify", "--spec", ex1_path, "--max-depth", "40")
         assert code == 2 and "TooLarge" in err
@@ -203,6 +220,21 @@ class TestSampleRenderEstimate:
         code, out, _ = run(capsys, "sample", *draw)
         assert code == 0
         assert out == path.read_text()
+
+    def test_sample_stdout_matches_file_two_digit_symbols(self, capsys, tmp_path):
+        spec = grid_spec(12, n_anti=5)
+        cfg = tmp_path / "d12.json"
+        cfg.write_text(json.dumps({"maps": [
+            {"kind": m.kind.value, "a": m.a, "b": m.b, "tx": m.tx, "ty": m.ty}
+            for m in spec.maps]}))
+        path = tmp_path / "a.csv"
+        draw = ["--spec", str(cfg), "--count", "70000", "--depth", "6", "--seed", "5",
+                "--s", "1.0"]
+        assert run(capsys, "sample", *draw, "--out", str(path))[0] == 0
+        code, out, _ = run(capsys, "sample", *draw)
+        assert code == 0
+        assert out == path.read_text()
+        assert out.splitlines()[1].split(",")[2].count("-") == 5
 
     def test_golden_digests(self, capsys, ex1_path, tmp_path):
         """SHA-256 of the sample CSV, render PGM and estimate JSON for fixed seeds.

@@ -1,8 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
-from conftest import all_words, anti, diag
+from conftest import all_words, anti, csv_text_loop, diag, grid_spec
 from kaenmaki import (
     Projection,
     SampleSet,
@@ -21,9 +24,10 @@ from kaenmaki import (
     transition_matrix,
     write_csv,
 )
+from kaenmaki import sampling
 from kaenmaki.errors import TooFewHits
 from kaenmaki.coding import signature_arrays
-from kaenmaki.sampling import _lifted_columns, csv_lines, default_centers, projection_error_bound
+from kaenmaki.sampling import _lifted_columns, csv_lines, default_centers
 
 
 def synthetic_samples(points):
@@ -59,6 +63,25 @@ def inverse_cdf(probs, u):
         if total >= u:
             return j
     return support[-1]
+
+
+def lifted_columns_dense(nu, count, depth, rng):
+    """The sampler's lifted states from a full (count, d) comparison table per
+    column, with the draw schedule of sampling._lifted_columns: its reference."""
+    d = nu.spec.d
+    chain = (rng.random(count) >= nu.tau_start_mass()).astype(np.int64)
+    init = np.array([np.cumsum(g.stationary[:d] / g.stationary[:d].sum())
+                     for g in (nu.m1, nu.m2)])
+    state = np.minimum((rng.random(count)[:, None] > init[chain]).sum(axis=1), d - 1)
+    yield state
+    tables = np.array([[np.cumsum(g.stochastic[0, :d]), np.cumsum(g.stochastic[d, d:])]
+                       for g in (nu.m1, nu.m2)])
+    row_class = transition_matrix(d, nu.spec.l).entries[:, d]
+    for _ in range(1, depth):
+        u = rng.random(count)
+        cls = row_class[state]
+        state = cls * d + np.minimum((u[:, None] > tables[chain, cls]).sum(axis=1), d - 1)
+        yield state
 
 
 class TestSampler:
@@ -113,6 +136,23 @@ class TestSampler:
             assert got[i].tolist() == path
         assert zero_after_shifted_row and top_above_row_sum
 
+    @pytest.mark.parametrize("d", [*range(2, 13), 40])
+    def test_threshold_gathers_match_dense_table(self, d):
+        spec = grid_spec(d, n_anti=1 + d // 3, seed=d)
+        s = 0.2 + 1.6 * (d % 7) / 6
+        nu, top = kaenmaki_measure(spec, s), 1.0 - 2.0 ** -53
+        count, depth = 3000, 20
+        words = sample_symbolic(spec, s, count, depth, seed=d).words
+        rng = np.random.Generator(np.random.Philox(np.uint64(d)))
+        want = np.column_stack(list(lifted_columns_dense(nu, count, depth, rng)))
+        assert words.flags.f_contiguous and np.array_equal(words, want % d + 1)
+        values = np.random.default_rng(d).random(997)
+        values[::5], values[1::7] = 0.0, top
+        got = np.column_stack(list(_lifted_columns(nu, count, depth, StubGenerator(values))))
+        want = np.column_stack(list(lifted_columns_dense(nu, count, depth,
+                                                         StubGenerator(values))))
+        assert np.array_equal(got, want)
+
     def test_accuracy_bounds_distance_to_extensions(self):
         # word (1,) extends to map 1's fixed point (0, 0), at sup distance
         # 0.225 from the word's point (0.05, 0.225)
@@ -144,7 +184,8 @@ class TestProjectPoint:
         assert y[0] == pytest.approx(12 / 19, abs=1e-14)
 
     def test_error_bound(self, ex1):
-        assert projection_error_bound(ex1, (1,) * 30) < 1e-14
+        log_p, log_q, *_ = signature_arrays(np.array([(1,) * 30]), ex1)
+        assert np.sqrt(2.0) / 2.0 * np.exp(max(log_p[0], log_q[0])) < 1e-14
 
 
 class TestEstimators:
@@ -294,8 +335,37 @@ class TestCsv:
         wide = SampleSet(points=points, words=np.array([[4, 10, 3], [1, 1, 2]]),
                          seed=0, depth=3, accuracy=0.0)
         assert "".join(csv_lines(short)) == "x,y,word\n0.25,0.5,493\n0.1,0.2,112\n"
-        write_csv(wide, tmp_path / "w.csv")
+        with mock.patch.object(sampling, "CSV_BLOCK_ROWS", 1):  # the separator is set-wide
+            write_csv(wide, tmp_path / "w.csv")
         assert (tmp_path / "w.csv").read_text() == "x,y,word\n0.25,0.5,4-10-3\n0.1,0.2,1-1-2\n"
+
+
+# coordinates whose repr is positional, scientific, subnormal or at the square's edges
+SPECIAL_COORDS = [0.0, 1.0, 1e-5, 1e-4, 1e-300, 5e-324, 2.5e-310, 1e16, 1.5e-7,
+                  0.1, 1 / 3, 0.9999999999999999]
+
+
+class TestCsvOracle:
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_matches_row_loop(self, data):
+        d = data.draw(st.integers(2, 12))
+        n, depth = data.draw(st.integers(1, 30)), data.draw(st.integers(1, 12))
+        word_rows = st.lists(st.integers(1, d), min_size=depth, max_size=depth)
+        words = np.array(data.draw(st.lists(word_rows, min_size=n, max_size=n)),
+                         order=data.draw(st.sampled_from("CF")))
+        coord = st.one_of(st.sampled_from(SPECIAL_COORDS), st.floats(0.0, 1.0))
+        points = np.array(data.draw(st.lists(st.tuples(coord, coord), min_size=n, max_size=n)))
+        samples = SampleSet(points=points, words=words, seed=0, depth=depth, accuracy=0.0)
+        block = data.draw(st.integers(1, n + 1))
+        with mock.patch.object(sampling, "CSV_BLOCK_ROWS", block):
+            assert "".join(csv_lines(samples)) == csv_text_loop(points, words)
+
+    @pytest.mark.parametrize("d", [3, 12])
+    def test_sample_set_matches_row_loop(self, d):
+        samples = sample_symbolic(grid_spec(d, n_anti=2), 1.0, 5000, 15, seed=d)
+        with mock.patch.object(sampling, "CSV_BLOCK_ROWS", 1234):
+            assert "".join(csv_lines(samples)) == csv_text_loop(samples.points, samples.words)
 
 
 class TestTrajectoryDiagnostics:
