@@ -5,7 +5,6 @@ and Monte Carlo verification."""
 from .coding import (
     CodedWord,
     ProductSignature,
-    TransitionMatrix,
     Word,
     check_mixing,
     coded_word,
@@ -15,12 +14,10 @@ from .coding import (
 )
 from .dimension import (
     DimensionReport,
-    LineMapSystem,
     ProjectedDim,
     ProjectedMode,
     check_projection_ssc,
     dimension_report,
-    line_system,
     ly_dimension,
     projected_dimension,
 )

@@ -122,9 +122,9 @@ def _verify_key_identity(spec: IfsSpec, s: float, depth: int) -> float:
     """Worst log disagreement between phi of the side lengths and the larger
     Birkhoff sum of the two potentials along the tau lift, words up to depth."""
     w = np.stack([thermo._weight_vector(spec, s, t) for t in PotentialIndex])
-    worst = 0.0
-    for log_p, log_q, prev, coded in thermo.expand_levels(spec, depth):
-        sums = w[:, coded] if prev is None else np.repeat(sums, spec.d, axis=1) + w[:, coded]
+    worst, sums = 0.0, None
+    for log_p, log_q, coded in thermo.expand_levels(spec, depth):
+        sums = w[:, coded] if sums is None else np.repeat(sums, spec.d, axis=1) + w[:, coded]
         via_svd = thermo._log_phi_from_alphas(
             np.maximum(log_p, log_q), np.minimum(log_p, log_q), s)
         worst = max(worst, float(np.abs(via_svd - sums.max(axis=0)).max()))
@@ -162,10 +162,10 @@ def cmd_verify(args) -> int:
                     f"int f11 dm1 = {int_11_m1:.9f} >= int f21 dm1 = {int_21_m1:.9f}"))
 
     log_c = log_up - 2.0 * log_lo  # C = up / lo^2 in logs: lo underflows at tiny ratios
-    wu, wl = thermo.submultiplicativity_check(spec, s, min(depth, 8))
-    with np.errstate(divide="ignore", over="ignore"):
-        results.append(("submultiplicativity", bool(np.log(wu) <= log_c + np.log1p(1e-9)),
-                        f"worst upper {wu:.4f} <= C {np.exp(log_c):.4f}; worst lower {wl:.3e}"))
+    log_wu, log_wl = thermo.submultiplicativity_check(spec, s, min(depth, 8))
+    results.append(("submultiplicativity", bool(log_wu <= log_c + np.log1p(1e-9)),
+                    f"log worst upper {log_wu:.4f} <= log C {log_c:.4f}; "
+                    f"worst lower {np.exp(log_wl):.3e}"))
 
     diag_idx = next((k + 1 for k, m in enumerate(spec.maps)
                      if not m.anti and m.a != m.b), None)

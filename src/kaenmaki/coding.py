@@ -2,14 +2,16 @@
 
 Words over {1..d} index compositions of the planar maps.  Because every
 composed linear part is again diagonal or anti-diagonal, a word is fully
-described by three numbers: the magnitudes of the top-row and bottom-row
-entries of the product (tracked in log space) and the parity of the number of
-anti-diagonal factors.  signature_arrays composes batches of words in one
-right-to-left pass and is the one word composer besides the level expander in
-thermo.  The doubled alphabet {1..2d} additionally records, per position,
+described by three numbers: the magnitudes of the nonzero top-row and
+bottom-row coefficients of the product (tracked in log space) and the parity
+of the number of anti-diagonal factors.  signature_arrays composes batches of
+words in one right-to-left pass and is the one word composer besides the
+level expander in thermo.  The doubled alphabet {1..2d} additionally records, per position,
 whether the composition so far preserves the coordinate axes: the lift tau
 shifts a symbol by d exactly when the preceding composition is anti-diagonal.
-Admissibility of lifted words is governed by a fixed 0/1 transition matrix.
+A state of row class 0 is followed by every unshifted symbol, one of class 1
+by every shifted one, so the 0/1 row-class vector stands for the 2d x 2d 0/1
+transition matrix that governs admissibility of lifted words.
 """
 
 from __future__ import annotations
@@ -35,44 +37,31 @@ def as_word(symbols, d: int) -> Word:
     return w
 
 
-@dataclass(frozen=True)
-class TransitionMatrix:
-    """The 2d x 2d 0/1 matrix of allowed successors on the doubled alphabet.
-
-    State i may be followed by any unshifted symbol (j <= d) when
-    i in {1..l-1} u {d+l..2d}, and by any shifted symbol (j > d) when
-    i in {l..d+l-1}.  Every row therefore has exactly d ones.
-    """
-
-    d: int
-    l: int
-    entries: np.ndarray
-
-    def __post_init__(self):
-        self.entries.setflags(write=False)
-
-    def allowed(self, i: int, j: int) -> bool:
-        return bool(self.entries[i - 1, j - 1])
-
-
 @lru_cache(maxsize=64)
-def transition_matrix(d: int, l: int) -> TransitionMatrix:
+def transition_matrix(d: int, l: int) -> np.ndarray:
+    """The row class of each state of the doubled alphabet, as a read-only 0/1 vector.
+
+    State i may be followed by j exactly when row_class[i-1] == (j > d):
+    class 0 (i in {1..l-1} u {d+l..2d}) by the d unshifted symbols, class 1
+    (i in {l..d+l-1}) by the d shifted ones.  These are the only two rows of
+    the 2d x 2d 0/1 transition matrix.
+    """
     if not (1 < l <= d):
         raise BadShape(f"need 1 < l <= d, got d={d}, l={l}")
-    n = 2 * d
-    entries = np.zeros((n, n), dtype=np.int64)
-    for i in range(1, n + 1):
-        if i <= l - 1 or i >= d + l:
-            entries[i - 1, :d] = 1
-        else:
-            entries[i - 1, d:] = 1
-    return TransitionMatrix(d=d, l=l, entries=entries)
+    row_class = np.repeat([0, 1, 0], [l - 1, d, d - l + 1])
+    row_class.setflags(write=False)
+    return row_class
 
 
-def check_mixing(tm: TransitionMatrix) -> bool:
-    """True when the square of the matrix has all entries positive."""
-    sq = tm.entries @ tm.entries
-    return bool((sq > 0).all())
+def check_mixing(row_class: np.ndarray) -> bool:
+    """True when the square of the transition matrix is positive everywhere.
+
+    In two steps a class-c state reaches the halves named by the classes in
+    half c, so T^2 > 0 exactly when each half holds both classes.  For
+    1 < l <= d each does: its diagonal and anti-diagonal symbols differ in class.
+    """
+    d = len(row_class) // 2
+    return all(0 < row_class[h * d:(h + 1) * d].sum() < d for h in (0, 1))
 
 
 @dataclass(frozen=True)
@@ -83,13 +72,14 @@ class CodedWord:
     admissible: bool
 
 
-def coded_word(symbols, tm: TransitionMatrix) -> CodedWord:
+def coded_word(symbols, row_class: np.ndarray) -> CodedWord:
     syms = tuple(int(x) for x in symbols)
+    d = len(row_class) // 2
     if len(syms) == 0:
         raise ValueError("coded word must be nonempty")
-    if any(x < 1 or x > 2 * tm.d for x in syms):
-        raise ValueError(f"coded symbols must lie in 1..{2 * tm.d}: {syms}")
-    ok = all(tm.allowed(x, y) for x, y in zip(syms, syms[1:]))
+    if any(x < 1 or x > 2 * d for x in syms):
+        raise ValueError(f"coded symbols must lie in 1..{2 * d}: {syms}")
+    ok = all(row_class[x - 1] == (y > d) for x, y in zip(syms, syms[1:]))
     return CodedWord(symbols=syms, admissible=ok)
 
 
@@ -150,7 +140,8 @@ def product_signature(w, spec: IfsSpec) -> ProductSignature:
 
 # -- vectorized helpers -------------------------------------------------------
 #
-# Words are passed as an (N, n) integer array with values in 1..d.
+# Words are passed as an (N, n) integer array with values in 1..d, of any
+# integer dtype that holds 2d (the sampler's words are uint8 for d <= 127).
 
 def signature_arrays(words: np.ndarray, spec: IfsSpec):
     """Per-row (log_p, log_q, parity, x, y) for a batch of words.
@@ -175,7 +166,7 @@ def signature_arrays(words: np.ndarray, spec: IfsSpec):
     parity = np.zeros(n_rows, dtype=np.int64)
     x, y = np.full(n_rows, 0.5), np.full(n_rows, 0.5)
     for t in range(n_cols - 1, -1, -1):
-        j = words[:, t] - 1
+        j = words[:, t].astype(np.intp) - 1
         swap = anti[j]
         x, y = a[j] * np.where(swap, y, x) + tx[j], b[j] * np.where(swap, x, y) + ty[j]
         log_p, log_q = la[j] + np.where(swap, log_q, log_p), lb[j] + np.where(swap, log_p, log_q)

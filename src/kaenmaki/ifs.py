@@ -17,6 +17,8 @@ import warnings
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from .errors import (
     DegenerateSystemWarning,
     MalformedConfig,
@@ -125,9 +127,6 @@ class IfsSpec:
         """1-based map lookup, matching word symbols."""
         return self.maps[i - 1]
 
-    def level1_rects(self) -> list[Rect]:
-        return [m(UNIT_SQUARE) for m in self.maps]
-
 
 def make_spec(maps, s: float | None = None) -> IfsSpec:
     """Sort diagonal maps first (stable), validate, and build an IfsSpec.
@@ -194,29 +193,23 @@ class SeparationReport:
     failing_pair: tuple[int, int] | None
 
 
-def _rect_gap(r1: Rect, r2: Rect) -> float:
-    """Sup-metric distance between two closed rectangles (0 when they meet)."""
-    gx = max(r1.x0 - r2.x1, r2.x0 - r1.x1, 0.0)
-    gy = max(r1.y0 - r2.y1, r2.y0 - r1.y1, 0.0)
-    return max(gx, gy)
-
-
 def check_strong_separation(spec: IfsSpec) -> SeparationReport:
     """Certify strong separation via disjointness of the level-1 rectangles.
 
-    This is a sufficient condition; the reported min_gap is a usable
-    lower bound for the first-level separation constant.
+    This is a sufficient condition; the reported min_gap, the least
+    sup-metric distance between two level-1 rectangles, is a usable lower
+    bound for the first-level separation constant.  failing_pair is the
+    first pair (i, j), i < j, whose rectangles meet.
     """
-    rects = spec.level1_rects()
-    min_gap = float("inf")
-    failing = None
-    for i in range(len(rects)):
-        for j in range(i + 1, len(rects)):
-            g = _rect_gap(rects[i], rects[j])
-            if g < min_gap:
-                min_gap = g
-                if g == 0.0 and failing is None:
-                    failing = (i + 1, j + 1)
+    x0, y0 = np.array([m.tx for m in spec.maps]), np.array([m.ty for m in spec.maps])
+    x1, y1 = x0 + spec.a, y0 + spec.b
+    gaps = np.maximum(np.maximum(x0[:, None] - x1, x0 - x1[:, None]),
+                      np.maximum(y0[:, None] - y1, y0 - y1[:, None])).clip(0.0)
+    np.fill_diagonal(gaps, np.inf)
+    # gaps is symmetric, so its first zero in row-major order has i < j
+    touching = np.argwhere(gaps == 0.0)
+    failing = (int(touching[0, 0]) + 1, int(touching[0, 1]) + 1) if len(touching) else None
+    min_gap = float(gaps.min())
     return SeparationReport(strong_separation=min_gap > 0.0,
                             min_gap=min_gap, failing_pair=failing)
 
@@ -241,16 +234,10 @@ def check_transversality(spec: IfsSpec) -> TransversalityReport:
     anti_maps = [m for m in spec.maps if m.anti]
     max_b = max(m.b for m in anti_maps)
     max_a = max(m.a for m in anti_maps)
-    u, v = [], []
-    for m in spec.maps:
-        if m.anti:
-            u.append(m.a * max_b)
-            v.append(m.b * max_a)
-        else:
-            u.append(m.a)
-            v.append(m.b)
-    holds = all(u[i] + u[j] < 1.0 and v[i] + v[j] < 1.0
-                for i in range(spec.d) for j in range(spec.d) if i != j)
+    u = [m.a * max_b if m.anti else m.a for m in spec.maps]
+    v = [m.b * max_a if m.anti else m.b for m in spec.maps]
+    # rounding is monotone, so the largest pair sum is that of the two largest
+    holds = all(sum(sorted(x)[-2:]) < 1.0 for x in (u, v))
     norm_sufficient = all(
         max(m.a, m.b) < (0.5 if not m.anti else 0.5 ** 0.5) for m in spec.maps)
     return TransversalityReport(u=tuple(u), v=tuple(v), holds=holds,

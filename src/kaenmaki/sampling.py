@@ -37,7 +37,7 @@ import numpy as np
 from .coding import as_word, product_signature, signature_arrays, tau_arrays
 from .errors import InternalMismatch, IoFailure, NoCertificate, TooFewHits, TooLarge
 from .ifs import IfsSpec, check_strong_separation
-from .thermo import ENUMERATION_CAP, kaenmaki_measure
+from .thermo import ENUMERATION_CAP, _log_normalized, kaenmaki_measure
 
 CSV_BLOCK_ROWS = 1 << 13  # rows per block yielded by csv_lines
 
@@ -56,7 +56,9 @@ class Projection(Enum):
 class SampleSet:
     """Points drawn from the measure, with their generating words.
 
-    words is an (N, depth) array over 1..d, column-major from sample_symbolic;
+    words is an (N, depth) array over 1..d, column-major from sample_symbolic,
+    of dtype np.min_scalar_type(2d) (uint8 for d <= 127), so that its tau
+    lift (symbols up to 2d) fits the same dtype;
     points is (N, 2) in the closed unit square, each the centre of its word's
     cylinder rectangle; accuracy is sqrt(2)/2 times the longest side of those
     rectangles, max(p, q) over the set, so it bounds the Euclidean (hence
@@ -86,10 +88,11 @@ def _lifted_columns(nu, count: int, depth: int, rng):
     d = nu.spec.d
     chain = (rng.random(count) >= nu.tau_start_mass()).astype(np.int64)  # 0: m1, 1: m2
     # cumulative rows by key, one column each: 0, 1 the initial laws of m1, m2;
-    # 2 + 2 chain + class the rows 0 (class 0) and d (its shift, class 1)
-    cum = np.array([np.cumsum(g.stationary[:d] / g.stationary[:d].sum()) for g in (nu.m1, nu.m2)]
-                   + [np.cumsum(row) for g in (nu.m1, nu.m2)
-                      for row in (g.stochastic[0, :d], g.stochastic[d, d:])]).T.copy()
+    # 2 + 2 chain + class the chain's row of that class
+    chains = (nu.m1, nu.m2)
+    laws = ([_log_normalized(g.log_stationary[:d]) for g in chains]
+            + [row for g in chains for row in g.log_rows])
+    cum = np.cumsum(np.exp(laws), axis=1).T.copy()
     key, cls = chain, np.zeros(count, dtype=np.int64)
     for _ in range(depth):
         u = rng.random(count)
@@ -106,7 +109,7 @@ def sample_symbolic(spec: IfsSpec, s: float, count: int, depth: int, seed: int) 
     if depth < 1 or count < 1:
         raise ValueError("count and depth must be >= 1")
     rng = np.random.Generator(np.random.Philox(np.uint64(seed)))
-    words = np.empty((count, depth), dtype=np.int64, order="F")
+    words = np.empty((count, depth), dtype=np.min_scalar_type(2 * spec.d), order="F")
     for t, state in enumerate(_lifted_columns(kaenmaki_measure(spec, s), count, depth, rng)):
         words[:, t] = state % spec.d + 1  # decode the lift: reduce mod d into 1..d
     log_p, log_q, _, x, y = signature_arrays(words, spec)
@@ -382,8 +385,9 @@ def strip_reverse_oracle(spec: IfsSpec, s: float, q: StripQuery, extension_cap: 
     Valid only when the prefix composition preserves the axes (even number of
     anti-diagonal letters), where concatenation of lifts is again a lift and
     the chain's own comparison constant c = min P(i,j)/pi(j) over allowed
-    transitions applies: chain mass of the strip >= c * chain mass of the
-    prefix * projected chain mass of the blown interval, bracket by bracket.
+    transitions (P(i,j) depends on j alone) applies: chain mass of the strip
+    >= c * chain mass of the prefix * projected chain mass of the blown
+    interval, bracket by bracket.
     """
     if spec.d ** extension_cap > ENUMERATION_CAP:
         raise TooLarge(f"{spec.d}^{extension_cap} exceeds the enumeration cap")
@@ -397,9 +401,7 @@ def strip_reverse_oracle(spec: IfsSpec, s: float, q: StripQuery, extension_cap: 
     def log_mt(words):
         return g.log_cylinder_batch(tau_arrays(words, spec) - 1)
 
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = g.stochastic / g.stationary[None, :]
-    c_chain = float(np.min(np.where(g.stochastic > 0.0, ratios, np.inf)))
+    c_chain = float(np.exp(np.min(g.log_rows.ravel() - g.log_stationary)))
 
     mu_dec, mu_und = _interval_mass(spec, prefix, strip, q.primary_axis is Axis.HORIZONTAL,
                                     extension_cap, log_mt)

@@ -9,9 +9,12 @@ On the doubled alphabet, two locally constant potentials track the log
 horizontal and log vertical side lengths of cylinder rectangles.  Each has a
 unique Gibbs measure, realized here as the stationary Markov chain built from
 the Perron eigendata of the weighted transition matrix (transfer matrix
-convention: T(i,j) = A(i,j) * exp(weight_j)).  The equilibrium measure nu of
-phi^s is the sum of the two lifted Gibbs measures, and all of its cylinder
-masses, entropy and Lyapunov exponents are computed from that Markov data.
+convention: T(i,j) = A(i,j) * exp(weight_j)).  Every state is followed by one
+whole half of the alphabet, so each chain is two log rows, one per row class,
+and the log probability of a step depends on the symbol stepped into only.
+The equilibrium measure nu of phi^s is the sum of the two lifted Gibbs
+measures, and all of its cylinder masses, entropy and Lyapunov exponents are
+computed from that Markov data.
 
 Measures and phi-values are accumulated in log space throughout; ratios are
 differences of logs exponentiated at the end.
@@ -95,10 +98,10 @@ def potential(spec: IfsSpec, s: float, t: PotentialIndex = PotentialIndex.ONE) -
     return Potential(s=s, t=PotentialIndex(t), weights=_weight_vector(spec, s, t))
 
 
-def _normalized_exp(x: np.ndarray) -> np.ndarray:
-    """exp(x) scaled to sum 1, without overflow or total underflow."""
-    e = np.exp(x - x.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+def _log_normalized(x: np.ndarray) -> np.ndarray:
+    """x minus its log-sum-exp along the last axis: the log of exp(x) scaled to sum 1."""
+    m = x.max(axis=-1, keepdims=True)
+    return x - (m + np.log(np.exp(x - m).sum(axis=-1, keepdims=True)))
 
 
 def _perron(w: np.ndarray, d: int, l: int) -> tuple[float, np.ndarray, np.ndarray]:
@@ -153,38 +156,36 @@ def pressure(spec: IfsSpec, s: float, t: PotentialIndex = PotentialIndex.ONE) ->
 class MarkovGibbs:
     """Perron eigendata realizing one Gibbs measure as a stationary Markov chain.
 
-    stochastic(i,j) = T(i,j) * right_vec(j) / (perron_root * right_vec(i)),
-    stationary(i) proportional to left_vec(i) * right_vec(i); log_right and
-    log_left are the unnormalized logs of the two eigenvectors.  The cylinder
-    mass of an admissible coded word c is stationary[c1] * prod stochastic
-    along c, and it obeys two-sided Gibbs bounds with the explicit constants
-    whose logs log_gibbs_bounds() returns.
+    log_right and log_left are the unnormalized logs of the right and left
+    eigenvectors r and l.  The chain steps from i to j with probability
+    T(i,j) r(j) / (exp(log_pressure) r(i)), so every class-c state has the same law
+    over half c: row c of log_rows, shaped (2, d).  The log probability of a
+    step into 0-based symbol j is log_rows.ravel()[j], whatever the admissible
+    predecessor.  log_stationary is the log of l * r normalized.  The cylinder
+    mass of an admissible coded word c is stationary[c1] times the step
+    probabilities into c2..cn; it obeys two-sided Gibbs bounds with the
+    explicit constants whose logs log_gibbs_bounds() returns.
     """
 
     s: float
     t: PotentialIndex
     d: int
     l: int
-    perron_root: float
     log_pressure: float
     log_right: np.ndarray
     log_left: np.ndarray
-    stationary: np.ndarray
-    stochastic: np.ndarray
+    log_rows: np.ndarray
+    log_stationary: np.ndarray
     weights: np.ndarray
 
     def __post_init__(self):
-        for arr in (self.log_right, self.log_left, self.stationary,
-                    self.stochastic, self.weights):
+        for arr in (self.log_right, self.log_left, self.log_rows,
+                    self.log_stationary, self.weights):
             arr.setflags(write=False)
 
     @property
-    def right_vec(self) -> np.ndarray:
-        return _normalized_exp(self.log_right)
-
-    @property
-    def left_vec(self) -> np.ndarray:
-        return _normalized_exp(self.log_left)
+    def stationary(self) -> np.ndarray:
+        return np.exp(self.log_stationary)
 
     def log_gibbs_bounds(self) -> tuple[float, float]:
         """Logs of the constants (lo, up) with lo <= m([c]) / exp(S_n f - n P) <= up.
@@ -201,10 +202,7 @@ class MarkovGibbs:
 
     def log_cylinder_batch(self, coded: np.ndarray) -> np.ndarray:
         """log m([c]) over an (N, n) array of admissible lifts with 0-based symbols."""
-        lg = np.log(self.stationary[coded[:, 0]])
-        if coded.shape[1] > 1:
-            lg = lg + np.log(self.stochastic[coded[:, :-1], coded[:, 1:]]).sum(axis=1)
-        return lg
+        return self.log_stationary[coded[:, 0]] + self.log_rows.ravel()[coded[:, 1:]].sum(axis=1)
 
 
 @lru_cache(maxsize=256)
@@ -212,20 +210,18 @@ def gibbs_markov(spec: IfsSpec, s: float, t: PotentialIndex = PotentialIndex.ONE
     """Build the Gibbs measure of one potential as explicit Markov chain data."""
     if not (0.0 < s < 2.0):
         raise SOutOfRange(f"s={s} must lie in (0,2)")
-    tm = transition_matrix(spec.d, spec.l)
-    if not check_mixing(tm):
+    if not check_mixing(transition_matrix(spec.d, spec.l)):
         raise InternalMismatch("transition matrix is not mixing")
     w = _weight_vector(spec, s, t)
     log_root, log_right, log_left = _perron(w, spec.d, spec.l)
-    # stochastic(i,j) = T(i,j) r(j) / (lambda r(i)); the row sums of T(i,j) r(j)
-    # are lambda r(i), so each row is T(i,.) r normalized to sum 1
-    log_tr = np.where(tm.entries == 1, (w + log_right)[None, :], -np.inf)
+    # P(i,j) = T(i,j) r(j) / (lambda r(i)), and T(i,.) r sums to lambda r(i): the
+    # row of a class-c state is exp(w + log r) on half c, normalized to sum 1
     return MarkovGibbs(
         s=s, t=PotentialIndex(t), d=spec.d, l=spec.l,
-        perron_root=float(np.exp(log_root)), log_pressure=log_root,
+        log_pressure=log_root,
         log_right=log_right, log_left=log_left,
-        stationary=_normalized_exp(log_left + log_right),
-        stochastic=_normalized_exp(log_tr), weights=w)
+        log_rows=_log_normalized((w + log_right).reshape(2, spec.d)),
+        log_stationary=_log_normalized(log_left + log_right), weights=w)
 
 
 @dataclass(frozen=True)
@@ -308,12 +304,12 @@ def _guard_enumeration(spec: IfsSpec, n: int):
 
 
 def expand_levels(spec: IfsSpec, n: int):
-    """Yield (log_p, log_q, prev_coded, coded) for the word lengths 1..n.
+    """Yield (log_p, log_q, coded) for the word lengths 1..n.
 
     A level lists all words of its length m in lexicographic order (word k
     has the base-d digits of k as letters), with the log top-row and
     bottom-row magnitudes of its composed linear part and the 0-based tau
-    symbols of its last letter and of the one before (None when m = 1).
+    symbol of its last letter.
     """
     _guard_enumeration(spec, n)
     d = spec.d
@@ -321,35 +317,31 @@ def expand_levels(spec: IfsSpec, n: int):
     letters = np.arange(d)
     is_anti = letters >= spec.l - 1
     log_p, log_q, coded, odd = la, lb, letters, is_anti
-    yield log_p, log_q, None, coded
+    yield log_p, log_q, coded
     for _ in range(n - 1):
         jj = np.tile(letters, log_p.size)
         even = np.repeat(~odd, d)
         log_p = np.repeat(log_p, d) + np.where(even, la[jj], lb[jj])
         log_q = np.repeat(log_q, d) + np.where(even, lb[jj], la[jj])
-        prev, coded = np.repeat(coded, d), np.where(even, jj, jj + d)
+        coded = np.where(even, jj, jj + d)
         odd = np.repeat(odd, d) ^ is_anti[jj]
-        yield log_p, log_q, prev, coded
+        yield log_p, log_q, coded
 
 
 def level_signature_logs(spec: IfsSpec, n: int):
     """(log_alpha1, log_alpha2) over all d^n words in lexicographic order."""
-    *_, (log_p, log_q, _, _) = expand_levels(spec, n)
+    *_, (log_p, log_q, _) = expand_levels(spec, n)
     return np.maximum(log_p, log_q), np.minimum(log_p, log_q)
 
 
 def level_log_measures(spec: IfsSpec, s: float, n: int):
     """(log_phi, log_nu) over all d^n words in lexicographic order."""
     _guard_enumeration(spec, n)
-    nu = kaenmaki_measure(spec, s)
-    chains = [(np.log(g.stationary), np.log(g.stochastic + (g.stochastic == 0.0)))
-              for g in (nu.m1, nu.m2)]
-    for log_p, log_q, prev, coded in expand_levels(spec, n):
-        if prev is None:
-            logs = [log_pi[coded] for log_pi, _ in chains]
-        else:
-            logs = [np.repeat(lg, spec.d) + log_P[prev, coded]
-                    for lg, (_, log_P) in zip(logs, chains)]
+    nu, logs = kaenmaki_measure(spec, s), None
+    for log_p, log_q, coded in expand_levels(spec, n):
+        logs = ([g.log_stationary[coded] for g in (nu.m1, nu.m2)] if logs is None
+                else [np.repeat(lg, spec.d) + g.log_rows.ravel()[coded]
+                      for lg, g in zip(logs, (nu.m1, nu.m2))])
     log_phi = _log_phi_from_alphas(np.maximum(log_p, log_q), np.minimum(log_p, log_q), s)
     return log_phi, np.logaddexp(*logs)
 
@@ -415,7 +407,7 @@ def affinity_dimension_detail(spec: IfsSpec) -> AffinityResult:
     trace.append((root, p_root))
     # the bisection pins s to 1e-13, so |P(s*)| is held relative to the slope
     # dP/ds = stationary . dw/ds, with dw/ds = log_r1 for s < 1, log_r2 for s >= 1
-    slope = _normalized_exp(log_left + log_right) @ _side_logs(
+    slope = np.exp(_log_normalized(log_left + log_right)) @ _side_logs(
         spec, PotentialIndex.ONE)[0 if root < 1.0 else 1]
     if abs(p_root) > 1e-12 * max(1.0, abs(slope)):
         raise ConvergenceFailure(f"|P(s*)|={abs(p_root):.3e} above tolerance")
@@ -482,22 +474,24 @@ def quasi_bernoulli_ratio(spec: IfsSpec, s: float, i: int, j: int, n: int) -> fl
 
 
 def submultiplicativity_check(spec: IfsSpec, s: float, max_len: int) -> tuple[float, float]:
-    """Extremes of nu([uv]) / (nu([u]) nu([v])) over word pairs with |u|+|v| <= max_len.
+    """Logs of the extremes of nu([uv]) / (nu([u]) nu([v])) over word pairs
+    with |u|+|v| <= max_len.
 
     The upper extreme stays below the Gibbs-derived constant; the lower one
     decays along anti-diagonal insertions and admits no uniform positive
-    bound.
+    bound.  Both are logs because either may leave the range of a double at
+    tiny ratios; a NaN ratio makes both NaN.
     """
     _guard_enumeration(spec, max_len)
     logs = {n: level_log_measures(spec, s, n)[1] for n in range(1, max_len + 1)}
-    worst_up, worst_lo = -np.inf, np.inf
+    ups, los = [-np.inf], [np.inf]
     for na in range(1, max_len):
         for nb in range(1, max_len - na + 1):
             ratio = logs[na + nb].reshape(spec.d ** na, spec.d ** nb) \
                 - logs[na][:, None] - logs[nb][None, :]
-            worst_up = max(worst_up, float(ratio.max()))
-            worst_lo = min(worst_lo, float(ratio.min()))
-    return float(np.exp(worst_up)), float(np.exp(worst_lo))
+            ups.append(ratio.max())
+            los.append(ratio.min())
+    return float(np.max(ups)), float(np.min(los))
 
 
 @dataclass(frozen=True)

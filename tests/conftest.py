@@ -1,4 +1,5 @@
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -131,3 +132,61 @@ def grid_spec(d, n_anti, seed=0):
         kind = anti if k >= d - n_anti else diag
         maps.append(kind(float(a), float(b), cx / g, cy / g))
     return make_spec(maps)
+
+
+def dense_transition(d, l):
+    """The 2d x 2d 0/1 transition matrix on the doubled alphabet, row by row:
+    state i is followed by the unshifted symbols when i <= l - 1 or i >= d + l,
+    and by the shifted ones otherwise.  The reference for coding.transition_matrix."""
+    entries = np.zeros((2 * d, 2 * d), dtype=np.int64)
+    for i in range(1, 2 * d + 1):
+        if i <= l - 1 or i >= d + l:
+            entries[i - 1, :d] = 1
+        else:
+            entries[i - 1, d:] = 1
+    return entries
+
+
+def dense_stochastic(g):
+    """The 2d x 2d transition matrix of a Gibbs chain from its eigendata:
+    P(i,j) = T(i,j) r(j) / (lambda r(i)), each row of T(i,.) r normalized to sum 1."""
+    A = dense_transition(g.d, g.l)
+    x = np.where(A == 1, (g.weights + g.log_right)[None, :], -np.inf)
+    e = np.exp(x - x.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def chain_matrix(g):
+    """The 2d x 2d transition matrix of a Gibbs chain spelled out from its two
+    log rows: P(i,j) = exp(log_rows.ravel()[j-1]) where i may be followed by j."""
+    return dense_transition(g.d, g.l) * np.exp(g.log_rows.ravel())[None, :]
+
+
+def separation_oracle(spec):
+    """(min_gap, failing_pair) of the level-1 rectangles in exact rationals: the
+    sup-metric gap of every pair i < j, and the first pair in (i, j) order whose
+    closed rectangles meet (gap 0), or None."""
+    rects = [(Fraction(m.tx), Fraction(m.tx) + Fraction(m.a),
+              Fraction(m.ty), Fraction(m.ty) + Fraction(m.b)) for m in spec.maps]
+    gaps = {}
+    for i, (x0, x1, y0, y1) in enumerate(rects):
+        for j, (u0, u1, v0, v1) in enumerate(rects[i + 1:], start=i + 1):
+            gaps[i + 1, j + 1] = max(x0 - u1, u0 - x1, y0 - v1, v0 - y1, Fraction(0))
+    return min(gaps.values()), next((p for p, g in gaps.items() if g == 0), None)
+
+
+def projection_ssc_oracle(spec):
+    """Per-state separation in exact rationals: for every state i of the doubled
+    alphabet, the closed x-intervals of all its successors j (dense_transition)
+    are pairwise disjoint; [tx, tx + a] for unshifted j, [ty, ty + b] for shifted."""
+    d = spec.d
+    ivs = [(Fraction(m.tx), Fraction(m.tx) + Fraction(m.a)) for m in spec.maps] \
+        + [(Fraction(m.ty), Fraction(m.ty) + Fraction(m.b)) for m in spec.maps]
+    T = dense_transition(d, spec.l)
+    for i in range(2 * d):
+        kids = [ivs[j] for j in range(2 * d) if T[i, j]]
+        for k, (lo1, hi1) in enumerate(kids):
+            for lo2, hi2 in kids[k + 1:]:
+                if not (hi1 < lo2 or hi2 < lo1):
+                    return False
+    return True

@@ -32,7 +32,7 @@ import numpy as np
 import pytest
 
 import kaenmaki as K
-from conftest import EX1_JSON, all_words, anti, diag, random_spec
+from conftest import EX1_JSON, all_words, anti, dense_stochastic, diag, random_spec
 from kaenmaki.cli import main as cli_main
 from kaenmaki.coding import signature_arrays, tau_arrays
 from kaenmaki.thermo import PotentialIndex, _weight_vector, level_signature_logs
@@ -171,8 +171,9 @@ def test_criterion_04_closed_forms(uniform2, uniform4):
 def _component_logs(g, coded):
     """log m[c] and log m[c] / exp(S_n f(c) - n P) for 0-based coded rows."""
     n = coded.shape[1]
+    P = dense_stochastic(g)
     log_m = np.log(g.stationary[coded[:, 0]]) \
-        + np.log(g.stochastic[coded[:, :-1], coded[:, 1:]]).sum(axis=1)
+        + np.log(P[coded[:, :-1], coded[:, 1:]]).sum(axis=1)
     return log_m, log_m - (g.weights[coded].sum(axis=1) - n * g.log_pressure)
 
 

@@ -199,6 +199,20 @@ class TestVerify:
             assert len(rows) == 6 and code == int(any(r.startswith("FAIL") for r in rows))
             assert any(r.startswith("PASS  submultiplicativity") for r in rows), out
 
+    def test_tiny_ratios_envelope_and_submultiplicativity_pass(self, capsys, tmp_path):
+        # chain steps here underflow in linear space; read as log 1 they put
+        # the envelope ratios at [0, inf] and made every pair ratio NaN
+        p = tmp_path / "tiny.json"
+        p.write_text('{"maps": [{"kind": "diag", "a": 5.48e-280, "b": 4.00e-17, "tx": 0, "ty": 0},'
+                     ' {"kind": "anti", "a": 8.11e-260, "b": 2.28e-181, "tx": 0.5, "ty": 0.5}]}')
+        code, out, _ = run(capsys, "verify", "--spec", str(p), "--s", "1.0", "--max-depth", "4")
+        rows = {r[6:].split("  ")[0]: r for r in out.splitlines()}
+        assert rows["cylinder envelope"].startswith("PASS"), out
+        sub = rows["submultiplicativity"]
+        assert sub.startswith("PASS"), out
+        log_upper = float(sub.split("log worst upper ")[1].split()[0])
+        assert np.isfinite(log_upper) and log_upper > 900.0  # e^937: beyond a double
+
     def test_depth_too_large(self, capsys, ex1_path):
         code, _, err = run(capsys, "verify", "--spec", ex1_path, "--max-depth", "40")
         assert code == 2 and "TooLarge" in err

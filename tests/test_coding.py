@@ -2,15 +2,24 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import all_words, anti, compose_loop, diag, random_spec, rho_symbol
+from conftest import (
+    all_words,
+    anti,
+    compose_loop,
+    dense_transition,
+    diag,
+    random_spec,
+    rho_symbol,
+)
 from kaenmaki import (
     check_mixing,
+    coded_word,
     encode_tau,
     make_spec,
     product_signature,
     transition_matrix,
 )
-from kaenmaki.coding import TransitionMatrix, signature_arrays, tau_arrays
+from kaenmaki.coding import signature_arrays, tau_arrays
 from kaenmaki.errors import BadShape
 
 
@@ -21,18 +30,32 @@ def dummy_spec(d, l):
     return make_spec(maps)
 
 
+def expand_rows(row_class):
+    """The 2d x 2d 0/1 matrix whose row i allows j exactly when row_class[i-1] == (j > d)."""
+    d = len(row_class) // 2
+    return (np.asarray(row_class)[:, None] == (np.arange(1, 2 * d + 1) > d)[None, :]) \
+        .astype(np.int64)
+
+
 class TestTransitionMatrix:
     def test_d2_l2_exact(self):
-        tm = transition_matrix(2, 2)
-        assert tm.entries.tolist() == [
+        row_class = transition_matrix(2, 2)
+        assert row_class.tolist() == [0, 1, 1, 0]
+        assert not row_class.flags.writeable
+        assert expand_rows(row_class).tolist() == [
             [1, 1, 0, 0], [0, 0, 1, 1], [0, 0, 1, 1], [1, 1, 0, 0]]
 
     def test_d3_l2(self):
-        tm = transition_matrix(3, 2)
+        tm = expand_rows(transition_matrix(3, 2))
         for row in (1, 5, 6):
-            assert tm.entries[row - 1].tolist() == [1, 1, 1, 0, 0, 0]
+            assert tm[row - 1].tolist() == [1, 1, 1, 0, 0, 0]
         for row in (2, 3, 4):
-            assert tm.entries[row - 1].tolist() == [0, 0, 0, 1, 1, 1]
+            assert tm[row - 1].tolist() == [0, 0, 0, 1, 1, 1]
+
+    def test_matches_dense_oracle(self):
+        for d in range(2, 41):
+            for l in range(2, d + 1):
+                assert (expand_rows(transition_matrix(d, l)) == dense_transition(d, l)).all()
 
     def test_bad_shape(self):
         with pytest.raises(BadShape):
@@ -43,17 +66,17 @@ class TestTransitionMatrix:
     def test_row_sums(self):
         for d in range(2, 7):
             for l in range(2, d + 1):
-                tm = transition_matrix(d, l)
-                assert (tm.entries.sum(axis=1) == d).all()
+                tm = expand_rows(transition_matrix(d, l))
+                assert (tm.sum(axis=1) == d).all()
 
     def test_involution_symmetry(self):
         # the shift-by-d involution maps the matrix to itself
         for d in range(2, 7):
             for l in range(2, d + 1):
-                tm = transition_matrix(d, l)
+                tm = expand_rows(transition_matrix(d, l))
                 n = 2 * d
                 perm = np.array([rho_symbol(i, d) - 1 for i in range(1, n + 1)])
-                assert (tm.entries[np.ix_(perm, perm)] == tm.entries).all()
+                assert (tm[np.ix_(perm, perm)] == tm).all()
 
 
 class TestMixing:
@@ -63,8 +86,33 @@ class TestMixing:
                 assert check_mixing(transition_matrix(d, l))
 
     def test_identity_does_not_mix(self):
-        tm = TransitionMatrix(d=2, l=2, entries=np.eye(4, dtype=np.int64))
-        assert not check_mixing(tm)
+        # each state is followed by its own half only: the chain never leaves it
+        assert not check_mixing(np.array([0, 0, 1, 1]))
+
+    def test_matches_dense_square(self):
+        # every valid shape against T^2 > 0 on the dense matrix, d <= 40
+        for d in range(2, 41):
+            for l in range(2, d + 1):
+                T = dense_transition(d, l)
+                assert check_mixing(transition_matrix(d, l)) == bool(((T @ T) > 0).all())
+
+    def test_row_class_vectors_match_dense_square(self):
+        # every 0/1 vector of length 2d, d <= 4, mixing or not
+        for d in range(1, 5):
+            for bits in range(2 ** (2 * d)):
+                row_class = np.array([(bits >> k) & 1 for k in range(2 * d)])
+                T = expand_rows(row_class)
+                assert check_mixing(row_class) == bool(((T @ T) > 0).all()), row_class
+
+
+class TestCodedWord:
+    def test_admissibility_matches_dense_oracle(self):
+        for d, l in [(2, 2), (3, 2), (3, 3), (4, 3)]:
+            T = dense_transition(d, l)
+            row_class = transition_matrix(d, l)
+            for w in all_words(2 * d, 3):
+                want = bool(T[w[0] - 1, w[1] - 1] and T[w[1] - 1, w[2] - 1])
+                assert coded_word(w, row_class).admissible == want
 
 
 class TestTauOmega:
@@ -85,22 +133,22 @@ class TestTauOmega:
         # every lift is admissible and starts in the unshifted half
         for d, l in [(2, 2), (3, 2), (3, 3)]:
             spec = dummy_spec(d, l)
-            tm = transition_matrix(d, l)
+            tm = dense_transition(d, l)
             for n in range(1, 11):
                 words = all_words(d, n)
                 coded = tau_arrays(words, spec)
                 assert (coded[:, 0] <= d).all()
-                ok = tm.entries[coded[:, :-1] - 1, coded[:, 1:] - 1]
+                ok = tm[coded[:, :-1] - 1, coded[:, 1:] - 1]
                 assert ok.all() if n > 1 else True
 
     def test_omega_admissible_starts_high(self):
         # the complementary lift (tau shifted by d mod 2d) is admissible too
         spec = dummy_spec(2, 2)
-        tm = transition_matrix(2, 2)
+        tm = dense_transition(2, 2)
         for n in range(1, 9):
             omega = rho_symbol(tau_arrays(all_words(2, n), spec), spec.d)
             assert (omega[:, 0] > spec.d).all()
-            assert tm.entries[omega[:, :-1] - 1, omega[:, 1:] - 1].all()
+            assert tm[omega[:, :-1] - 1, omega[:, 1:] - 1].all()
 
 
 class TestDecode:

@@ -14,15 +14,12 @@ from kaenmaki import (
     dimension_report,
     encode_tau,
     entropy,
-    line_system,
     ly_dimension,
     lyapunov_exponents,
     make_spec,
     projected_dimension,
-    transition_matrix,
     UNIT_SQUARE,
 )
-from kaenmaki.coding import TransitionMatrix
 from kaenmaki.errors import MissingValue, NoCertificate
 from conftest import all_words
 
@@ -32,17 +29,30 @@ def summary_with(h, chi1, chi2):
                          affinity_dim=1.0, gibbs_lower=1.0, gibbs_upper=1.0)
 
 
+def line_maps(spec):
+    """(ratios, offsets) of the 2d interval contractions of the doubled alphabet:
+    a_i, tx_i for unshifted symbols, b_(i-d), ty_(i-d) for shifted ones."""
+    ratios = np.array([m.a for m in spec.maps] + [m.b for m in spec.maps])
+    offsets = np.array([m.tx for m in spec.maps] + [m.ty for m in spec.maps])
+    return ratios, offsets
+
+
+def interval(spec, i):
+    """Image of [0, 1] under the interval map of 1-based doubled symbol i."""
+    ratios, offsets = line_maps(spec)
+    return (offsets[i - 1], offsets[i - 1] + ratios[i - 1])
+
+
 class TestLineSystem:
     def test_ex1_intervals(self, ex1):
-        sys = line_system(ex1)
-        assert sys.interval(1) == pytest.approx((0.0, 1 / 3))
-        assert sys.interval(2) == pytest.approx((0.5, 0.75))
-        assert sys.interval(3) == pytest.approx((0.0, 0.2))
-        assert sys.interval(4) == pytest.approx((0.5, 0.7))
+        assert interval(ex1, 1) == pytest.approx((0.0, 1 / 3))
+        assert interval(ex1, 2) == pytest.approx((0.5, 0.75))
+        assert interval(ex1, 3) == pytest.approx((0.0, 0.2))
+        assert interval(ex1, 4) == pytest.approx((0.5, 0.7))
 
     def test_projection_identity_exhaustive(self, ex1):
         # x-extent of the planar cylinder equals the interval of the lift
-        sys = line_system(ex1)
+        ratios, offsets = line_maps(ex1)
         for n in range(1, 7):
             for w in all_words(2, n):
                 rect = UNIT_SQUARE
@@ -50,7 +60,7 @@ class TestLineSystem:
                     rect = ex1.map(int(i))(rect)
                 lo, hi = 0.0, 1.0
                 for c in reversed(encode_tau(tuple(int(i) for i in w), ex1).symbols):
-                    r, off = sys.ratios[c - 1], sys.offsets[c - 1]
+                    r, off = ratios[c - 1], offsets[c - 1]
                     lo, hi = r * lo + off, r * hi + off
                 assert rect.x0 == pytest.approx(lo, abs=1e-14)
                 assert rect.x1 == pytest.approx(hi, abs=1e-14)
@@ -59,21 +69,15 @@ class TestLineSystem:
         from kaenmaki.errors import DegenerateSystemWarning
         with pytest.warns(DegenerateSystemWarning):
             spec = make_spec([diag(0.3, 0.3, 0.1, 0.1), anti(0.2, 0.2, 0.6, 0.6)])
-        sys = line_system(spec)
         for i in (1, 2):
-            assert sys.interval(i) == sys.interval(i + spec.d)
+            assert interval(spec, i) == interval(spec, i + spec.d)
 
     def test_ssc_certificate_ex1(self, ex1):
-        assert check_projection_ssc(line_system(ex1), transition_matrix(2, 2))
+        assert check_projection_ssc(ex1)
 
     def test_ssc_fails_on_overlap(self):
         spec = make_spec([diag(0.3, 0.25, 0.0, 0.0), anti(0.3, 0.25, 0.1, 0.6)])
-        assert not check_projection_ssc(line_system(spec), transition_matrix(2, 2))
-
-    def test_ssc_vacuous_single_child(self, ex1):
-        # a synthetic one-successor relation has no pairs to separate
-        tm = TransitionMatrix(d=2, l=2, entries=np.eye(4, dtype=np.int64))
-        assert check_projection_ssc(line_system(ex1), tm)
+        assert not check_projection_ssc(spec)
 
 
 class TestProjectedDimension:

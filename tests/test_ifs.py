@@ -1,10 +1,22 @@
+import warnings
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from conftest import EX1_JSON, anti, diag, random_spec
+from conftest import (
+    EX1_JSON,
+    anti,
+    diag,
+    projection_ssc_oracle,
+    random_spec,
+    separation_oracle,
+)
 from kaenmaki import (
     Rect,
     UNIT_SQUARE,
+    check_projection_ssc,
     check_strong_separation,
     check_transversality,
     make_spec,
@@ -133,6 +145,45 @@ class TestSeparation:
         assert check_strong_separation(swapped).min_gap == pytest.approx(base, abs=0)
 
 
+@st.composite
+def dyadic_maps(draw):
+    """(kind, a, b, tx, ty) for 2..6 maps on a grid of step 2^-k, k <= 4, with
+    at least one map of each kind: every ratio, translation, corner and gap
+    is exact in binary, and rectangles and intervals often touch exactly."""
+    den = 2 ** draw(st.integers(1, 4))
+    d = draw(st.integers(2, 6))
+    n_diag = draw(st.integers(1, d - 1))
+    maps = []
+    for k in range(d):
+        a, b = draw(st.integers(1, den - 1)), draw(st.integers(1, den - 1))
+        tx, ty = draw(st.integers(0, den - a)), draw(st.integers(0, den - b))
+        maps.append((k < n_diag, a / den, b / den, tx / den, ty / den))
+    return maps
+
+
+def spec_of(maps):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegenerateSystemWarning)
+        return make_spec([(diag if is_diag else anti)(*m) for is_diag, *m in maps])
+
+
+class TestExactCertificates:
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(dyadic_maps())
+    @example([(True, 0.5, 0.5, 0.0, 0.0), (False, 0.5, 0.5, 0.5, 0.0)])  # share an edge
+    @example([(True, 0.5, 0.5, 0.0, 0.0), (False, 0.5, 0.5, 0.5, 0.5)])  # share a corner
+    @example([(True, 0.25, 0.5, 0.0, 0.0), (False, 0.5, 0.25, 0.5, 0.75),
+              (True, 0.25, 0.25, 0.25, 0.5)])  # meet only in y; x-intervals touch
+    def test_certificates_match_rational_oracle(self, maps):
+        spec = spec_of(maps)
+        rep = check_strong_separation(spec)
+        min_gap, failing = separation_oracle(spec)
+        assert Fraction(rep.min_gap) == min_gap
+        assert rep.failing_pair == failing
+        assert rep.strong_separation == (min_gap > 0)
+        assert check_projection_ssc(spec) == projection_ssc_oracle(spec)
+
+
 class TestTransversality:
     def test_ex1_values(self, ex1):
         rep = check_transversality(ex1)
@@ -153,6 +204,20 @@ class TestTransversality:
             rep = check_transversality(spec)
             if rep.norm_sufficient:
                 assert rep.holds
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(dyadic_maps())
+    def test_holds_matches_pair_loop(self, maps):
+        # dyadic ratios put many pair sums exactly at 1, where the test is strict
+        spec = spec_of(maps)
+        rep = check_transversality(spec)
+        anti_maps = [m for m in spec.maps if m.anti]
+        max_a, max_b = max(m.a for m in anti_maps), max(m.b for m in anti_maps)
+        u = [m.a * max_b if m.anti else m.a for m in spec.maps]
+        v = [m.b * max_a if m.anti else m.b for m in spec.maps]
+        assert rep.u == tuple(u) and rep.v == tuple(v)
+        assert rep.holds == all(u[i] + u[j] < 1.0 and v[i] + v[j] < 1.0
+                                for i in range(spec.d) for j in range(spec.d) if i != j)
 
     def test_norm_sufficient_boundaries(self):
         spec = make_spec([diag(0.45, 0.3, 0.0, 0.0), anti(0.65, 0.6, 0.3, 0.35)])

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
-from conftest import all_words, anti, csv_text_loop, diag, grid_spec
+from conftest import all_words, anti, chain_matrix, csv_text_loop, dense_transition, diag, grid_spec
 from kaenmaki import (
     Projection,
     SampleSet,
@@ -26,7 +26,7 @@ from kaenmaki import (
 )
 from kaenmaki import sampling
 from kaenmaki.errors import TooFewHits
-from kaenmaki.coding import signature_arrays
+from kaenmaki.coding import signature_arrays, tau_arrays
 from kaenmaki.sampling import _lifted_columns, csv_lines, default_centers
 
 
@@ -74,9 +74,8 @@ def lifted_columns_dense(nu, count, depth, rng):
                      for g in (nu.m1, nu.m2)])
     state = np.minimum((rng.random(count)[:, None] > init[chain]).sum(axis=1), d - 1)
     yield state
-    tables = np.array([[np.cumsum(g.stochastic[0, :d]), np.cumsum(g.stochastic[d, d:])]
-                       for g in (nu.m1, nu.m2)])
-    row_class = transition_matrix(d, nu.spec.l).entries[:, d]
+    tables = np.array([np.cumsum(np.exp(g.log_rows), axis=1) for g in (nu.m1, nu.m2)])
+    row_class = transition_matrix(d, nu.spec.l)
     for _ in range(1, depth):
         u = rng.random(count)
         cls = row_class[state]
@@ -122,17 +121,18 @@ class TestSampler:
         draws = StubGenerator(values)
         branch = draws.random(count)
         cols = [draws.random(count) for _ in range(depth)]
-        tm = transition_matrix(d, spec.l)
+        tm = dense_transition(d, spec.l)
         zero_after_shifted_row = top_above_row_sum = 0
         for i in range(count):
             g = nu.m1 if branch[i] < nu.tau_start_mass() else nu.m2
             path = [inverse_cdf(g.stationary[:d] / g.stationary[:d].sum(), cols[0][i])]
+            P = chain_matrix(g)
             for t in range(1, depth):
-                row, u = g.stochastic[path[-1]], cols[t][i]
+                row, u = P[path[-1]], cols[t][i]
                 zero_after_shifted_row += u == 0.0 and row[:d].sum() == 0.0
                 top_above_row_sum += u == top and np.cumsum(row[:d])[-1] < u
                 path.append(inverse_cdf(row, u))
-                assert tm.allowed(path[-2] + 1, path[-1] + 1)
+                assert tm[path[-2], path[-1]]
             assert got[i].tolist() == path
         assert zero_after_shifted_row and top_above_row_sum
 
@@ -162,6 +162,22 @@ class TestSampler:
         assert len(ones) and np.abs(ones).max(axis=1) == pytest.approx(0.225, abs=1e-15)
         assert samples.accuracy >= 0.225
         assert samples.accuracy == pytest.approx(0.45 * np.sqrt(2.0) / 2.0, rel=1e-15)
+
+    @pytest.mark.parametrize("d, dtype", [(127, np.uint8), (128, np.uint16)])
+    def test_words_take_the_narrowest_dtype_holding_2d(self, d, dtype):
+        spec = grid_spec(d, n_anti=d // 2, seed=d)
+        samples = sample_symbolic(spec, 1.0, 400, 6, seed=d)
+        words, wide = samples.words, samples.words.astype(np.int64)
+        assert words.dtype == dtype and words.flags.f_contiguous
+        # the tau lift reaches 2d - 1 or 2d without wrapping
+        assert np.array_equal(tau_arrays(words, spec), tau_arrays(wide, spec))
+        assert tau_arrays(words, spec).max() > d
+        nu = kaenmaki_measure(spec, 1.0)
+        log_nu = nu.log_cylinder_batch(words)
+        assert np.isfinite(log_nu).all()
+        assert np.array_equal(log_nu, nu.log_cylinder_batch(wide))
+        for got, want in zip(signature_arrays(words, spec), signature_arrays(wide, spec)):
+            assert np.array_equal(got, want)
 
     def test_single_cylinder_frequency(self, ex1):
         sstar = affinity_dimension(ex1)

@@ -5,7 +5,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import all_words, anti, diag, random_spec, rho_symbol, uniform_spec
+from conftest import (
+    all_words,
+    anti,
+    chain_matrix,
+    dense_stochastic,
+    dense_transition,
+    diag,
+    random_spec,
+    rho_symbol,
+    uniform_spec,
+)
 from kaenmaki import (
     PotentialIndex,
     affinity_dimension,
@@ -51,9 +61,15 @@ def svf_phi(spec, s, w):
     return float(np.exp(log_svf_phi(spec, s, w)))
 
 
+def unit_exp(x):
+    """exp(x) scaled to sum 1: an eigenvector from its unnormalized logs."""
+    e = np.exp(x - x.max())
+    return e / e.sum()
+
+
 def dense_transfer(spec, s, t):
     """The dense 2d x 2d weighted transition matrix T(i,j) = A(i,j) exp(w_j)."""
-    A = transition_matrix(spec.d, spec.l).entries
+    A = dense_transition(spec.d, spec.l)
     return A * np.exp(_weight_vector(spec, s, t))[None, :]
 
 
@@ -68,8 +84,10 @@ def dense_eig_oracle(spec, s, t):
     kl = int(np.argmax(valsl.real))
     left = np.abs(vecsl[:, kl].real)
     pi = left * r / (left @ r)
-    P = T * r[None, :] / (lam * r[:, None])
-    return lam, pi, P
+    # each row of T(i,.) r normalized: equal to T r / (lam r(i)) since T r = lam r,
+    # without the rounding error of lam and r(i), which reached 7e-9 on d <= 40 draws
+    P = T * r[None, :]
+    return lam, pi, P / P.sum(axis=1, keepdims=True)
 
 
 class TestPotential:
@@ -205,10 +223,12 @@ class TestPerronClosedForm:
         assert pressure(spec, s, TWO) == pressure(spec, s, ONE)
         for t in (ONE, TWO):
             g = gibbs_markov(spec, s, t)
-            assert np.abs(g.stochastic.sum(axis=1) - 1.0).max() <= 1e-12
-            assert np.abs(g.stationary @ g.stochastic - g.stationary).max() <= 1e-12
+            P = chain_matrix(g)
+            assert np.abs(P - dense_eig_oracle(spec, s, t)[2]).max() <= 1e-12
+            assert np.abs(np.exp(g.log_rows).sum(axis=1) - 1.0).max() <= 1e-12
+            assert np.abs(g.stationary @ P - g.stationary).max() <= 1e-12
             T = dense_transfer(spec, s, t)
-            root, r, left = g.perron_root, g.right_vec, g.left_vec
+            root, r, left = np.exp(g.log_pressure), unit_exp(g.log_right), unit_exp(g.log_left)
             assert np.abs(T @ r - root * r).max() <= 1e-12 * root * r.max()
             assert np.abs(left @ T - root * left).max() <= 1e-12 * root * left.max()
 
@@ -255,39 +275,40 @@ class TestGibbsMarkov:
     def test_uniform_structure(self, uniform2):
         g = gibbs_markov(uniform2, 1.0, ONE)
         assert g.stationary == pytest.approx(np.full(4, 0.25), abs=1e-13)
-        A = transition_matrix(2, 2).entries
-        assert g.stochastic == pytest.approx(A / 2.0, abs=1e-13)
+        A = dense_transition(2, 2)
+        assert chain_matrix(g) == pytest.approx(A / 2.0, abs=1e-13)
 
     def test_ex1_matches_dense_oracle(self, ex1):
         lam, pi, P = dense_eig_oracle(ex1, 1.0, ONE)
         g = gibbs_markov(ex1, 1.0, ONE)
-        assert g.perron_root == pytest.approx(lam, rel=1e-12)
+        assert np.exp(g.log_pressure) == pytest.approx(lam, rel=1e-12)
         assert g.stationary == pytest.approx(pi, abs=1e-10)
-        assert g.stochastic == pytest.approx(P, abs=1e-10)
+        assert chain_matrix(g) == pytest.approx(P, abs=1e-10)
 
     def test_eigen_invariants(self, ex1):
         rng = np.random.default_rng(4)
         for spec, s in [(ex1, 0.7), (ex1, 1.3), (random_spec(rng), 0.9)]:
             g = gibbs_markov(spec, s, ONE)
-            A = transition_matrix(spec.d, spec.l).entries
+            A = dense_transition(spec.d, spec.l)
             T = A * np.exp(g.weights)[None, :]
-            lam = g.perron_root
-            assert np.abs(T @ g.right_vec - lam * g.right_vec).max() <= 1e-12 * max(1, lam)
-            assert np.abs(g.left_vec @ T - lam * g.left_vec).max() <= 1e-12 * max(1, lam)
+            lam, r, left = np.exp(g.log_pressure), unit_exp(g.log_right), unit_exp(g.log_left)
+            assert np.abs(T @ r - lam * r).max() <= 1e-12 * max(1, lam)
+            assert np.abs(left @ T - lam * left).max() <= 1e-12 * max(1, lam)
             assert g.stationary.sum() == pytest.approx(1.0, abs=1e-14)
-            assert np.abs(g.stationary @ g.stochastic - g.stationary).max() <= 1e-12
-            assert np.abs(g.stochastic.sum(axis=1) - 1.0).max() <= 1e-12
+            assert np.abs(g.stationary @ chain_matrix(g) - g.stationary).max() <= 1e-12
+            assert np.abs(chain_matrix(g).sum(axis=1) - 1.0).max() <= 1e-12
+            assert np.abs(chain_matrix(g) - dense_stochastic(g)).max() <= 1e-12
 
     def test_m2_equals_m1_on_involuted_words(self, ex1):
         g1 = gibbs_markov(ex1, 0.8, ONE)
         g2 = gibbs_markov(ex1, 0.8, TWO)
-        tm = transition_matrix(2, 2)
+        row_class = transition_matrix(2, 2)
         rng = np.random.default_rng(9)
         for _ in range(25):
             n = int(rng.integers(1, 9))
             w = tuple(int(x) for x in rng.integers(1, 3, n))
             c = encode_tau(w, ex1)
-            flipped = coded_word([rho_symbol(x, 2) for x in c.symbols], tm)
+            flipped = coded_word([rho_symbol(x, 2) for x in c.symbols], row_class)
             assert cylinder_measure_mt(g2, flipped) == \
                 pytest.approx(cylinder_measure_mt(g1, c), rel=1e-12)
 
@@ -295,20 +316,20 @@ class TestGibbsMarkov:
 class TestCylinderMeasures:
     def test_uniform_length2(self, uniform2):
         g = gibbs_markov(uniform2, 1.0, ONE)
-        tm = transition_matrix(2, 2)
-        assert cylinder_measure_mt(g, coded_word((1, 2), tm)) == pytest.approx(1 / 8, abs=1e-14)
+        row_class = transition_matrix(2, 2)
+        assert cylinder_measure_mt(g, coded_word((1, 2), row_class)) == pytest.approx(1 / 8, abs=1e-14)
 
     def test_inadmissible_is_zero(self, uniform2):
         g = gibbs_markov(uniform2, 1.0, ONE)
-        tm = transition_matrix(2, 2)
-        assert cylinder_measure_mt(g, coded_word((1, 3), tm)) == 0.0
+        row_class = transition_matrix(2, 2)
+        assert cylinder_measure_mt(g, coded_word((1, 3), row_class)) == 0.0
 
     def test_additivity(self, ex1):
         g = gibbs_markov(ex1, 1.2, ONE)
-        tm = transition_matrix(2, 2)
+        row_class = transition_matrix(2, 2)
         for c in [(1,), (2, 3), (1, 2, 4)]:
-            parent = cylinder_measure_mt(g, coded_word(c, tm))
-            kids = sum(cylinder_measure_mt(g, coded_word(c + (j,), tm))
+            parent = cylinder_measure_mt(g, coded_word(c, row_class))
+            kids = sum(cylinder_measure_mt(g, coded_word(c + (j,), row_class))
                        for j in range(1, 5))
             assert kids == pytest.approx(parent, abs=1e-14)
 
@@ -316,13 +337,13 @@ class TestCylinderMeasures:
         g = gibbs_markov(ex1, 1.0, ONE)
         lo, up = np.exp(g.log_gibbs_bounds())
         assert 0 < lo <= up
-        tm = transition_matrix(2, 2)
+        row_class = transition_matrix(2, 2)
         p = g.log_pressure
         for n in range(1, 11):
             words = all_words(2, n)
             coded = tau_arrays(words, ex1)
             for row in coded[:: max(1, len(coded) // 64)]:
-                c = coded_word(tuple(row), tm)
+                c = coded_word(tuple(row), row_class)
                 s_f = g.weights[np.asarray(c.symbols) - 1].sum()
                 ratio = cylinder_measure_mt(g, c) / np.exp(s_f - n * p)
                 assert lo * (1 - 1e-9) <= ratio <= up * (1 + 1e-9)
@@ -368,6 +389,28 @@ class TestKaenmakiCylinder:
                 lo, up = np.exp(kaenmaki_measure(spec, s).log_envelope())
                 assert np.isfinite([lo, up]).all() and lo <= up, (a1, b1, a2, b2, s)
 
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(st.data())
+    def test_level_measures_finite_down_to_tiny_ratios(self, data):
+        # a chain step that underflowed to 0.0 in linear space used to read as log 1
+        d = data.draw(st.integers(2, 6), label="d")
+        n_diag = data.draw(st.integers(1, d - 1), label="n_diag")
+        log_ratio = st.floats(np.log(1e-300), np.log(0.999))
+        maps = []
+        for k in range(d):
+            a, b = (float(np.exp(data.draw(log_ratio))) for _ in range(2))
+            tx = data.draw(st.floats(0.0, 1.0)) * (1.0 - a)
+            ty = data.draw(st.floats(0.0, 1.0)) * (1.0 - b)
+            maps.append((diag if k < n_diag else anti)(a, b, tx, ty))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegenerateSystemWarning)
+            spec = make_spec(maps)
+        s = data.draw(st.floats(0.0, 2.0, exclude_min=True, exclude_max=True), label="s")
+        for n in range(1, data.draw(st.integers(1, 4), label="n") + 1):
+            log_phi, log_nu = level_log_measures(spec, s, n)
+            assert np.isfinite(log_phi).all() and np.isfinite(log_nu).all()
+            assert abs(np.logaddexp.reduce(log_nu)) <= 1e-12
+
     def test_probability_all_levels(self, ex1):
         for n in range(1, 9):
             _, log_nu = level_log_measures(ex1, 1.1, n)
@@ -376,11 +419,11 @@ class TestKaenmakiCylinder:
     def test_shift_invariance(self, ex1):
         # summing the measure over allowed one-symbol prefixes reproduces it
         g = gibbs_markov(ex1, 0.9, ONE)
-        tm = transition_matrix(2, 2)
+        row_class = transition_matrix(2, 2)
         for c in [(1,), (2, 4), (1, 2, 3)]:
-            target = cylinder_measure_mt(g, coded_word(c, tm))
-            ext = sum(cylinder_measure_mt(g, coded_word((i,) + c, tm))
-                      for i in range(1, 5) if tm.allowed(i, c[0]))
+            target = cylinder_measure_mt(g, coded_word(c, row_class))
+            ext = sum(cylinder_measure_mt(g, coded_word((i,) + c, row_class))
+                      for i in range(1, 5) if dense_transition(2, 2)[i - 1, c[0] - 1])
             assert ext == pytest.approx(target, abs=1e-12)
 
 
@@ -521,15 +564,15 @@ class TestQuasiBernoulli:
 
 class TestSubmultiplicativity:
     def test_uniform_is_exactly_bernoulli(self, uniform2):
-        wu, wl = submultiplicativity_check(uniform2, 1.0, 6)
+        wu, wl = np.exp(submultiplicativity_check(uniform2, 1.0, 6))
         assert wu == pytest.approx(1.0, abs=1e-12)
         assert wl == pytest.approx(1.0, abs=1e-12)
 
     def test_ex1_upper_bounded_and_stable(self, ex1):
         sstar = affinity_dimension(ex1)
         lo, up = np.exp(kaenmaki_measure(ex1, sstar).log_envelope())
-        wu6, _ = submultiplicativity_check(ex1, sstar, 6)
-        wu8, wl8 = submultiplicativity_check(ex1, sstar, 8)
+        wu6, _ = np.exp(submultiplicativity_check(ex1, sstar, 6))
+        wu8, wl8 = np.exp(submultiplicativity_check(ex1, sstar, 8))
         assert wu8 <= up / lo ** 2 * (1 + 1e-9)
         assert wu6 <= wu8 <= wu6 * 1.10  # grows with the pair set, but slowly
         assert wl8 < wu8
