@@ -63,6 +63,8 @@ from .thermo import (
     kaenmaki_cylinder,
     kaenmaki_measure,
     level_log_measures,
+    level_log_ratio_extremes,
+    log_quasi_bernoulli_ratio,
     log_svf_phi,
     lyapunov_exponents,
     potential,

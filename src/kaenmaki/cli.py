@@ -145,12 +145,13 @@ def cmd_verify(args) -> int:
     nu = thermo.kaenmaki_measure(spec, s)
     log_lo, log_up = nu.log_envelope()
     lo, up = np.exp([log_lo, log_up])
-    log_phi, log_nu = thermo.level_log_measures(spec, s, depth)
-    p = thermo.pressure(spec, s)
-    ratio = np.exp(log_nu - log_phi + depth * p)
-    ok_env = bool((ratio >= lo * (1 - 1e-9)).all() and (ratio <= up * (1 + 1e-9)).all())
+    shift = depth * thermo.pressure(spec, s)
+    log_min, log_max = (x + shift for x in thermo.level_log_ratio_extremes(spec, s, depth))
+    # decided in logs: lo and the smallest ratio may both underflow to 0.0
+    ok_env = bool(log_min >= log_lo + np.log1p(-1e-9) and log_max <= log_up + np.log1p(1e-9))
     results.append(("cylinder envelope", ok_env,
-                    f"ratios in [{ratio.min():.6f}, {ratio.max():.6f}] vs [{lo:.6f}, {up:.6f}]"))
+                    f"ratios in [{np.exp(log_min):.6f}, {np.exp(log_max):.6f}] "
+                    f"vs [{lo:.6f}, {up:.6f}]"))
 
     w11 = thermo._weight_vector(spec, 1.0, PotentialIndex.ONE)
     w21 = thermo._weight_vector(spec, 1.0, PotentialIndex.TWO)
@@ -171,14 +172,15 @@ def cmd_verify(args) -> int:
                      if not m.anti and m.a != m.b), None)
     anti_idx = next((k + 1 for k, m in enumerate(spec.maps) if m.anti), None)
     if diag_idx is not None:
-        ratios = [thermo.quasi_bernoulli_ratio(spec, s, diag_idx, anti_idx, n)
-                  for n in range(1, 5)]
-        # exactly 1 up to a threshold n, geometric decay after it
-        dec = max(ratios) <= 1.0 + 1e-12 and all(
-            r2 < r1 if r1 < 1.0 - 1e-12 else r2 <= r1 * (1.0 + 1e-12)
-            for r1, r2 in zip(ratios, ratios[1:]))
+        logs = [thermo.log_quasi_bernoulli_ratio(spec, s, diag_idx, anti_idx, n)
+                for n in range(1, 5)]
+        # exactly 1 up to a threshold n, geometric decay after it; decided in
+        # logs, since the ratios underflow to 0.0 at tiny map ratios
+        dec = max(logs) <= np.log1p(1e-12) and all(
+            l2 < l1 if l1 < np.log1p(-1e-12) else l2 <= l1 + np.log1p(1e-12)
+            for l1, l2 in zip(logs, logs[1:]))
         results.append(("two-sided comparability decay", dec,
-                        "ratios " + ", ".join(f"{r:.3e}" for r in ratios)))
+                        "ratios " + ", ".join(f"{np.exp(x):.3e}" for x in logs)))
     else:
         results.append(("two-sided comparability decay", True, "skipped: degenerate ratios"))
 
@@ -189,8 +191,9 @@ def cmd_verify(args) -> int:
             qy = sampling.make_strip_query(spec, prefix,
                                            0.5 * product_signature(prefix, spec).alpha1)
             res = sampling.strip_measure_oracle(spec, s, qy, min(depth, 8))
-            ok_strip &= res.mu_upper <= res.bound * (1 + 1e-9)
-            details.append(f"{prefix}: {res.mu_upper:.3e} <= {res.bound:.3e}")
+            ok_strip &= res.log_mu_upper <= res.log_bound + np.log1p(1e-9)
+            details.append(f"{prefix}: log mass {res.log_mu_upper:.4f} "
+                           f"<= log bound {res.log_bound:.4f}")
             n_anti = sum(1 for i in prefix if i >= spec.l)
             if n_anti % 2 == 0:
                 rev = sampling.strip_reverse_oracle(spec, s, qy, min(depth, 8))

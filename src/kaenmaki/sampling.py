@@ -260,7 +260,9 @@ def make_strip_query(spec: IfsSpec, prefix, r: float) -> StripQuery:
 class StripOracleResult:
     mu_lower: float
     mu_upper: float
+    log_mu_upper: float
     bound: float
+    log_bound: float
     proj_lower: float
     proj_upper: float
     submult_const: float
@@ -291,35 +293,35 @@ def _strip_setup(spec: IfsSpec, q: StripQuery):
 
 
 def _interval_mass(spec: IfsSpec, prefix, interval, horizontal: bool, cap: int, log_mass):
-    """Stopping-time sum of word masses over cells against an interval.
+    """Stopping-time sum of word masses over cells against an interval, in logs.
 
     Walks the extensions of ``prefix`` level by level: a cell whose extent
     along the chosen axis is inside the interval contributes its mass and
     stops, a disjoint cell stops with nothing, and a straddling cell is
     extended by every letter until the cap, where it lands in the undecided
     part of the bracket.  ``log_mass`` maps an (N, n) batch of words with
-    n >= 1 to log masses; the empty word has mass 1.  Returns (decided,
-    undecided).
+    n >= 1 to log masses; the empty word has mass 1.  Returns the logs of
+    (decided, undecided), -inf for an empty part.
     """
-    def total(words):
+    def log_total(words):
         if words.shape[1] == 0:
-            return float(len(words))
-        return float(np.exp(log_mass(words)).sum())
+            return 0.0 if len(words) else -np.inf
+        return float(np.logaddexp.reduce(log_mass(words)))
 
     lo_i, hi_i = interval
     words = np.array([prefix], dtype=np.int64)
-    decided = 0.0
+    decided = -np.inf
     for depth in range(cap + 1):
         log_p, log_q, _, x, y = signature_arrays(words, spec)
         centre, side = (x, np.exp(log_p)) if horizontal else (y, np.exp(log_q))
         lo, hi = centre - side / 2.0, centre + side / 2.0
         inside = (lo >= lo_i) & (hi <= hi_i)
-        decided += total(words[inside])
+        decided = float(np.logaddexp(decided, log_total(words[inside])))
         words = words[~inside & (hi >= lo_i) & (lo <= hi_i)]
         if depth < cap:
             words = np.column_stack([np.repeat(words, spec.d, axis=0),
                                      np.tile(np.arange(1, spec.d + 1), len(words))])
-    return decided, total(words)
+    return decided, log_total(words)
 
 
 def strip_measure_oracle(spec: IfsSpec, s: float, q: StripQuery,
@@ -329,10 +331,12 @@ def strip_measure_oracle(spec: IfsSpec, s: float, q: StripQuery,
     The strip mass is bracketed by summing the measure over extension cells
     inside the strip; the bound is C * nu([prefix]) * (projected mass of the
     strip interval blown up by 1/alpha1, enumerated on the interval system),
-    where C = up / lo^2 (formed in logs) comes from the two-sided cylinder
-    envelope and dominates every ratio nu([uv]) / (nu([u]) nu([v])).  The
-    upper bracket of the left side never exceeds the bound built from the
-    upper bracket of the right side.
+    where C = up / lo^2 comes from the two-sided cylinder envelope and
+    dominates every ratio nu([uv]) / (nu([u]) nu([v])).  The upper bracket of
+    the left side never exceeds the bound built from the upper bracket of the
+    right side.  Both sides are formed and compared in logs: C alone can
+    overflow and the masses underflow at tiny ratios; the linear fields are
+    their exp.
     """
     if spec.d ** extension_cap > ENUMERATION_CAP:
         raise TooLarge(f"{spec.d}^{extension_cap} exceeds the enumeration cap")
@@ -341,32 +345,31 @@ def strip_measure_oracle(spec: IfsSpec, s: float, q: StripQuery,
     nu = kaenmaki_measure(spec, s)
     prefix = q.word_prefix
     log_lo, log_up = nu.log_envelope()
-    log_c_sub = log_up - 2.0 * log_lo  # lo alone underflows at tiny ratios
+    log_c_sub = log_up - 2.0 * log_lo
     log_mass = nu.log_cylinder(prefix)
-    with np.errstate(over="ignore"):  # C may overflow where C * nu([prefix]) does not
-        c_sub, c_mass, mass = np.exp([log_c_sub, log_c_sub + log_mass, log_mass]).tolist()
 
     _, (cyl_lo, cyl_hi), strip, blown = _strip_setup(spec, q)
-    if strip[0] <= cyl_lo and cyl_hi <= strip[1]:
-        return StripOracleResult(mu_lower=mass, mu_upper=mass,
-                                 bound=c_mass, proj_lower=1.0, proj_upper=1.0,
-                                 submult_const=c_sub, covered=True, undecided=False)
-
-    mu_dec, mu_und = _interval_mass(spec, prefix, strip, q.primary_axis is Axis.HORIZONTAL,
-                                    extension_cap, nu.log_cylinder_batch)
-    pr_dec, pr_und = _interval_mass(spec, (), blown, q.secondary_projection is Projection.X,
-                                    extension_cap, nu.log_cylinder_batch)
-
-    bound = c_mass * (pr_dec + pr_und)
-    total = mu_dec + mu_und
-    if total > bound * (1.0 + 1e-9):
+    covered = strip[0] <= cyl_lo and cyl_hi <= strip[1]
+    if covered:
+        (mu_dec, mu_und), (pr_dec, pr_und) = (log_mass, -np.inf), (0.0, -np.inf)
+    else:
+        mu_dec, mu_und = _interval_mass(spec, prefix, strip, q.primary_axis is Axis.HORIZONTAL,
+                                        extension_cap, nu.log_cylinder_batch)
+        pr_dec, pr_und = _interval_mass(spec, (), blown, q.secondary_projection is Projection.X,
+                                        extension_cap, nu.log_cylinder_batch)
+    log_mu, log_proj = np.logaddexp([mu_dec, pr_dec], [mu_und, pr_und]).tolist()
+    log_bound = log_c_sub + log_mass + log_proj
+    if not covered and log_mu > log_bound + np.log1p(1e-9):
         raise InternalMismatch(
-            f"strip mass {total!r} exceeds its product bound {bound!r}; "
+            f"log strip mass {log_mu!r} exceeds its log product bound {log_bound!r}; "
             "the stopped families on the two sides disagree")
+    with np.errstate(over="ignore"):  # C may overflow where the logs do not
+        mu_lower, mu_upper, bound, proj_lower, proj_upper, c_sub = np.exp(
+            [mu_dec, log_mu, log_bound, pr_dec, log_proj, log_c_sub]).tolist()
     return StripOracleResult(
-        mu_lower=mu_dec, mu_upper=total, bound=bound,
-        proj_lower=pr_dec, proj_upper=pr_dec + pr_und, submult_const=c_sub,
-        covered=False, undecided=mu_und > mu_dec)
+        mu_lower=mu_lower, mu_upper=mu_upper, log_mu_upper=log_mu,
+        bound=bound, log_bound=log_bound, proj_lower=proj_lower, proj_upper=proj_upper,
+        submult_const=c_sub, covered=covered, undecided=mu_und > mu_dec)
 
 
 @dataclass(frozen=True)
@@ -403,10 +406,10 @@ def strip_reverse_oracle(spec: IfsSpec, s: float, q: StripQuery, extension_cap: 
 
     c_chain = float(np.exp(np.min(g.log_rows.ravel() - g.log_stationary)))
 
-    mu_dec, mu_und = _interval_mass(spec, prefix, strip, q.primary_axis is Axis.HORIZONTAL,
-                                    extension_cap, log_mt)
-    pr_dec, pr_und = _interval_mass(spec, (), blown, q.secondary_projection is Projection.X,
-                                    extension_cap, log_mt)
+    mu_dec, mu_und = np.exp(_interval_mass(
+        spec, prefix, strip, q.primary_axis is Axis.HORIZONTAL, extension_cap, log_mt))
+    pr_dec, pr_und = np.exp(_interval_mass(
+        spec, (), blown, q.secondary_projection is Projection.X, extension_cap, log_mt))
 
     mass_prefix = float(np.exp(log_mt(np.array([prefix]))[0]))
     return StripReverseResult(

@@ -334,16 +334,66 @@ def level_signature_logs(spec: IfsSpec, n: int):
     return np.maximum(log_p, log_q), np.minimum(log_p, log_q)
 
 
+# cells per block of a full-depth level: a few hundred kB per float array
+LEVEL_BLOCK = 1 << 14
+
+
+def level_log_blocks(spec: IfsSpec, s: float, n: int):
+    """Yield (log_phi, log_nu) over all d^n words in lexicographic blocks.
+
+    A word of length n is a prefix u of length a = n - n // 2 followed by a
+    suffix v of length b = n // 2, possibly empty.  Its log row magnitudes
+    and both chain logs are a term for u plus a term for v, and the v term
+    depends on u only through the anti-diagonal parity after u: odd parity
+    swaps v's two row sums and moves each coded symbol c of v into the other
+    half, (c + d) % 2d, where the chain steps take log_rows.ravel() at that
+    symbol.  So the two half levels are built once, and each block pairs a
+    run of prefixes with every suffix, about LEVEL_BLOCK cells.
+    """
+    _guard_enumeration(spec, n)
+    d, nu = spec.d, kaenmaki_measure(spec, s)
+    starts = np.stack([nu.m1.log_stationary, nu.m2.log_stationary])
+    rows = np.stack([nu.m1.log_rows.ravel(), nu.m2.log_rows.ravel()])
+    steps = np.stack([rows, np.roll(rows, d, axis=1)], axis=1)  # (chain, start parity, 2d)
+    a, b = n - n // 2, n // 2
+    heads, tails, sides = None, np.zeros((2, 2, 1)), np.zeros((2, 1))  # v empty
+    for m, (log_p, log_q, coded) in enumerate(expand_levels(spec, a), start=1):
+        heads = (starts[:, coded] if heads is None
+                 else np.repeat(heads, d, axis=-1) + rows[:, coded])
+        if m <= b:
+            tails = np.repeat(tails, d, axis=-1) + steps[..., coded]
+        if m == b:
+            sides = np.stack([log_p, log_q])
+    odd_u = transition_matrix(d, spec.l)[coded]
+    per_block = max(1, LEVEL_BLOCK // d ** b)
+    for i in range(0, d ** a, per_block):
+        u = slice(i, i + per_block)
+        odd = odd_u[u]
+        lp = log_p[u, None] + sides[odd]
+        lq = log_q[u, None] + sides[1 - odd]
+        log_nu = np.logaddexp(heads[0, u, None] + tails[0, odd],
+                              heads[1, u, None] + tails[1, odd])
+        log_phi = _log_phi_from_alphas(np.maximum(lp, lq), np.minimum(lp, lq), s)
+        yield log_phi.ravel(), log_nu.ravel()
+
+
 def level_log_measures(spec: IfsSpec, s: float, n: int):
     """(log_phi, log_nu) over all d^n words in lexicographic order."""
-    _guard_enumeration(spec, n)
-    nu, logs = kaenmaki_measure(spec, s), None
-    for log_p, log_q, coded in expand_levels(spec, n):
-        logs = ([g.log_stationary[coded] for g in (nu.m1, nu.m2)] if logs is None
-                else [np.repeat(lg, spec.d) + g.log_rows.ravel()[coded]
-                      for lg, g in zip(logs, (nu.m1, nu.m2))])
-    log_phi = _log_phi_from_alphas(np.maximum(log_p, log_q), np.minimum(log_p, log_q), s)
-    return log_phi, np.logaddexp(*logs)
+    log_phi, log_nu = (np.concatenate(parts) for parts in zip(*level_log_blocks(spec, s, n)))
+    return log_phi, log_nu
+
+
+def level_log_ratio_extremes(spec: IfsSpec, s: float, n: int) -> tuple[float, float]:
+    """(min, max) of log nu - log phi over all d^n words, one block at a time.
+
+    Every word is visited, but no array longer than a block is held.  A NaN
+    ratio makes both NaN.
+    """
+    lo, hi = np.inf, -np.inf
+    for log_phi, log_nu in level_log_blocks(spec, s, n):
+        x = log_nu - log_phi
+        lo, hi = np.minimum(lo, x.min()), np.maximum(hi, x.max())
+    return float(lo), float(hi)
 
 
 def subadditive_pressure_bruteforce(spec: IfsSpec, s: float, n: int) -> float:
@@ -449,15 +499,16 @@ def entropy(spec: IfsSpec, s: float, t: PotentialIndex = PotentialIndex.ONE) -> 
     return max(h, 0.0)
 
 
-def quasi_bernoulli_ratio(spec: IfsSpec, s: float, i: int, j: int, n: int) -> float:
-    """phi^s(i^n j i^n) / (phi^s(i^n j) phi^s(i^n)).
+def log_quasi_bernoulli_ratio(spec: IfsSpec, s: float, i: int, j: int, n: int) -> float:
+    """log of phi^s(i^n j i^n) / (phi^s(i^n j) phi^s(i^n)).
 
     Requires map i diagonal with a != b and map j anti-diagonal.  With
     (a, b) the ratios of map i and (A, B) those of map j, and a < b, the
     ratio equals min(1, (a/b)^n * max(1, A/B))^min(s, 2-s); for a > b swap
     a with b and A with B.  It is exactly 1 while (b/a)^n <= A/B and decays
     geometrically after that, so it tends to 0, which is exactly why no
-    two-sided Bernoulli comparison can hold for the equilibrium measure.
+    two-sided Bernoulli comparison can hold for the equilibrium measure.  The
+    log stays finite where the ratio itself underflows to 0.0.
     """
     if n < 1:
         raise BadMapKinds("n must be >= 1")
@@ -469,8 +520,12 @@ def quasi_bernoulli_ratio(spec: IfsSpec, s: float, i: int, j: int, n: int) -> fl
     w = (i,) * n + (j,) + (i,) * n
     u = (i,) * n + (j,)
     v = (i,) * n
-    return float(np.exp(log_svf_phi(spec, s, w)
-                        - log_svf_phi(spec, s, u) - log_svf_phi(spec, s, v)))
+    return log_svf_phi(spec, s, w) - log_svf_phi(spec, s, u) - log_svf_phi(spec, s, v)
+
+
+def quasi_bernoulli_ratio(spec: IfsSpec, s: float, i: int, j: int, n: int) -> float:
+    """phi^s(i^n j i^n) / (phi^s(i^n j) phi^s(i^n)); see log_quasi_bernoulli_ratio."""
+    return float(np.exp(log_quasi_bernoulli_ratio(spec, s, i, j, n)))
 
 
 def submultiplicativity_check(spec: IfsSpec, s: float, max_len: int) -> tuple[float, float]:

@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import re
 
 from types import SimpleNamespace
 
@@ -10,6 +11,12 @@ import pytest
 from conftest import EX1_JSON, grid_spec
 from kaenmaki import cli, errors, thermo
 from kaenmaki.cli import main
+
+
+# ratios far below 1: the envelope's lower constant and most comparability
+# ratios underflow to 0.0, and the strip constant C = up / lo^2 overflows
+TINY_JSON = ('{"maps": [{"kind": "diag", "a": 5.48e-280, "b": 4.00e-17, "tx": 0, "ty": 0},'
+             ' {"kind": "anti", "a": 8.11e-260, "b": 2.28e-181, "tx": 0.5, "ty": 0.5}]}')
 
 
 @pytest.fixture()
@@ -186,8 +193,7 @@ class TestVerify:
         # the envelope's lower constant underflows to 0.0 here; C = up / lo^2
         # divided by it and ended the run in a ZeroDivisionError traceback
         p = tmp_path / "tiny.json"
-        p.write_text('{"maps": [{"kind": "diag", "a": 5.48e-280, "b": 4.00e-17, "tx": 0, "ty": 0},'
-                     ' {"kind": "anti", "a": 8.11e-260, "b": 2.28e-181, "tx": 0.5, "ty": 0.5}]}')
+        p.write_text(TINY_JSON)
         with np.errstate(all="ignore"):
             code, out, err = run(capsys, "verify", "--spec", str(p), "--s", "1.0",
                                  "--max-depth", "4")
@@ -203,8 +209,7 @@ class TestVerify:
         # chain steps here underflow in linear space; read as log 1 they put
         # the envelope ratios at [0, inf] and made every pair ratio NaN
         p = tmp_path / "tiny.json"
-        p.write_text('{"maps": [{"kind": "diag", "a": 5.48e-280, "b": 4.00e-17, "tx": 0, "ty": 0},'
-                     ' {"kind": "anti", "a": 8.11e-260, "b": 2.28e-181, "tx": 0.5, "ty": 0.5}]}')
+        p.write_text(TINY_JSON)
         code, out, _ = run(capsys, "verify", "--spec", str(p), "--s", "1.0", "--max-depth", "4")
         rows = {r[6:].split("  ")[0]: r for r in out.splitlines()}
         assert rows["cylinder envelope"].startswith("PASS"), out
@@ -212,6 +217,55 @@ class TestVerify:
         assert sub.startswith("PASS"), out
         log_upper = float(sub.split("log worst upper ")[1].split()[0])
         assert np.isfinite(log_upper) and log_upper > 900.0  # e^937: beyond a double
+
+    def test_tiny_ratios_rows_decided_in_logs(self, capsys, tmp_path):
+        # the comparability ratios underflow to 0.0 after n = 1 and failed on
+        # 0 == 0; the strip bound C nu([prefix]) overflowed to inf
+        p = tmp_path / "tiny.json"
+        p.write_text(TINY_JSON)
+        code, out, _ = run(capsys, "verify", "--spec", str(p), "--s", "1.0", "--max-depth", "4")
+        rows = {r[6:].split("  ")[0]: r for r in out.splitlines()}
+        comparability = rows["two-sided comparability decay"]
+        assert comparability.startswith("PASS"), out
+        assert "ratios 1.370e-263, 0.000e+00, 0.000e+00, 0.000e+00" in comparability
+        strip = rows["strip measure bounds"]
+        logs = [float(x) for x in re.findall(r"log (?:mass|bound) ([^\s;]+)", strip)]
+        assert strip.startswith("PASS") and len(logs) == 6 and np.isfinite(logs).all(), out
+        assert "inf" not in strip and "nan" not in strip
+        spec = cli._read_spec(str(p))
+        log_lo, _ = thermo.kaenmaki_measure(spec, 1.0).log_envelope()
+        log_min, _ = thermo.level_log_ratio_extremes(spec, 1.0, 4)
+        assert np.isfinite([log_lo, log_min]).all() and np.exp(log_lo) == 0.0
+        assert rows["cylinder envelope"].startswith("PASS"), out
+        assert code == 0, out
+
+    def test_comparability_fails_on_a_flat_ratio_below_one(self, capsys, ex1_path, monkeypatch):
+        # negative control: below 1 the ratios must decrease strictly
+        flat = SimpleNamespace(**{**vars(thermo), "log_quasi_bernoulli_ratio":
+                                  lambda spec, s, i, j, n: -1.0 if n < 3 else -2.0})
+        monkeypatch.setattr(cli, "thermo", flat)
+        code, out, _ = run(capsys, "verify", "--spec", ex1_path, "--max-depth", "4")
+        rows = {r[6:].split("  ")[0]: r for r in out.splitlines()}
+        assert rows["two-sided comparability decay"].startswith("FAIL"), out
+        assert code == 1
+
+    def test_envelope_fails_below_an_underflowed_lower_constant(self, capsys, tmp_path,
+                                                                 monkeypatch):
+        # negative control: the smallest ratio is put e^-1 below lo, and both
+        # are below e^-745, where a linear comparison reads 0 >= 0
+        p = tmp_path / "tiny.json"
+        p.write_text(TINY_JSON)
+        spec = cli._read_spec(str(p))
+        log_lo, _ = thermo.kaenmaki_measure(spec, 1.0).log_envelope()
+        shift = 4 * thermo.pressure(spec, 1.0)
+        _, log_max = thermo.level_log_ratio_extremes(spec, 1.0, 4)
+        low = SimpleNamespace(**{**vars(thermo), "level_log_ratio_extremes":
+                                 lambda *_: (log_lo - 1.0 - shift, log_max)})
+        monkeypatch.setattr(cli, "thermo", low)
+        code, out, _ = run(capsys, "verify", "--spec", str(p), "--s", "1.0", "--max-depth", "4")
+        rows = {r[6:].split("  ")[0]: r for r in out.splitlines()}
+        assert rows["cylinder envelope"].startswith("FAIL"), out
+        assert "ratios in [0.000000, " in rows["cylinder envelope"] and code == 1
 
     def test_depth_too_large(self, capsys, ex1_path):
         code, _, err = run(capsys, "verify", "--spec", ex1_path, "--max-depth", "40")

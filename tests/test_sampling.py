@@ -26,7 +26,7 @@ from kaenmaki import (
 )
 from kaenmaki import sampling
 from kaenmaki.errors import TooFewHits
-from kaenmaki.coding import signature_arrays, tau_arrays
+from kaenmaki.coding import product_signature, signature_arrays, tau_arrays
 from kaenmaki.sampling import _lifted_columns, csv_lines, default_centers
 
 
@@ -263,6 +263,37 @@ class TestStripOracle:
             res = strip_measure_oracle(ex1, sstar, q, extension_cap=6)
             assert res.mu_lower <= res.mu_upper
             assert res.mu_upper <= res.bound * (1 + 1e-9)
+
+    def test_bound_in_logs_at_tiny_ratios(self):
+        # C = up / lo^2 is about e^1874 here: the linear bound is inf
+        spec = make_spec([diag(5.48e-280, 4.00e-17, 0.0, 0.0),
+                          anti(8.11e-260, 2.28e-181, 0.5, 0.5)])
+        results = {}
+        for prefix in [(1,), (2,), (1, 2)]:
+            q = make_strip_query(spec, prefix, 0.5 * product_signature(prefix, spec).alpha1)
+            res = results[prefix] = strip_measure_oracle(spec, 1.0, q, extension_cap=4)
+            assert np.isfinite([res.log_mu_upper, res.log_bound]).all(), prefix
+            assert res.log_mu_upper <= res.log_bound
+            with np.errstate(over="ignore"):
+                assert res.bound == np.exp(res.log_bound)
+                assert res.mu_upper == np.exp(res.log_mu_upper)
+        assert results[(1,)].bound == np.inf and results[(2,)].mu_upper < 1e-300
+
+    def test_interval_mass_in_logs_below_the_smallest_double(self, ex1):
+        # every mass scaled by e^-2000 walks the same cells, and both logs shift
+        nu = kaenmaki_measure(ex1, 0.8)
+        sig = product_signature((1,), ex1)
+        finite = []
+        for r in (1e-2 * sig.alpha1, 1e-6 * sig.alpha2):  # decided, then undecided mass
+            q = make_strip_query(ex1, (1,), r)
+            _, _, strip, _ = sampling._strip_setup(ex1, q)
+            horizontal = q.primary_axis is sampling.Axis.HORIZONTAL
+            base = sampling._interval_mass(ex1, (1,), strip, horizontal, 6, nu.log_cylinder_batch)
+            low = sampling._interval_mass(ex1, (1,), strip, horizontal, 6,
+                                          lambda w: nu.log_cylinder_batch(w) - 2000.0)
+            assert low == pytest.approx(np.subtract(base, 2000.0), rel=1e-14)
+            finite.append(np.isfinite(low))
+        assert np.array(finite).any(axis=0).all()
 
     def test_full_cover_returns_prefix_mass_exactly(self, central_fixture):
         q = make_strip_query(central_fixture, (1,), 0.5)

@@ -1,5 +1,7 @@
+import tracemalloc
 import warnings
 from decimal import Decimal, localcontext
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,6 +29,8 @@ from kaenmaki import (
     kaenmaki_cylinder,
     kaenmaki_measure,
     level_log_measures,
+    level_log_ratio_extremes,
+    log_quasi_bernoulli_ratio,
     log_svf_phi,
     lyapunov_exponents,
     make_spec,
@@ -39,9 +43,10 @@ from kaenmaki import (
     transition_matrix,
     thermo_summary,
 )
+from kaenmaki import thermo
 from kaenmaki.coding import signature_arrays, tau_arrays
 from kaenmaki.errors import BadMapKinds, DegenerateSystemWarning, SOutOfRange, TooLarge
-from kaenmaki.thermo import _weight_vector
+from kaenmaki.thermo import _weight_vector, level_log_blocks
 
 ONE, TWO = PotentialIndex.ONE, PotentialIndex.TWO
 
@@ -349,6 +354,23 @@ class TestCylinderMeasures:
                 assert lo * (1 - 1e-9) <= ratio <= up * (1 + 1e-9)
 
 
+def draw_tiny_ratio_system(data):
+    """(spec, s): d in 2..6, ratios log-uniform down to 1e-300, s in (0, 2)."""
+    d = data.draw(st.integers(2, 6), label="d")
+    n_diag = data.draw(st.integers(1, d - 1), label="n_diag")
+    log_ratio = st.floats(np.log(1e-300), np.log(0.999))
+    maps = []
+    for k in range(d):
+        a, b = (float(np.exp(data.draw(log_ratio))) for _ in range(2))
+        tx = data.draw(st.floats(0.0, 1.0)) * (1.0 - a)
+        ty = data.draw(st.floats(0.0, 1.0)) * (1.0 - b)
+        maps.append((diag if k < n_diag else anti)(a, b, tx, ty))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegenerateSystemWarning)
+        spec = make_spec(maps)
+    return spec, data.draw(st.floats(0.0, 2.0, exclude_min=True, exclude_max=True), label="s")
+
+
 class TestKaenmakiCylinder:
     def test_uniform_is_bernoulli(self, uniform2):
         for w in [(1, 1), (1, 2), (2, 1), (2, 2)]:
@@ -393,19 +415,7 @@ class TestKaenmakiCylinder:
     @given(st.data())
     def test_level_measures_finite_down_to_tiny_ratios(self, data):
         # a chain step that underflowed to 0.0 in linear space used to read as log 1
-        d = data.draw(st.integers(2, 6), label="d")
-        n_diag = data.draw(st.integers(1, d - 1), label="n_diag")
-        log_ratio = st.floats(np.log(1e-300), np.log(0.999))
-        maps = []
-        for k in range(d):
-            a, b = (float(np.exp(data.draw(log_ratio))) for _ in range(2))
-            tx = data.draw(st.floats(0.0, 1.0)) * (1.0 - a)
-            ty = data.draw(st.floats(0.0, 1.0)) * (1.0 - b)
-            maps.append((diag if k < n_diag else anti)(a, b, tx, ty))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DegenerateSystemWarning)
-            spec = make_spec(maps)
-        s = data.draw(st.floats(0.0, 2.0, exclude_min=True, exclude_max=True), label="s")
+        spec, s = draw_tiny_ratio_system(data)
         for n in range(1, data.draw(st.integers(1, 4), label="n") + 1):
             log_phi, log_nu = level_log_measures(spec, s, n)
             assert np.isfinite(log_phi).all() and np.isfinite(log_nu).all()
@@ -425,6 +435,54 @@ class TestKaenmakiCylinder:
             ext = sum(cylinder_measure_mt(g, coded_word((i,) + c, row_class))
                       for i in range(1, 5) if dense_transition(2, 2)[i - 1, c[0] - 1])
             assert ext == pytest.approx(target, abs=1e-12)
+
+
+class TestLevelBlocks:
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    @given(st.data())
+    def test_blocks_match_per_word_oracle(self, data):
+        spec, s = draw_tiny_ratio_system(data)
+        n = data.draw(st.integers(1, 7), label="n")
+        # small blocks split the prefix half into runs that need not divide it
+        block = data.draw(st.sampled_from([1, 7, 100, thermo.LEVEL_BLOCK]), label="block")
+        words = all_words(spec.d, n)
+        want_nu = kaenmaki_measure(spec, s).log_cylinder_batch(words)
+        log_p, log_q, *_ = signature_arrays(words, spec)
+        log_a1, log_a2 = np.maximum(log_p, log_q), np.minimum(log_p, log_q)
+        want_phi = s * log_a1 if s < 1.0 else log_a1 + (s - 1.0) * log_a2
+        with mock.patch.object(thermo, "LEVEL_BLOCK", block):
+            sizes = [(len(phi), len(nu)) for phi, nu in level_log_blocks(spec, s, n)]
+            log_phi, log_nu = level_log_measures(spec, s, n)
+            extremes = level_log_ratio_extremes(spec, s, n)
+        assert all(a == b for a, b in sizes) and sum(a for a, _ in sizes) == spec.d ** n
+        for got, want in ((log_phi, want_phi), (log_nu, want_nu)):
+            assert got.shape == want.shape
+            assert (np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want))).all()
+        x = log_nu - log_phi
+        assert extremes == (x.min(), x.max())
+
+    def test_extremes_in_constant_memory(self, ex1):
+        # 2^20 words: one float array of the whole level is 8 MB
+        kaenmaki_measure(ex1, 0.9)
+        tracemalloc.start()
+        try:
+            lo, hi = level_log_ratio_extremes(ex1, 0.9, 20)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.isfinite([lo, hi]).all() and lo <= hi
+        assert peak < 16 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MB"
+
+    def test_nan_ratio_makes_extremes_nan(self, ex1):
+        log_phi, log_nu = level_log_measures(ex1, 0.9, 4)
+
+        def with_nan(spec, s, n):
+            yield log_phi, log_nu
+            yield log_phi[:1], np.array([np.nan])
+            yield log_phi, log_nu
+
+        with mock.patch.object(thermo, "level_log_blocks", with_nan):
+            assert np.isnan(level_log_ratio_extremes(ex1, 0.9, 4)).all()
 
 
 class TestSvf:
@@ -554,6 +612,25 @@ class TestQuasiBernoulli:
             expected = (min(a, b) / max(a, b)) ** (n * s)
             assert quasi_bernoulli_ratio(spec, s, 1, 2, n) == \
                 pytest.approx(expected, rel=1e-10)
+
+    def test_log_closed_form_down_to_tiny_ratios(self):
+        # min(1, (a/b)^n max(1, A/B))^min(s, 2-s) for a < b, in logs; the
+        # ratio itself underflows to 0.0 on most of these draws
+        rng = np.random.default_rng(47)
+        for _ in range(100):
+            a, b, big_a, big_b = np.exp(rng.uniform(np.log(1e-300), np.log(0.5), 4))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", DegenerateSystemWarning)
+                spec = make_spec([diag(a, b, 0.0, 0.0), anti(big_a, big_b, 0.5, 0.5)])
+            if a > b:
+                a, b, big_a, big_b = b, a, big_b, big_a
+            s = float(rng.uniform(0.05, 1.95))
+            for n in (1, 2, 4):
+                want = min(s, 2.0 - s) * min(0.0, n * np.log(a / b)
+                                             + max(0.0, np.log(big_a / big_b)))
+                got = log_quasi_bernoulli_ratio(spec, s, 1, 2, n)
+                assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (a, b, big_a, big_b, s, n)
+                assert quasi_bernoulli_ratio(spec, s, 1, 2, n) == np.exp(got)
 
     def test_bad_kinds(self, ex1, uniform2):
         with pytest.raises(BadMapKinds):
