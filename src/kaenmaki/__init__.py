@@ -53,7 +53,6 @@ from .sampling import (
 from .thermo import (
     KaenmakiMeasure,
     MarkovGibbs,
-    Potential,
     PotentialIndex,
     ThermoSummary,
     affinity_dimension,
@@ -65,12 +64,9 @@ from .thermo import (
     level_log_measures,
     level_log_ratio_extremes,
     log_quasi_bernoulli_ratio,
-    log_svf_phi,
     lyapunov_exponents,
-    potential,
     pressure,
     quasi_bernoulli_ratio,
-    subadditive_pressure_bruteforce,
     submultiplicativity_check,
     thermo_summary,
 )

@@ -131,6 +131,15 @@ def _verify_key_identity(spec: IfsSpec, s: float, depth: int) -> float:
     return worst
 
 
+def _comparability_decays(logs) -> bool:
+    """The comparability row's rule on the log ratios for n = 1, 2, ...: exactly 1
+    up to a threshold n, strict geometric decay after it.  Decided in logs, since
+    the ratios underflow to 0.0 at tiny map ratios."""
+    return max(logs) <= np.log1p(1e-12) and all(
+        l2 < l1 if l1 < np.log1p(-1e-12) else l2 <= l1 + np.log1p(1e-12)
+        for l1, l2 in zip(logs, logs[1:]))
+
+
 def cmd_verify(args) -> int:
     spec = _read_spec(args.spec)
     depth = args.max_depth
@@ -174,12 +183,7 @@ def cmd_verify(args) -> int:
     if diag_idx is not None:
         logs = [thermo.log_quasi_bernoulli_ratio(spec, s, diag_idx, anti_idx, n)
                 for n in range(1, 5)]
-        # exactly 1 up to a threshold n, geometric decay after it; decided in
-        # logs, since the ratios underflow to 0.0 at tiny map ratios
-        dec = max(logs) <= np.log1p(1e-12) and all(
-            l2 < l1 if l1 < np.log1p(-1e-12) else l2 <= l1 + np.log1p(1e-12)
-            for l1, l2 in zip(logs, logs[1:]))
-        results.append(("two-sided comparability decay", dec,
+        results.append(("two-sided comparability decay", _comparability_decays(logs),
                         "ratios " + ", ".join(f"{np.exp(x):.3e}" for x in logs)))
     else:
         results.append(("two-sided comparability decay", True, "skipped: degenerate ratios"))
@@ -197,8 +201,8 @@ def cmd_verify(args) -> int:
             n_anti = sum(1 for i in prefix if i >= spec.l)
             if n_anti % 2 == 0:
                 rev = sampling.strip_reverse_oracle(spec, s, qy, min(depth, 8))
-                ok_strip &= (rev.mu_lower >= rev.rhs_lower * (1 - 1e-9)
-                             and rev.mu_upper >= rev.rhs_upper * (1 - 1e-9))
+                ok_strip &= (rev.log_mu_lower >= rev.log_rhs_lower + np.log1p(-1e-9)
+                             and rev.log_mu_upper >= rev.log_rhs_upper + np.log1p(-1e-9))
         results.append(("strip measure bounds", ok_strip, "; ".join(details)))
     else:
         results.append(("strip measure bounds", True, "skipped: no separation certificate"))

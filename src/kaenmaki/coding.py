@@ -64,6 +64,7 @@ def check_mixing(row_class: np.ndarray) -> bool:
     return all(0 < row_class[h * d:(h + 1) * d].sum() < d for h in (0, 1))
 
 
+# Unused in src/; perfbench/spans.py traces encode_tau by name, so `run.py --trace 1` needs these.
 @dataclass(frozen=True)
 class CodedWord:
     """A word over the doubled alphabet with its admissibility decided eagerly."""

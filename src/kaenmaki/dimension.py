@@ -22,7 +22,6 @@ flagged as a conjecture for any specific translation.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -162,14 +161,8 @@ class DimensionReport:
             "warnings": list(self.warnings),
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
-
 
 def dimension_report(spec: IfsSpec, s: float,
-                     mode_request: ProjectedMode | None = None,
-                     user_value: float | None = None,
-                     mc_options: dict | None = None,
                      affinity_dim: float | None = None) -> DimensionReport:
     """Assemble hypothesis checks, thermodynamic summary and the dimension;
     a given affinity_dim (the pressure root) is not searched for again."""
@@ -184,8 +177,7 @@ def dimension_report(spec: IfsSpec, s: float,
         notes.append("degenerate system: every diagonal map has a == b")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        projected = projected_dimension(spec, s, mode_request=mode_request,
-                                        user_value=user_value, mc_options=mc_options)
+        projected = projected_dimension(spec, s)
     notes.extend(str(w.message) for w in caught)
     if projected is None:
         notes.append("projected dimension unknown: no separation certificate and "

@@ -88,11 +88,6 @@ class AffineMap2D:
     def anti(self) -> bool:
         return self.kind is MapKind.ANTI_DIAGONAL
 
-    def apply(self, x: float, y: float) -> tuple[float, float]:
-        if self.anti:
-            return self.a * y + self.tx, self.b * x + self.ty
-        return self.a * x + self.tx, self.b * y + self.ty
-
     def __call__(self, rect: Rect) -> Rect:
         """Exact image rectangle (again axis-aligned)."""
         if self.anti:

@@ -376,8 +376,12 @@ def strip_measure_oracle(spec: IfsSpec, s: float, q: StripQuery,
 class StripReverseResult:
     mu_lower: float
     mu_upper: float
+    log_mu_lower: float
+    log_mu_upper: float
     rhs_lower: float
     rhs_upper: float
+    log_rhs_lower: float
+    log_rhs_upper: float
     chain_const: float
 
 
@@ -390,7 +394,7 @@ def strip_reverse_oracle(spec: IfsSpec, s: float, q: StripQuery, extension_cap: 
     the chain's own comparison constant c = min P(i,j)/pi(j) over allowed
     transitions (P(i,j) depends on j alone) applies: chain mass of the strip
     >= c * chain mass of the prefix * projected chain mass of the blown
-    interval, bracket by bracket.
+    interval, bracket by bracket.  Formed in logs; the linear fields are their exp.
     """
     if spec.d ** extension_cap > ENUMERATION_CAP:
         raise TooLarge(f"{spec.d}^{extension_cap} exceeds the enumeration cap")
@@ -404,19 +408,18 @@ def strip_reverse_oracle(spec: IfsSpec, s: float, q: StripQuery, extension_cap: 
     def log_mt(words):
         return g.log_cylinder_batch(tau_arrays(words, spec) - 1)
 
-    c_chain = float(np.exp(np.min(g.log_rows.ravel() - g.log_stationary)))
-
-    mu_dec, mu_und = np.exp(_interval_mass(
-        spec, prefix, strip, q.primary_axis is Axis.HORIZONTAL, extension_cap, log_mt))
-    pr_dec, pr_und = np.exp(_interval_mass(
-        spec, (), blown, q.secondary_projection is Projection.X, extension_cap, log_mt))
-
-    mass_prefix = float(np.exp(log_mt(np.array([prefix]))[0]))
-    return StripReverseResult(
-        mu_lower=mu_dec, mu_upper=mu_dec + mu_und,
-        rhs_lower=c_chain * mass_prefix * pr_dec,
-        rhs_upper=c_chain * mass_prefix * (pr_dec + pr_und),
-        chain_const=c_chain)
+    log_c = float(np.min(g.log_rows.ravel() - g.log_stationary))
+    mu_dec, mu_und = _interval_mass(
+        spec, prefix, strip, q.primary_axis is Axis.HORIZONTAL, extension_cap, log_mt)
+    pr_dec, pr_und = _interval_mass(
+        spec, (), blown, q.secondary_projection is Projection.X, extension_cap, log_mt)
+    log_mu, log_proj = np.logaddexp([mu_dec, pr_dec], [mu_und, pr_und]).tolist()
+    log_rhs = log_c + float(log_mt(np.array([prefix]))[0])
+    logs = dict(mu_lower=mu_dec, mu_upper=log_mu,
+                rhs_lower=log_rhs + pr_dec, rhs_upper=log_rhs + log_proj)
+    return StripReverseResult(**{k: float(np.exp(v)) for k, v in logs.items()},
+                              **{f"log_{k}": v for k, v in logs.items()},
+                              chain_const=float(np.exp(log_c)))
 
 
 # -- rendering -----------------------------------------------------------------

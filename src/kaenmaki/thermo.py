@@ -32,9 +32,7 @@ import numpy as np
 from .coding import (
     as_word,
     check_mixing,
-    encode_tau,
     tau_arrays,
-    product_signature,
     transition_matrix,
 )
 from .errors import (
@@ -54,18 +52,6 @@ class PotentialIndex(IntEnum):
     TWO = 2
 
 
-@dataclass(frozen=True)
-class Potential:
-    """Log-weights per doubled symbol for one of the two side-length potentials."""
-
-    s: float
-    t: PotentialIndex
-    weights: np.ndarray
-
-    def __post_init__(self):
-        self.weights.setflags(write=False)
-
-
 def _log_phi_from_alphas(log_a1, log_a2, s: float):
     """log alpha1^s for s < 1, log(alpha1 alpha2^(s-1)) for s >= 1."""
     if s < 1.0:
@@ -81,21 +67,9 @@ def _side_logs(spec: IfsSpec, t: PotentialIndex) -> tuple[np.ndarray, np.ndarray
 
 
 def _weight_vector(spec: IfsSpec, s: float, t: PotentialIndex) -> np.ndarray:
-    """Weights for s in (0, 2]; the public wrapper enforces the open range."""
+    """Log-weights per doubled symbol of side-length potential t, s in (0, 2]: the
+    log phi^s of each symbol's side lengths as _side_logs assigns them for t."""
     return _log_phi_from_alphas(*_side_logs(spec, t), s)
-
-
-def potential(spec: IfsSpec, s: float, t: PotentialIndex = PotentialIndex.ONE) -> Potential:
-    """Locally constant potential on the doubled alphabet.
-
-    For s in (0,1) the weight of an unshifted symbol i is s*log(a_i) for t=ONE
-    and s*log(b_i) for t=TWO; shifted symbols swap a and b.  For s in [1,2)
-    the weight is log(a_i) + (s-1)*log(b_i) (t=ONE), with the same swaps.
-    Both branches agree at s=1.
-    """
-    if not (0.0 < s < 2.0):
-        raise SOutOfRange(f"s={s} must lie in (0,2)")
-    return Potential(s=s, t=PotentialIndex(t), weights=_weight_vector(spec, s, t))
 
 
 def _log_normalized(x: np.ndarray) -> np.ndarray:
@@ -239,9 +213,6 @@ class KaenmakiMeasure:
     def log_cylinder(self, w) -> float:
         return float(self.log_cylinder_batch(np.array([as_word(w, self.spec.d)]))[0])
 
-    def cylinder(self, w) -> float:
-        return float(np.exp(self.log_cylinder(w)))
-
     def log_cylinder_batch(self, words: np.ndarray) -> np.ndarray:
         """Vectorized log nu over an (N, n) array of words (values 1..d)."""
         coded = tau_arrays(words, self.spec) - 1
@@ -268,30 +239,7 @@ def kaenmaki_measure(spec: IfsSpec, s: float) -> KaenmakiMeasure:
 
 def kaenmaki_cylinder(spec: IfsSpec, s: float, w) -> float:
     """nu([w]); additive over one-letter extensions and normalized at level 1."""
-    return kaenmaki_measure(spec, s).cylinder(as_word(w, spec.d))
-
-
-def log_svf_phi(spec: IfsSpec, s: float, w) -> float:
-    """log phi^s(w), computed two ways with mandatory agreement.
-
-    Route one uses the singular values of the product signature (Falconer's
-    definition); route two takes the larger of the two Birkhoff weight sums
-    along the tau lift.  Disagreement beyond 1e-12 in log indicates an
-    implementation bug and raises InternalMismatch.  Route one is returned.
-    """
-    if not (0.0 < s < 2.0):
-        raise SOutOfRange(f"s={s} must lie in (0,2)")
-    w = as_word(w, spec.d)
-    sig = product_signature(w, spec)
-    via_svd = _log_phi_from_alphas(sig.log_alpha1, sig.log_alpha2, s)
-    w1 = _weight_vector(spec, s, PotentialIndex.ONE)
-    w2 = _weight_vector(spec, s, PotentialIndex.TWO)
-    coded = np.asarray(encode_tau(w, spec).symbols) - 1
-    via_birkhoff = max(float(w1[coded].sum()), float(w2[coded].sum()))
-    if abs(via_svd - via_birkhoff) > 1e-12 * max(1.0, abs(via_svd)):
-        raise InternalMismatch(
-            f"phi routes disagree: {via_svd!r} vs {via_birkhoff!r} for word {w}")
-    return float(via_svd)
+    return float(np.exp(kaenmaki_measure(spec, s).log_cylinder(w)))
 
 
 # -- exhaustive enumeration over all words of one length ----------------------
@@ -326,12 +274,6 @@ def expand_levels(spec: IfsSpec, n: int):
         coded = np.where(even, jj, jj + d)
         odd = np.repeat(odd, d) ^ is_anti[jj]
         yield log_p, log_q, coded
-
-
-def level_signature_logs(spec: IfsSpec, n: int):
-    """(log_alpha1, log_alpha2) over all d^n words in lexicographic order."""
-    *_, (log_p, log_q, _) = expand_levels(spec, n)
-    return np.maximum(log_p, log_q), np.minimum(log_p, log_q)
 
 
 # cells per block of a full-depth level: a few hundred kB per float array
@@ -394,23 +336,6 @@ def level_log_ratio_extremes(spec: IfsSpec, s: float, n: int) -> tuple[float, fl
         x = log_nu - log_phi
         lo, hi = np.minimum(lo, x.min()), np.maximum(hi, x.max())
     return float(lo), float(hi)
-
-
-def subadditive_pressure_bruteforce(spec: IfsSpec, s: float, n: int) -> float:
-    """(1/n) log sum of phi^s over all words of length n.
-
-    An upper approximant P_n of the pressure P: submultiplicativity of phi
-    gives P <= P_n and P_kn <= P_n for every k >= 1, and the bias P_n - P is
-    of order 1/n.  P_n need not decrease from n to n + 1; for example
-    diag(0.015, 0.05) with anti(0.58, 0.43) at s = 0.9 has
-    P_2 = -0.5053 < P_3 = -0.4762.  Serves as an independent upper bound for
-    the spectral pressure.
-    """
-    if not (0.0 < s < 2.0):
-        raise SOutOfRange(f"s={s} must lie in (0,2)")
-    log_phi = _log_phi_from_alphas(*level_signature_logs(spec, n), s)
-    m = log_phi.max()
-    return float((m + np.log(np.exp(log_phi - m).sum())) / n)
 
 
 # -- derived thermodynamic quantities -----------------------------------------
@@ -507,8 +432,10 @@ def log_quasi_bernoulli_ratio(spec: IfsSpec, s: float, i: int, j: int, n: int) -
     ratio equals min(1, (a/b)^n * max(1, A/B))^min(s, 2-s); for a > b swap
     a with b and A with B.  It is exactly 1 while (b/a)^n <= A/B and decays
     geometrically after that, so it tends to 0, which is exactly why no
-    two-sided Bernoulli comparison can hold for the equilibrium measure.  The
-    log stays finite where the ratio itself underflows to 0.0.
+    two-sided Bernoulli comparison can hold for the equilibrium measure.  It
+    is formed from the logs of the four map ratios, never from a quotient of
+    them (a/b overflows where both are tiny), so it is exactly 0.0 where the
+    ratio is 1 and stays finite where the ratio underflows to 0.0.
     """
     if n < 1:
         raise BadMapKinds("n must be >= 1")
@@ -517,10 +444,12 @@ def log_quasi_bernoulli_ratio(spec: IfsSpec, s: float, i: int, j: int, n: int) -
         raise BadMapKinds(f"need map {i} diagonal and map {j} anti-diagonal")
     if mi.a == mi.b:
         raise BadMapKinds(f"map {i} has a == b; the family degenerates")
-    w = (i,) * n + (j,) + (i,) * n
-    u = (i,) * n + (j,)
-    v = (i,) * n
-    return log_svf_phi(spec, s, w) - log_svf_phi(spec, s, u) - log_svf_phi(spec, s, v)
+    if not (0.0 < s < 2.0):
+        raise SOutOfRange(f"s={s} must lie in (0,2)")
+    la, lb, l_big_a, l_big_b = np.log([mi.a, mi.b, mj.a, mj.b]).tolist()
+    if la > lb:
+        la, lb, l_big_a, l_big_b = lb, la, l_big_b, l_big_a
+    return min(s, 2.0 - s) * min(0.0, n * (la - lb) + max(0.0, l_big_a - l_big_b))
 
 
 def quasi_bernoulli_ratio(spec: IfsSpec, s: float, i: int, j: int, n: int) -> float:

@@ -4,8 +4,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from kaenmaki import AffineMap2D, MapKind, make_spec
-from kaenmaki.errors import DegenerateSystemWarning
+from kaenmaki import AffineMap2D, MapKind, encode_tau, make_spec, product_signature
+from kaenmaki.coding import as_word
+from kaenmaki.errors import DegenerateSystemWarning, InternalMismatch, SOutOfRange
+from kaenmaki.thermo import PotentialIndex, _log_phi_from_alphas, _weight_vector, expand_levels
 
 EX1_JSON = """
 {"maps": [{"kind": "diag", "a": 0.3333333333333333, "b": 0.2, "tx": 0, "ty": 0},
@@ -98,8 +100,54 @@ def compose_loop(spec, w):
         odd ^= m.anti
     x, y = 0.5, 0.5
     for i in reversed(w):
-        x, y = spec.map(int(i)).apply(x, y)
+        m = spec.map(int(i))
+        x, y = (m.a * y + m.tx, m.b * x + m.ty) if m.anti else (m.a * x + m.tx, m.b * y + m.ty)
     return log_p, log_q, odd, x, y
+
+
+def log_svf_phi(spec, s, w):
+    """log phi^s(w) of one word, computed two ways with mandatory agreement.
+
+    Route one uses the singular values of the product signature (Falconer's
+    definition); route two takes the larger of the two Birkhoff weight sums
+    along the tau lift.  Disagreement beyond 1e-12 in log raises
+    InternalMismatch.  Route one is returned: the per-word reference for the
+    closed forms and level kernels of thermo.
+    """
+    if not (0.0 < s < 2.0):
+        raise SOutOfRange(f"s={s} must lie in (0,2)")
+    w = as_word(w, spec.d)
+    sig = product_signature(w, spec)
+    via_svd = _log_phi_from_alphas(sig.log_alpha1, sig.log_alpha2, s)
+    coded = np.asarray(encode_tau(w, spec).symbols) - 1
+    via_birkhoff = max(float(_weight_vector(spec, s, t)[coded].sum()) for t in PotentialIndex)
+    if abs(via_svd - via_birkhoff) > 1e-12 * max(1.0, abs(via_svd)):
+        raise InternalMismatch(
+            f"phi routes disagree: {via_svd!r} vs {via_birkhoff!r} for word {w}")
+    return float(via_svd)
+
+
+def level_signature_logs(spec, n):
+    """(log_alpha1, log_alpha2) over all d^n words in lexicographic order."""
+    *_, (log_p, log_q, _) = expand_levels(spec, n)
+    return np.maximum(log_p, log_q), np.minimum(log_p, log_q)
+
+
+def subadditive_pressure_bruteforce(spec, s, n):
+    """(1/n) log sum of phi^s over all words of length n.
+
+    An upper approximant P_n of the pressure P: submultiplicativity of phi
+    gives P <= P_n and P_kn <= P_n for every k >= 1, and the bias P_n - P is
+    of order 1/n.  P_n need not decrease from n to n + 1; for example
+    diag(0.015, 0.05) with anti(0.58, 0.43) at s = 0.9 has
+    P_2 = -0.5053 < P_3 = -0.4762.  The independent upper bound for the
+    spectral pressure.
+    """
+    if not (0.0 < s < 2.0):
+        raise SOutOfRange(f"s={s} must lie in (0,2)")
+    log_phi = _log_phi_from_alphas(*level_signature_logs(spec, n), s)
+    m = log_phi.max()
+    return float((m + np.log(np.exp(log_phi - m).sum())) / n)
 
 
 def all_words(d, n):

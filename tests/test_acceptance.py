@@ -32,10 +32,19 @@ import numpy as np
 import pytest
 
 import kaenmaki as K
-from conftest import EX1_JSON, all_words, anti, dense_stochastic, diag, random_spec
+from conftest import (
+    EX1_JSON,
+    all_words,
+    anti,
+    dense_stochastic,
+    diag,
+    level_signature_logs,
+    random_spec,
+    subadditive_pressure_bruteforce,
+)
 from kaenmaki.cli import main as cli_main
 from kaenmaki.coding import signature_arrays, tau_arrays
-from kaenmaki.thermo import PotentialIndex, _weight_vector, level_signature_logs
+from kaenmaki.thermo import PotentialIndex, _weight_vector
 
 ONE, TWO = PotentialIndex.ONE, PotentialIndex.TWO
 
@@ -121,7 +130,7 @@ def test_criterion_02_pressure_oracle(ex1):
     start = time.monotonic()
     gaps = {}
     for s in (0.5, 1.0, 1.5):
-        seq = [K.subadditive_pressure_bruteforce(ex1, s, n) for n in (2, 4, 8, 12)]
+        seq = [subadditive_pressure_bruteforce(ex1, s, n) for n in (2, 4, 8, 12)]
         assert all(b <= a + 1e-12 for a, b in zip(seq, seq[1:])), \
             f"enumeration not nonincreasing at s={s}: {seq}"
         p = K.pressure(ex1, s)

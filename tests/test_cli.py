@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import io
 import json
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import EX1_JSON, grid_spec
-from kaenmaki import cli, errors, thermo
+from kaenmaki import cli, errors, parse_ifs, product_signature, sampling, thermo
 from kaenmaki.cli import main
 
 
@@ -166,8 +167,8 @@ class TestVerify:
 
     def test_corrupt_potential_fails(self, capsys, ex1_path, monkeypatch):
         # negative control: symbol 1 of the first potential off by 1e-6, as the
-        # verify rows see it; inside thermo the two-route check of log_svf_phi
-        # would stop the run with InternalMismatch before any row prints
+        # verify rows see it; the key-identity and side-length rows FAIL, and
+        # no per-word phi check inside thermo stops the run before they print
         def corrupted(spec, s, t):
             w = thermo._weight_vector(spec, s, t)
             return w + np.eye(w.size)[0] * 1e-6 if t == thermo.PotentialIndex.ONE else w
@@ -179,15 +180,27 @@ class TestVerify:
         assert "FAIL" in out
 
     def test_comparability_flat_then_decaying_passes(self, capsys, tmp_path):
-        # (b/a)^n stays below A/B up to n = 4, so all four ratios are exactly 1
-        p = tmp_path / "flat.json"
-        p.write_text('{"maps": [{"kind": "diag", "a": 0.071, "b": 0.090, "tx": 0, "ty": 0},'
-                     ' {"kind": "anti", "a": 0.276, "b": 0.058, "tx": 0.5, "ty": 0.5}]}')
-        code, out, _ = run(capsys, "verify", "--spec", str(p), "--s", "1.199",
-                           "--max-depth", "6")
-        assert code == 0, out
-        assert "ratios 1.000e+00, 1.000e+00, 1.000e+00, 1.000e+00" in out
-        assert len(out.splitlines()) == 6
+        # (b/a)^n stays below A/B up to n = 4, so all four ratios are exactly 1.
+        # In the second system log phi(i^n j i^n) reaches -1e4; as a difference
+        # of three per-word logs the flat ratios read 2.3e-13 .. 1.8e-12 and
+        # failed the row on rounding noise, the closed form gives exactly 0
+        flat_tiny = ('{"maps": [{"kind": "diag", "a": 1.5711420706608014e-254,'
+                     ' "b": 8.739028001764224e-273, "tx": 0.07693360476242728,'
+                     ' "ty": 0.46993702928872527}, {"kind": "anti",'
+                     ' "a": 2.5922043358233706e-215, "b": 0.5788943226695018,'
+                     ' "tx": 0.17998977645764302, "ty": 0.16878654177055039}]}')
+        for text, s, depth in [
+                ('{"maps": [{"kind": "diag", "a": 0.071, "b": 0.090, "tx": 0, "ty": 0},'
+                 ' {"kind": "anti", "a": 0.276, "b": 0.058, "tx": 0.5, "ty": 0.5}]}',
+                 "1.199", "6"),
+                (flat_tiny, "1.982194738125007", "4")]:
+            p = tmp_path / "flat.json"
+            p.write_text(text)
+            code, out, _ = run(capsys, "verify", "--spec", str(p), "--s", s,
+                               "--max-depth", depth)
+            assert code == 0, out
+            assert "ratios 1.000e+00, 1.000e+00, 1.000e+00, 1.000e+00" in out
+            assert len(out.splitlines()) == 6
 
     def test_tiny_ratios_print_rows_or_typed_error(self, capsys, tmp_path):
         # the envelope's lower constant underflows to 0.0 here; C = up / lo^2
@@ -238,6 +251,36 @@ class TestVerify:
         assert np.isfinite([log_lo, log_min]).all() and np.exp(log_lo) == 0.0
         assert rows["cylinder envelope"].startswith("PASS"), out
         assert code == 0, out
+
+    def test_tiny_ratios_reverse_strip_leg_in_logs(self):
+        # every linear field underflows to 0.0 here, where 0 >= 0 passed the
+        # leg whatever the logs said
+        spec = parse_ifs(TINY_JSON)
+        q = sampling.make_strip_query(spec, (1,), 0.5 * product_signature((1,), spec).alpha1)
+        rev = sampling.strip_reverse_oracle(spec, 1.0, q, 4)
+        logs = [rev.log_mu_lower, rev.log_mu_upper, rev.log_rhs_lower, rev.log_rhs_upper]
+        assert np.isfinite(logs).all()
+        assert [rev.mu_lower, rev.mu_upper, rev.rhs_lower, rev.rhs_upper] == [0.0] * 4
+        assert rev.log_mu_lower <= rev.log_mu_upper and rev.log_rhs_lower <= rev.log_rhs_upper
+        assert rev.log_mu_lower >= rev.log_rhs_lower and rev.log_mu_upper >= rev.log_rhs_upper
+
+    def test_strip_fails_on_a_reverse_leg_below_its_bound(self, capsys, tmp_path,
+                                                          monkeypatch):
+        # negative control: the strip mass is put e^-1 below the reverse bound,
+        # both below e^-745, where a linear comparison reads 0 >= 0
+        p = tmp_path / "tiny.json"
+        p.write_text(TINY_JSON)
+        reverse = sampling.strip_reverse_oracle
+
+        def low(*args):
+            rev = reverse(*args)
+            return dataclasses.replace(rev, log_mu_lower=rev.log_rhs_lower - 1.0)
+
+        monkeypatch.setattr(cli.sampling, "strip_reverse_oracle", low)
+        code, out, _ = run(capsys, "verify", "--spec", str(p), "--s", "1.0", "--max-depth", "4")
+        rows = {r[6:].split("  ")[0]: r for r in out.splitlines()}
+        assert rows["strip measure bounds"].startswith("FAIL"), out
+        assert code == 1
 
     def test_comparability_fails_on_a_flat_ratio_below_one(self, capsys, ex1_path, monkeypatch):
         # negative control: below 1 the ratios must decrease strictly

