@@ -118,17 +118,20 @@ def cmd_measure(args) -> int:
     return 0
 
 
-def _verify_key_identity(spec: IfsSpec, s: float, depth: int) -> float:
+def _verify_key_identity(spec: IfsSpec, s: float, depth: int) -> tuple[float, bool]:
     """Worst log disagreement between phi of the side lengths and the larger
-    Birkhoff sum of the two potentials along the tau lift, words up to depth."""
+    Birkhoff sum of the two potentials along the tau lift, words up to depth, and
+    whether each word agrees to 1e-12 max(1, |log phi|) (1e-12 is an ulp near 4700)."""
     w = np.stack([thermo._weight_vector(spec, s, t) for t in PotentialIndex])
-    worst, sums = 0.0, None
+    worst, ok, sums = 0.0, True, None
     for log_p, log_q, coded in thermo.expand_levels(spec, depth):
         sums = w[:, coded] if sums is None else np.repeat(sums, spec.d, axis=1) + w[:, coded]
         via_svd = thermo._log_phi_from_alphas(
             np.maximum(log_p, log_q), np.minimum(log_p, log_q), s)
-        worst = max(worst, float(np.abs(via_svd - sums.max(axis=0)).max()))
-    return worst
+        diff = np.abs(via_svd - sums.max(axis=0))
+        worst = max(worst, float(diff.max()))
+        ok &= bool((diff <= 1e-12 * np.maximum(1.0, np.abs(via_svd))).all())
+    return worst, ok
 
 
 def _comparability_decays(logs) -> bool:
@@ -148,8 +151,8 @@ def cmd_verify(args) -> int:
     s, _ = _resolve_s(spec, args.s)
     results = []
 
-    worst = _verify_key_identity(spec, s, min(depth, 8))
-    results.append(("phi max-of-sides identity", worst <= 1e-12, f"max log diff {worst:.3e}"))
+    worst, ok_phi = _verify_key_identity(spec, s, min(depth, 8))
+    results.append(("phi max-of-sides identity", ok_phi, f"max log diff {worst:.3e}"))
 
     nu = thermo.kaenmaki_measure(spec, s)
     log_lo, log_up = nu.log_envelope()

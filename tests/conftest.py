@@ -6,8 +6,21 @@ import pytest
 
 from kaenmaki import AffineMap2D, MapKind, encode_tau, make_spec, product_signature
 from kaenmaki.coding import as_word
-from kaenmaki.errors import DegenerateSystemWarning, InternalMismatch, SOutOfRange
-from kaenmaki.thermo import PotentialIndex, _log_phi_from_alphas, _weight_vector, expand_levels
+from kaenmaki.errors import (
+    ConvergenceFailure,
+    DegenerateSystemWarning,
+    InternalMismatch,
+    SOutOfRange,
+)
+from kaenmaki.thermo import (
+    PotentialIndex,
+    _log_normalized,
+    _log_phi_from_alphas,
+    _perron,
+    _side_logs,
+    _weight_vector,
+    expand_levels,
+)
 
 EX1_JSON = """
 {"maps": [{"kind": "diag", "a": 0.3333333333333333, "b": 0.2, "tx": 0, "ty": 0},
@@ -148,6 +161,44 @@ def subadditive_pressure_bruteforce(spec, s, n):
     log_phi = _log_phi_from_alphas(*level_signature_logs(spec, n), s)
     m = log_phi.max()
     return float((m + np.log(np.exp(log_phi - m).sum())) / n)
+
+
+def bisection_root(spec):
+    """(root, clamped) of the pressure by a 1e-13 bisection on (1e-9, 2]: the
+    reference for the Newton search of thermo.affinity_dimension_detail, with
+    the same s=2 returns, slope-relative acceptance and monotonicity check."""
+    trace = []
+
+    def p(s):
+        v = _perron(_weight_vector(spec, s, PotentialIndex.ONE), spec.d, spec.l)[0]
+        trace.append((s, v))
+        return v
+
+    p_two = p(2.0)
+    if abs(p_two) <= 1e-12 or p_two > 0.0:
+        return 2.0, p_two > 1e-12
+    lo, hi = 1e-9, 2.0
+    if p(lo) <= 0.0:
+        raise InternalMismatch("pressure not positive near s=0")
+    while hi - lo > 1e-13:
+        mid = 0.5 * (lo + hi)
+        if p(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    root = 0.5 * (lo + hi)
+    p_root, log_right, log_left = _perron(
+        _weight_vector(spec, root, PotentialIndex.ONE), spec.d, spec.l)
+    trace.append((root, p_root))
+    slope = np.exp(_log_normalized(log_left + log_right)) @ _side_logs(
+        spec, PotentialIndex.ONE)[0 if root < 1.0 else 1]
+    if abs(p_root) > 1e-12 * max(1.0, abs(slope)):
+        raise ConvergenceFailure(f"|P(s*)|={abs(p_root):.3e} above tolerance")
+    by_s = sorted(trace)
+    for (s1, v1), (s2, v2) in zip(by_s, by_s[1:]):
+        if s2 > s1 and v2 > v1 + 1e-12:
+            raise InternalMismatch(f"pressure not decreasing: P({s1})={v1}, P({s2})={v2}")
+    return root, False
 
 
 def all_words(d, n):

@@ -133,7 +133,7 @@ class TestScalarCommands:
 
     def test_affinity_tiny_ratios(self, capsys, tmp_path):
         # |dP/ds| is near 400 here: an absolute 1e-12 bound on |P(s*)| fails
-        # on a root the 1e-13 bisection placed correctly
+        # on a correctly placed root
         p = tmp_path / "tiny.json"
         p.write_text('{"maps": [{"kind": "diag", "a": 1e-200, "b": 1e-150, "tx": 0, "ty": 0},'
                      ' {"kind": "anti", "a": 1e-180, "b": 0.5, "tx": 0.5, "ty": 0.5}]}')
@@ -159,6 +159,24 @@ class TestScalarCommands:
         assert args.threads == 3
 
 
+# full-box system whose longest words reach |log phi| near 4700, where the two
+# phi routes differ by 1.364e-12: about one ulp, above an absolute 1e-12
+ULP_PHI_JSON = json.dumps({"maps": [
+    {"kind": kind, "a": a, "b": b, "tx": tx, "ty": ty} for kind, a, b, tx, ty in [
+        ("diag", 0.36710421634266427, 0.7747290976557331, 0.2519972218548503,
+         0.0247291017059016),
+        ("anti", 0.16993627833946887, 0.7813384143128621, 0.5100378075555309,
+         0.09318761714860632),
+        ("anti", 0.9215211848445347, 0.6670084985974079, 0.04786561408405057,
+         0.04148337704823251),
+        ("anti", 2.1351171012534016e-211, 4.364414893175015e-257, 0.19340023969830367,
+         0.4903117286743145),
+        ("anti", 2.4987234221378374e-16, 3.1881055723151646e-198, 0.05895873494772473,
+         0.10995354258680679),
+        ("anti", 1.7880106235636556e-289, 2.6291816666486174e-189, 0.9745362690079287,
+         0.8046333295231883)]]})
+
+
 class TestVerify:
     def test_passes(self, capsys, ex1_path):
         code, out, _ = run(capsys, "verify", "--spec", ex1_path, "--max-depth", "8")
@@ -178,6 +196,25 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--spec", ex1_path, "--max-depth", "6")
         assert code == 1
         assert "FAIL" in out
+
+    def test_phi_identity_relative_to_log_phi(self, capsys, tmp_path):
+        p = tmp_path / "ulp.json"
+        p.write_text(ULP_PHI_JSON)
+        code, out, _ = run(capsys, "verify", "--spec", str(p), "--max-depth", "4")
+        assert code == 0, out
+        assert out.startswith("PASS  phi max-of-sides identity      max log diff "), out
+
+    def test_phi_identity_fails_on_a_corrupted_route(self, capsys, ex1_path, monkeypatch):
+        # negative control: the side-length route of phi off by 1e-9 in log,
+        # far above 1e-12 max(1, |log phi|) at |log phi| below 10
+        def corrupted(log_a1, log_a2, s):
+            return thermo._log_phi_from_alphas(log_a1, log_a2, s) + 1e-9
+
+        monkeypatch.setattr(cli, "thermo", SimpleNamespace(
+            **{**vars(thermo), "_log_phi_from_alphas": corrupted}))
+        code, out, _ = run(capsys, "verify", "--spec", ex1_path, "--max-depth", "6")
+        assert code == 1
+        assert out.startswith("FAIL  phi max-of-sides identity      max log diff 1.000e-09"), out
 
     def test_comparability_flat_then_decaying_passes(self, capsys, tmp_path):
         # (b/a)^n stays below A/B up to n = 4, so all four ratios are exactly 1.

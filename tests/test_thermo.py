@@ -5,11 +5,12 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import (
     all_words,
     anti,
+    bisection_root,
     chain_matrix,
     dense_stochastic,
     dense_transition,
@@ -514,7 +515,60 @@ class TestSvf:
                 assert np.abs(via_a - via_b).max() <= 1e-12
 
 
+# a ratio of the full parameter box: log-uniform down to 1e-300, or uniform in
+# [1e-3, 0.999)
+BOX_RATIO = st.one_of(
+    st.floats(np.log(1e-300), np.log(0.999), exclude_max=True).map(lambda x: float(np.exp(x))),
+    st.floats(1e-3, 0.999, exclude_max=True))
+
+
+@st.composite
+def full_box_maps(draw):
+    """d from 2 to 40, one to d - 1 diagonal maps, every ratio from BOX_RATIO."""
+    d = draw(st.integers(2, 40))
+    n_diag = draw(st.integers(1, d - 1))
+    return [(diag if k < n_diag else anti)(draw(BOX_RATIO), draw(BOX_RATIO), 0.0, 0.0)
+            for k in range(d)]
+
+
+# within 3e-14 of the root after 16 evaluations, where rounding leaves P(s) near
+# 8e-19 > 0, so Newton's method creeps on by two ulps per step; it would take
+# 149 evaluations without the cap of 48
+CREEPING_NEWTON = [diag(1.0000000000000237e-300, 5.357207450089087e-29, 0.0, 0.0),
+                   diag(0.999, 0.0011134741874682698, 0.0, 0.0),
+                   anti(1.4566247725899988e-178, 5.149576125170737e-68, 0.0, 0.0)]
+
+
 class TestAffinity:
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(maps=full_box_maps())
+    @example(maps=[diag(0.5, 0.5, 0.0, 0.0), anti(0.5, 0.5, 0.5, 0.5)])  # P(1) = 0
+    @example(maps=[diag(1 / 3, 1 / 5, 0.0, 0.0), anti(1 / 4, 1 / 5, 0.5, 0.5)])  # in (0, 1)
+    @example(maps=[diag(0.45, 0.3, 0.0, 0.0), diag(0.3, 0.45, 0.0, 0.0),
+                   anti(0.4, 0.35, 0.0, 0.0)])  # in (1, 2)
+    @example(maps=[diag(0.5, 0.5, 0.0, 0.0)] * 3 + [anti(0.5, 0.5, 0.5, 0.5)])  # exactly 2
+    @example(maps=[diag(0.9, 0.85, 0.0, 0.0), anti(0.9, 0.85, 0.05, 0.1)])  # clamped
+    @example(maps=[diag(1e-200, 1e-150, 0.0, 0.0), anti(1e-180, 0.5, 0.5, 0.5)])  # |dP/ds| ~ 400
+    @example(maps=CREEPING_NEWTON)
+    def test_newton_matches_bisection_property(self, maps):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegenerateSystemWarning)
+            spec = make_spec(maps)
+        detail = affinity_dimension_detail(spec)
+        root, clamped = bisection_root(spec)
+        assert detail.clamped == clamped
+        assert abs(detail.value - root) <= 1e-12
+        assert len(detail.trace) <= 48
+        by_s = sorted(detail.trace)
+        assert all(v2 <= v1 + 1e-12 for (_, v1), (_, v2) in zip(by_s, by_s[1:]))
+
+    @pytest.mark.parametrize("maps", [
+        [diag(1 / 3, 1 / 5, 0.0, 0.0), anti(1 / 4, 1 / 5, 0.5, 0.5)], NAMED_TINY, D7_GRID],
+        ids=["ex1", "named-tiny", "d7-grid"])
+    def test_newton_evaluations_bounded(self, maps):
+        # a bisection to 1e-13 takes 48 evaluations on each; Newton takes 5 to 8
+        assert len(affinity_dimension_detail(make_spec(maps)).trace) <= 16
+
     def test_uniform_closed_form(self, uniform2):
         assert affinity_dimension(uniform2) == pytest.approx(np.log(2) / np.log(3), abs=1e-9)
 
@@ -541,7 +595,7 @@ class TestAffinity:
         assert abs(detail.value - 0.5 * (lo + hi)) <= 1e-12
 
     def test_bruteforce_root_agrees(self, ex1):
-        # sign-change location of the depth-12 enumeration vs the bisection root
+        # sign-change location of the depth-12 enumeration vs the library root
         sstar = affinity_dimension(ex1)
         lo, hi = 0.2, 1.0
         for _ in range(30):
