@@ -36,7 +36,6 @@ from .ifs import (
     parse_ifs,
 )
 from .sampling import (
-    Axis,
     Projection,
     SampleSet,
     StripQuery,

@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import dimension, sampling, thermo
-from .coding import as_word, check_mixing, product_signature, transition_matrix
+from .coding import as_word, check_mixing, transition_matrix
 from .errors import KaenmakiError, TooLarge
 from .ifs import IfsSpec, check_strong_separation, check_transversality, parse_ifs
 from .thermo import PotentialIndex
@@ -195,8 +195,7 @@ def cmd_verify(args) -> int:
         ok_strip = True
         details = []
         for prefix in [(1,), (spec.d,), (1, spec.d)]:
-            qy = sampling.make_strip_query(spec, prefix,
-                                           0.5 * product_signature(prefix, spec).alpha1)
+            qy = sampling.make_strip_query(spec, prefix, 0.5)
             res = sampling.strip_measure_oracle(spec, s, qy, min(depth, 8))
             ok_strip &= res.log_mu_upper <= res.log_bound + np.log1p(1e-9)
             details.append(f"{prefix}: log mass {res.log_mu_upper:.4f} "
@@ -283,6 +282,16 @@ def cmd_project_dim(args) -> int:
     return 0
 
 
+def _threads(text: str) -> int | None:
+    """The --threads value, also applied by argparse to the KAENMAKI_THREADS
+    default: an int (None for 0), else a usage error naming both."""
+    try:
+        return int(text) or None
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"--threads / KAENMAKI_THREADS must be an integer, got {text!r}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kaenmaki",
@@ -302,8 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--s", type=float, default=None,
                            help="dimension parameter in (0,2); defaults to the "
                                 "config value or the affinity dimension")
-        p.add_argument("--threads", type=int,
-                       default=int(os.environ.get("KAENMAKI_THREADS", "0")) or None,
+        p.add_argument("--threads", type=_threads, default=os.environ.get("KAENMAKI_THREADS"),
                        help="reserved: accepted, but every command runs in one "
                             "thread; results never depend on it")
 

@@ -20,10 +20,13 @@ points within sup-distance r, and the slope of log measure against log r is
 the estimate.
 
 The strip oracle checks, at finite enumeration depth, the upper bound on the
-measure of a thin sub-strip of a cylinder rectangle by the product of the
+measure of a thin sub-strip of a cylinder rectangle [w] by the product of the
 cylinder mass and a projected measure of the blown-up strip interval.  Both
-strip oracles enumerate level by level, with cylinder rectangles from
-signature_arrays and batch log masses.
+strip oracles walk in the frame of the prefix w: f_w^-1 maps the strip onto a
+slab of the unit square through the fixed point of f_w, which is the blown-up
+interval itself, and each cell f_wv(Q) onto f_v(Q).  So one stopped family of
+suffix cells, composed by signature_arrays level by level from the empty word
+and widened by their rounding, brackets both sides in logs.
 """
 
 from __future__ import annotations
@@ -35,16 +38,12 @@ from enum import Enum
 import numpy as np
 
 from .coding import as_word, product_signature, signature_arrays, tau_arrays
-from .errors import InternalMismatch, IoFailure, NoCertificate, TooFewHits, TooLarge
+from .errors import IoFailure, NoCertificate, TooFewHits, TooLarge
 from .ifs import IfsSpec, check_strong_separation
 from .thermo import ENUMERATION_CAP, _log_normalized, kaenmaki_measure
 
 CSV_BLOCK_ROWS = 1 << 13  # rows per block yielded by csv_lines
-
-
-class Axis(Enum):
-    HORIZONTAL = "horizontal"
-    VERTICAL = "vertical"
+EPS = float(np.finfo(float).eps)
 
 
 class Projection(Enum):
@@ -225,164 +224,127 @@ def box_count(samples: SampleSet, scales) -> float:
 
 @dataclass(frozen=True)
 class StripQuery:
-    """A cylinder prefix with a strip half-width through its fixed point.
+    """A cylinder prefix w with a strip through the fixed point of f_w.
 
-    The strip is the set of points of the cylinder rectangle whose coordinate
-    along the primary axis (the longer side; vertical on ties) lies within
-    r/2 of that coordinate of the fixed point of the composed map.  The
-    secondary projection is the coordinate of the unit-square frame that the
-    composed map sends to the primary axis: equal to the primary one when the
-    composition preserves axes, swapped otherwise.
+    The strip is the set of points of the cylinder rectangle f_w(Q) whose
+    coordinate along the primary axis (the longer side; vertical on ties)
+    lies within r/2 of that coordinate of the fixed point, with r =
+    rel_width * alpha1.  f_w^-1 maps it onto the slab of the unit square of
+    half-width rel_width / 2 around the same fixed point along ``axis``: the
+    primary axis when f_w preserves the axes, the other one otherwise.  That
+    slab is also the strip's blown-up interval for the projected side.
     """
 
     word_prefix: tuple[int, ...]
-    r: float
-    primary_axis: Axis
-    secondary_projection: Projection
+    rel_width: float
+    axis: Projection
 
 
-def make_strip_query(spec: IfsSpec, prefix, r: float) -> StripQuery:
+def make_strip_query(spec: IfsSpec, prefix, rel_width: float) -> StripQuery:
     prefix = as_word(prefix, spec.d)
+    if not (0.0 < rel_width <= 1.0):
+        raise ValueError(f"relative strip width r/alpha1={rel_width} must lie in (0, 1]")
     sig = product_signature(prefix, spec)
-    if not (0.0 < r <= sig.alpha1 * (1.0 + 1e-12)):
-        raise ValueError(f"strip width r={r} must lie in (0, alpha1={sig.alpha1}]")
-    horizontal = sig.p > sig.q
-    primary = Axis.HORIZONTAL if horizontal else Axis.VERTICAL
-    if not sig.antidiagonal_parity:
-        secondary = Projection.X if horizontal else Projection.Y
-    else:
-        secondary = Projection.Y if horizontal else Projection.X
-    return StripQuery(word_prefix=prefix, r=float(r),
-                      primary_axis=primary, secondary_projection=secondary)
+    horizontal = sig.log_p > sig.log_q
+    axis = Projection.X if horizontal != sig.antidiagonal_parity else Projection.Y
+    return StripQuery(word_prefix=prefix, rel_width=float(rel_width), axis=axis)
 
 
 @dataclass(frozen=True)
 class StripOracleResult:
-    mu_lower: float
-    mu_upper: float
+    log_mu_lower: float
     log_mu_upper: float
-    bound: float
     log_bound: float
-    proj_lower: float
-    proj_upper: float
-    submult_const: float
     covered: bool
     undecided: bool
 
 
-def _strip_setup(spec: IfsSpec, q: StripQuery):
-    """(parity, primary extent, strip, blown-up interval) of a query's prefix.
+def _frame_walk(spec: IfsSpec, q: StripQuery, cap: int, log_mass):
+    """Stopping-time sums of a strip query over suffix cells, in the prefix's frame.
 
-    The strip has half-width r/2 around the primary coordinate of the fixed
-    point of the prefix's composed map, and the blown-up interval half-width
-    r / (2 alpha1) around its secondary coordinate.
+    In the frame of the prefix w the strip is q's slab and each cell f_wv(Q)
+    is f_v(Q), so one stopped family of suffixes v serves both sides of the
+    strip bound.  Walks level by level from the empty word: a cell whose
+    extent along the axis is inside the slab contributes and stops, a
+    disjoint cell stops with nothing, and a straddling cell is extended by
+    every letter until the cap, where it lands in the undecided part.  Each
+    extent is widened outward by a bound on the rounding of its composition
+    and of the slab's centre (zero for the empty word), so rounding can only
+    make a cell straddle.  ``log_mass`` maps an (N, n) batch of words with
+    n >= 1 to log masses.  Returns (covered, decided, undecided): whether
+    the empty word's cell is inside the slab, and the logs of the two parts
+    as pairs (sum of mass(w v), sum of mass(v)), -inf for an empty part.
     """
-    log_p, log_q, parity, x, y = signature_arrays(np.array([q.word_prefix]), spec)
-    p, h, cx, cy = (float(v[0]) for v in (np.exp(log_p), np.exp(log_q), x, y))
-    tx, ty = cx - p / 2.0, cy - h / 2.0  # image of the origin
-    if parity[0]:
-        fx = (p * ty + tx) / (1.0 - p * h)
+    prefix = np.array([q.word_prefix])
+    log_p, log_q, odd, x, y = (float(v[0]) for v in signature_arrays(prefix, spec))
+    p, h = math.exp(log_p), math.exp(log_q)
+    tx, ty = x - p / 2.0, y - h / 2.0  # image of the origin
+    on_x = q.axis is Projection.X
+    if odd:  # f_w(u, v) = (p v + tx, h u + ty)
+        k = p * h
+        fx = (p * ty + tx) / (1.0 - k)
         fy = h * fx + ty
     else:
+        k = p if on_x else h
         fx, fy = tx / (1.0 - p), ty / (1.0 - h)
-    c, side, fp = (cx, p, fx) if q.primary_axis is Axis.HORIZONTAL else (cy, h, fy)
-    fs = fx if q.secondary_projection is Projection.X else fy
-    half = q.r / (2.0 * max(p, h))
-    return (bool(parity[0]), (c - side / 2.0, c + side / 2.0),
-            (fp - q.r / 2.0, fp + q.r / 2.0), (fs - half, fs + half))
+    centre = fx if on_x else fy
+    lo_s, hi_s = centre - q.rel_width / 2.0, centre + q.rel_width / 2.0
+    slack = 8.0 * EPS * (prefix.shape[1] + 1) / (1.0 - k)  # the centre's rounding
 
+    def log_totals(v):
+        full = np.column_stack([np.repeat(prefix, len(v), axis=0), v])
+        blown = log_mass(v) if v.shape[1] else np.zeros(len(v))
+        return np.logaddexp.reduce([log_mass(full), blown], axis=1)
 
-def _interval_mass(spec: IfsSpec, prefix, interval, horizontal: bool, cap: int, log_mass):
-    """Stopping-time sum of word masses over cells against an interval, in logs.
-
-    Walks the extensions of ``prefix`` level by level: a cell whose extent
-    along the chosen axis is inside the interval contributes its mass and
-    stops, a disjoint cell stops with nothing, and a straddling cell is
-    extended by every letter until the cap, where it lands in the undecided
-    part of the bracket.  ``log_mass`` maps an (N, n) batch of words with
-    n >= 1 to log masses; the empty word has mass 1.  Returns the logs of
-    (decided, undecided), -inf for an empty part.
-    """
-    def log_total(words):
-        if words.shape[1] == 0:
-            return 0.0 if len(words) else -np.inf
-        return float(np.logaddexp.reduce(log_mass(words)))
-
-    lo_i, hi_i = interval
-    words = np.array([prefix], dtype=np.int64)
-    decided = -np.inf
+    suffixes = np.empty((1, 0), dtype=np.int64)
+    decided = np.full(2, -np.inf)
     for depth in range(cap + 1):
-        log_p, log_q, _, x, y = signature_arrays(words, spec)
-        centre, side = (x, np.exp(log_p)) if horizontal else (y, np.exp(log_q))
-        lo, hi = centre - side / 2.0, centre + side / 2.0
-        inside = (lo >= lo_i) & (hi <= hi_i)
-        decided = float(np.logaddexp(decided, log_total(words[inside])))
-        words = words[~inside & (hi >= lo_i) & (lo <= hi_i)]
+        log_p, log_q, _, x, y = signature_arrays(suffixes, spec)
+        mid, log_side = (x, log_p) if on_x else (y, log_q)
+        half = np.exp(log_side) / 2.0 + (4.0 * EPS * depth + slack if depth else 0.0)
+        lo, hi = mid - half, mid + half
+        inside = (lo >= lo_s) & (hi <= hi_s)
+        if depth == 0:
+            covered = bool(inside[0])
+        decided = np.logaddexp(decided, log_totals(suffixes[inside]))
+        suffixes = suffixes[~inside & (hi >= lo_s) & (lo <= hi_s)]
         if depth < cap:
-            words = np.column_stack([np.repeat(words, spec.d, axis=0),
-                                     np.tile(np.arange(1, spec.d + 1), len(words))])
-    return decided, log_total(words)
+            suffixes = np.column_stack([np.repeat(suffixes, spec.d, axis=0),
+                                        np.tile(np.arange(1, spec.d + 1), len(suffixes))])
+    return covered, decided, log_totals(suffixes)
 
 
 def strip_measure_oracle(spec: IfsSpec, s: float, q: StripQuery,
                          extension_cap: int) -> StripOracleResult:
-    """Check the strip upper bound by exhaustive enumeration of both sides.
+    """Bracket both sides of the strip upper bound over one stopped family.
 
-    The strip mass is bracketed by summing the measure over extension cells
-    inside the strip; the bound is C * nu([prefix]) * (projected mass of the
-    strip interval blown up by 1/alpha1, enumerated on the interval system),
+    The strip mass is bracketed by the measure of the suffix cells inside the
+    slab, nu([w v]); the bound is C * nu([w]) * (the upper bracket of the
+    projected mass of the slab, the sum of nu([v]) over the same cells),
     where C = up / lo^2 comes from the two-sided cylinder envelope and
-    dominates every ratio nu([uv]) / (nu([u]) nu([v])).  The upper bracket of
-    the left side never exceeds the bound built from the upper bracket of the
-    right side.  Both sides are formed and compared in logs: C alone can
-    overflow and the masses underflow at tiny ratios; the linear fields are
-    their exp.
+    dominates every ratio nu([uv]) / (nu([u]) nu([v])).  Everything is in
+    logs: C alone can overflow and the masses underflow at tiny ratios.
     """
     if spec.d ** extension_cap > ENUMERATION_CAP:
         raise TooLarge(f"{spec.d}^{extension_cap} exceeds the enumeration cap")
     if not check_strong_separation(spec).strong_separation:
         raise NoCertificate("strip enumeration requires certified strong separation")
     nu = kaenmaki_measure(spec, s)
-    prefix = q.word_prefix
     log_lo, log_up = nu.log_envelope()
-    log_c_sub = log_up - 2.0 * log_lo
-    log_mass = nu.log_cylinder(prefix)
-
-    _, (cyl_lo, cyl_hi), strip, blown = _strip_setup(spec, q)
-    covered = strip[0] <= cyl_lo and cyl_hi <= strip[1]
-    if covered:
-        (mu_dec, mu_und), (pr_dec, pr_und) = (log_mass, -np.inf), (0.0, -np.inf)
-    else:
-        mu_dec, mu_und = _interval_mass(spec, prefix, strip, q.primary_axis is Axis.HORIZONTAL,
-                                        extension_cap, nu.log_cylinder_batch)
-        pr_dec, pr_und = _interval_mass(spec, (), blown, q.secondary_projection is Projection.X,
-                                        extension_cap, nu.log_cylinder_batch)
-    log_mu, log_proj = np.logaddexp([mu_dec, pr_dec], [mu_und, pr_und]).tolist()
-    log_bound = log_c_sub + log_mass + log_proj
-    if not covered and log_mu > log_bound + np.log1p(1e-9):
-        raise InternalMismatch(
-            f"log strip mass {log_mu!r} exceeds its log product bound {log_bound!r}; "
-            "the stopped families on the two sides disagree")
-    with np.errstate(over="ignore"):  # C may overflow where the logs do not
-        mu_lower, mu_upper, bound, proj_lower, proj_upper, c_sub = np.exp(
-            [mu_dec, log_mu, log_bound, pr_dec, log_proj, log_c_sub]).tolist()
+    covered, decided, undecided = _frame_walk(spec, q, extension_cap, nu.log_cylinder_batch)
+    log_mu, log_proj = np.logaddexp(decided, undecided).tolist()
     return StripOracleResult(
-        mu_lower=mu_lower, mu_upper=mu_upper, log_mu_upper=log_mu,
-        bound=bound, log_bound=log_bound, proj_lower=proj_lower, proj_upper=proj_upper,
-        submult_const=c_sub, covered=covered, undecided=mu_und > mu_dec)
+        log_mu_lower=float(decided[0]), log_mu_upper=log_mu,
+        log_bound=log_up - 2.0 * log_lo + nu.log_cylinder(q.word_prefix) + log_proj,
+        covered=covered, undecided=bool(undecided[0] > decided[0]))
 
 
 @dataclass(frozen=True)
 class StripReverseResult:
-    mu_lower: float
-    mu_upper: float
     log_mu_lower: float
     log_mu_upper: float
-    rhs_lower: float
-    rhs_upper: float
     log_rhs_lower: float
     log_rhs_upper: float
-    chain_const: float
 
 
 def strip_reverse_oracle(spec: IfsSpec, s: float, q: StripQuery, extension_cap: int,
@@ -394,13 +356,11 @@ def strip_reverse_oracle(spec: IfsSpec, s: float, q: StripQuery, extension_cap: 
     the chain's own comparison constant c = min P(i,j)/pi(j) over allowed
     transitions (P(i,j) depends on j alone) applies: chain mass of the strip
     >= c * chain mass of the prefix * projected chain mass of the blown
-    interval, bracket by bracket.  Formed in logs; the linear fields are their exp.
+    interval, bracket by bracket, over the same stopped family.  In logs.
     """
     if spec.d ** extension_cap > ENUMERATION_CAP:
         raise TooLarge(f"{spec.d}^{extension_cap} exceeds the enumeration cap")
-    prefix = q.word_prefix
-    odd, _, strip, blown = _strip_setup(spec, q)
-    if odd:
+    if sum(i >= spec.l for i in q.word_prefix) % 2:
         raise ValueError("reverse bound applies only to axis-preserving prefixes")
     nu = kaenmaki_measure(spec, s)
     g = nu.m1 if t == 1 else nu.m2
@@ -409,17 +369,11 @@ def strip_reverse_oracle(spec: IfsSpec, s: float, q: StripQuery, extension_cap: 
         return g.log_cylinder_batch(tau_arrays(words, spec) - 1)
 
     log_c = float(np.min(g.log_rows.ravel() - g.log_stationary))
-    mu_dec, mu_und = _interval_mass(
-        spec, prefix, strip, q.primary_axis is Axis.HORIZONTAL, extension_cap, log_mt)
-    pr_dec, pr_und = _interval_mass(
-        spec, (), blown, q.secondary_projection is Projection.X, extension_cap, log_mt)
-    log_mu, log_proj = np.logaddexp([mu_dec, pr_dec], [mu_und, pr_und]).tolist()
-    log_rhs = log_c + float(log_mt(np.array([prefix]))[0])
-    logs = dict(mu_lower=mu_dec, mu_upper=log_mu,
-                rhs_lower=log_rhs + pr_dec, rhs_upper=log_rhs + log_proj)
-    return StripReverseResult(**{k: float(np.exp(v)) for k, v in logs.items()},
-                              **{f"log_{k}": v for k, v in logs.items()},
-                              chain_const=float(np.exp(log_c)))
+    _, decided, undecided = _frame_walk(spec, q, extension_cap, log_mt)
+    lower, upper = decided.tolist(), np.logaddexp(decided, undecided).tolist()
+    log_rhs = log_c + float(log_mt(np.array([q.word_prefix]))[0])
+    return StripReverseResult(log_mu_lower=lower[0], log_mu_upper=upper[0],
+                              log_rhs_lower=log_rhs + lower[1], log_rhs_upper=log_rhs + upper[1])
 
 
 # -- rendering -----------------------------------------------------------------

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from kaenmaki import AffineMap2D, MapKind, encode_tau, make_spec, product_signature
 from kaenmaki.coding import as_word
@@ -289,3 +290,75 @@ def projection_ssc_oracle(spec):
                 if not (hi1 < lo2 or hi2 < lo1):
                     return False
     return True
+
+
+# a ratio of the full parameter box: log-uniform down to 1e-300, or uniform in
+# [1e-3, 0.999)
+BOX_RATIO = st.one_of(
+    st.floats(np.log(1e-300), np.log(0.999), exclude_max=True).map(lambda x: float(np.exp(x))),
+    st.floats(1e-3, 0.999, exclude_max=True))
+
+
+@st.composite
+def full_box_system(draw, max_d=6):
+    """The maps of a system from the full parameter box: d in 2..max_d, one to
+    d - 1 diagonal maps, every ratio from BOX_RATIO, and each translation
+    anywhere that keeps the map's image inside the square."""
+    d = draw(st.integers(2, max_d))
+    n_diag = draw(st.integers(1, d - 1))
+    maps = []
+    for k in range(d):
+        a, b = draw(BOX_RATIO), draw(BOX_RATIO)
+        fx, fy = draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 1.0))
+        maps.append((diag if k < n_diag else anti)(a, b, fx * (1.0 - a), fy * (1.0 - b)))
+    return maps
+
+
+def strip_family_oracle(spec, prefix, rel_width, cap):
+    """(decided, undecided) suffixes v of a strip query, in exact rationals and
+    in the global frame: the reference for sampling._frame_walk.
+
+    Maps are 2x2 matrices and translations of Fractions, composed as such.
+    The strip is the part of f_w(Q) whose coordinate along its longer side
+    (vertical on ties) lies within r/2 of the fixed point of f_w, with r =
+    rel_width times that side.  Walking from the empty suffix, a cell
+    f_wv(Q) inside the closed strip is decided, one that meets it otherwise
+    is extended by every letter, and one still straddling at the cap is
+    undecided.
+    """
+    one, zero = Fraction(1), Fraction(0)
+
+    def compose(f, g):  # f after g
+        (m, t), (n, u) = f, g
+        return (tuple(tuple(m[i][0] * n[0][j] + m[i][1] * n[1][j] for j in range(2))
+                      for i in range(2)),
+                tuple(m[i][0] * u[0] + m[i][1] * u[1] + t[i] for i in range(2)))
+
+    maps = []
+    for m in spec.maps:
+        a, b = Fraction(m.a), Fraction(m.b)
+        maps.append((((zero, a), (b, zero)) if m.anti else ((a, zero), (zero, b)),
+                     (Fraction(m.tx), Fraction(m.ty))))
+    f_w = ((one, zero), (zero, one)), (zero, zero)
+    for i in prefix:
+        f_w = compose(f_w, maps[i - 1])
+    m, t = f_w
+    sides = [m[0][0] + m[0][1], m[1][0] + m[1][1]]
+    c = 0 if sides[0] > sides[1] else 1
+    det = (1 - m[0][0]) * (1 - m[1][1]) - m[0][1] * m[1][0]  # (I - M) z = t
+    fixed = [((1 - m[1][1]) * t[0] + m[0][1] * t[1]) / det,
+             (m[1][0] * t[0] + (1 - m[0][0]) * t[1]) / det]
+    half = Fraction(rel_width) * sides[c] / 2
+    lo_s, hi_s = fixed[c] - half, fixed[c] + half
+    decided, level = [], [((), f_w)]
+    for depth in range(cap + 1):
+        straddling = []
+        for v, (n, u) in level:
+            lo, hi = u[c], u[c] + n[c][0] + n[c][1]
+            if lo_s <= lo and hi <= hi_s:
+                decided.append(v)
+            elif hi >= lo_s and lo <= hi_s:
+                straddling.append((v, (n, u)))
+        level = straddling if depth == cap else [
+            (v + (j + 1,), compose(f, maps[j])) for v, f in straddling for j in range(spec.d)]
+    return decided, [v for v, _ in level]

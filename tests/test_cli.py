@@ -1,16 +1,19 @@
+import contextlib
 import dataclasses
 import hashlib
 import io
 import json
+import math
 import re
 
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from conftest import EX1_JSON, grid_spec
-from kaenmaki import cli, errors, parse_ifs, product_signature, sampling, thermo
+from conftest import EX1_JSON, anti, diag, full_box_system, grid_spec
+from kaenmaki import cli, errors, parse_ifs, sampling, thermo
 from kaenmaki.cli import main
 
 
@@ -158,6 +161,13 @@ class TestScalarCommands:
         args = build_parser().parse_args(["validate", "--spec", "x.json"])
         assert args.threads == 3
 
+    def test_threads_env_not_an_integer_is_a_usage_error(self, capsys, monkeypatch, ex1_path):
+        monkeypatch.setenv("KAENMAKI_THREADS", "abc")
+        with pytest.raises(SystemExit) as exc:
+            main(["validate", "--spec", ex1_path])
+        assert exc.value.code == 2
+        assert "KAENMAKI_THREADS" in capsys.readouterr().err
+
 
 # full-box system whose longest words reach |log phi| near 4700, where the two
 # phi routes differ by 1.364e-12: about one ulp, above an absolute 1e-12
@@ -290,14 +300,14 @@ class TestVerify:
         assert code == 0, out
 
     def test_tiny_ratios_reverse_strip_leg_in_logs(self):
-        # every linear field underflows to 0.0 here, where 0 >= 0 passed the
-        # leg whatever the logs said
+        # every mass underflows to 0.0 here, where 0 >= 0 passed the leg
+        # whatever the logs said
         spec = parse_ifs(TINY_JSON)
-        q = sampling.make_strip_query(spec, (1,), 0.5 * product_signature((1,), spec).alpha1)
+        q = sampling.make_strip_query(spec, (1,), 0.5)
         rev = sampling.strip_reverse_oracle(spec, 1.0, q, 4)
         logs = [rev.log_mu_lower, rev.log_mu_upper, rev.log_rhs_lower, rev.log_rhs_upper]
         assert np.isfinite(logs).all()
-        assert [rev.mu_lower, rev.mu_upper, rev.rhs_lower, rev.rhs_upper] == [0.0] * 4
+        assert np.exp(logs).tolist() == [0.0] * 4
         assert rev.log_mu_lower <= rev.log_mu_upper and rev.log_rhs_lower <= rev.log_rhs_upper
         assert rev.log_mu_lower >= rev.log_rhs_lower and rev.log_mu_upper >= rev.log_rhs_upper
 
@@ -314,6 +324,22 @@ class TestVerify:
             return dataclasses.replace(rev, log_mu_lower=rev.log_rhs_lower - 1.0)
 
         monkeypatch.setattr(cli.sampling, "strip_reverse_oracle", low)
+        code, out, _ = run(capsys, "verify", "--spec", str(p), "--s", "1.0", "--max-depth", "4")
+        rows = {r[6:].split("  ")[0]: r for r in out.splitlines()}
+        assert rows["strip measure bounds"].startswith("FAIL"), out
+        assert code == 1
+
+    def test_strip_fails_on_a_forward_leg_above_its_bound(self, capsys, tmp_path, monkeypatch):
+        # negative control: the strip mass is put e^1 above its product bound
+        p = tmp_path / "tiny.json"
+        p.write_text(TINY_JSON)
+        forward = sampling.strip_measure_oracle
+
+        def high(*args):
+            res = forward(*args)
+            return dataclasses.replace(res, log_mu_upper=res.log_bound + 1.0)
+
+        monkeypatch.setattr(cli.sampling, "strip_measure_oracle", high)
         code, out, _ = run(capsys, "verify", "--spec", str(p), "--s", "1.0", "--max-depth", "4")
         rows = {r[6:].split("  ")[0]: r for r in out.splitlines()}
         assert rows["strip measure bounds"].startswith("FAIL"), out
@@ -350,6 +376,43 @@ class TestVerify:
     def test_depth_too_large(self, capsys, ex1_path):
         code, _, err = run(capsys, "verify", "--spec", ex1_path, "--max-depth", "40")
         assert code == 2 and "TooLarge" in err
+
+
+def run_quiet(*argv):
+    """(exit code, stdout) of cli.main with both streams captured."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(list(argv))
+    return code, out.getvalue()
+
+
+class TestFullBox:
+    @pytest.mark.filterwarnings("ignore::UserWarning")  # degenerate-system notices
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(maps=full_box_system(), s=st.one_of(st.none(), st.floats(0.05, 1.95)))
+    # a strip narrower than the ulp of its global coordinate found no mass:
+    # `log mass -inf` and a false strip FAIL
+    @example(maps=[diag(2.0327054166381653e-198, 8.815584291703207e-17, 0.6345, 0.8194),
+                   anti(0.2676, 0.0976, 0.5049, 0.2495),
+                   anti(6.99e-228, 1.17e-182, 0.3162, 0.2293)], s=1.0)
+    # the linear strip width 0.5 alpha1 underflowed: exit 2 with `r=0.0`
+    @example(maps=[diag(3.3775138026649985e-154, 2.273643092996338e-266,
+                        0.2707853897081951, 0.6459599814032555),
+                   anti(2.6137958965852844e-274, 5.26581374942052e-269,
+                        0.24521995649530537, 0.552165925201756)], s=None)
+    def test_verify_and_report_exit_0(self, tmp_path_factory, maps, s):
+        path = tmp_path_factory.mktemp("box") / "box.json"
+        path.write_text(json.dumps({"maps": [
+            {"kind": "anti" if m.anti else "diag", "a": m.a, "b": m.b, "tx": m.tx, "ty": m.ty}
+            for m in maps]}))
+        s_args = [] if s is None else ["--s", repr(s)]
+        code, out = run_quiet("verify", "--spec", str(path), "--max-depth", "4", *s_args)
+        assert code == 0, out
+        code, out = run_quiet("report", "--spec", str(path), "--output", "json", *s_args)
+        assert code == 0, out
+        fields = [v for v in json.loads(out).values()
+                  if isinstance(v, (int, float)) and not isinstance(v, bool)]
+        assert all(math.isfinite(v) for v in fields), out
 
 
 class TestSampleRenderEstimate:

@@ -1,16 +1,28 @@
+import warnings
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy import stats
 
-from conftest import all_words, anti, chain_matrix, csv_text_loop, dense_transition, diag, grid_spec
+from conftest import (
+    all_words,
+    anti,
+    chain_matrix,
+    csv_text_loop,
+    dense_transition,
+    diag,
+    full_box_system,
+    grid_spec,
+    strip_family_oracle,
+)
 from kaenmaki import (
     Projection,
     SampleSet,
     affinity_dimension,
     box_count,
+    check_strong_separation,
     estimate_local_dimension,
     estimate_projected_dim,
     kaenmaki_cylinder,
@@ -25,7 +37,7 @@ from kaenmaki import (
     write_csv,
 )
 from kaenmaki import sampling
-from kaenmaki.errors import TooFewHits
+from kaenmaki.errors import DegenerateSystemWarning, TooFewHits
 from kaenmaki.coding import product_signature, signature_arrays, tau_arrays
 from kaenmaki.sampling import _lifted_columns, csv_lines, default_centers
 
@@ -257,12 +269,10 @@ class TestStripOracle:
         for _ in range(10):
             n = int(rng.integers(1, 4))
             prefix = tuple(int(x) for x in rng.integers(1, 3, n))
-            from kaenmaki.coding import product_signature
-            alpha1 = product_signature(prefix, ex1).alpha1
-            q = make_strip_query(ex1, prefix, float(rng.uniform(0.2, 0.9)) * alpha1)
+            q = make_strip_query(ex1, prefix, float(rng.uniform(0.2, 0.9)))
             res = strip_measure_oracle(ex1, sstar, q, extension_cap=6)
-            assert res.mu_lower <= res.mu_upper
-            assert res.mu_upper <= res.bound * (1 + 1e-9)
+            assert res.log_mu_lower <= res.log_mu_upper
+            assert res.log_mu_upper <= res.log_bound + np.log1p(1e-9)
 
     def test_bound_in_logs_at_tiny_ratios(self):
         # C = up / lo^2 is about e^1874 here: the linear bound is inf
@@ -270,57 +280,75 @@ class TestStripOracle:
                           anti(8.11e-260, 2.28e-181, 0.5, 0.5)])
         results = {}
         for prefix in [(1,), (2,), (1, 2)]:
-            q = make_strip_query(spec, prefix, 0.5 * product_signature(prefix, spec).alpha1)
+            q = make_strip_query(spec, prefix, 0.5)
             res = results[prefix] = strip_measure_oracle(spec, 1.0, q, extension_cap=4)
             assert np.isfinite([res.log_mu_upper, res.log_bound]).all(), prefix
             assert res.log_mu_upper <= res.log_bound
-            with np.errstate(over="ignore"):
-                assert res.bound == np.exp(res.log_bound)
-                assert res.mu_upper == np.exp(res.log_mu_upper)
-        assert results[(1,)].bound == np.inf and results[(2,)].mu_upper < 1e-300
+        assert results[(1,)].log_bound > np.log(np.finfo(float).max)
+        assert results[(2,)].log_mu_upper < np.log(1e-300)
 
     def test_interval_mass_in_logs_below_the_smallest_double(self, ex1):
         # every mass scaled by e^-2000 walks the same cells, and both logs shift
         nu = kaenmaki_measure(ex1, 0.8)
         sig = product_signature((1,), ex1)
         finite = []
-        for r in (1e-2 * sig.alpha1, 1e-6 * sig.alpha2):  # decided, then undecided mass
-            q = make_strip_query(ex1, (1,), r)
-            _, _, strip, _ = sampling._strip_setup(ex1, q)
-            horizontal = q.primary_axis is sampling.Axis.HORIZONTAL
-            base = sampling._interval_mass(ex1, (1,), strip, horizontal, 6, nu.log_cylinder_batch)
-            low = sampling._interval_mass(ex1, (1,), strip, horizontal, 6,
-                                          lambda w: nu.log_cylinder_batch(w) - 2000.0)
-            assert low == pytest.approx(np.subtract(base, 2000.0), rel=1e-14)
+        for rel in (1e-2, 1e-6 * sig.alpha2 / sig.alpha1):  # decided, then undecided mass
+            q = make_strip_query(ex1, (1,), rel)
+            _, *base = sampling._frame_walk(ex1, q, 6, nu.log_cylinder_batch)
+            _, *low = sampling._frame_walk(ex1, q, 6, lambda w: nu.log_cylinder_batch(w) - 2000.0)
+            assert np.array(low) == pytest.approx(np.subtract(base, 2000.0), rel=1e-14)
             finite.append(np.isfinite(low))
         assert np.array(finite).any(axis=0).all()
 
     def test_full_cover_returns_prefix_mass_exactly(self, central_fixture):
-        q = make_strip_query(central_fixture, (1,), 0.5)
+        q = make_strip_query(central_fixture, (1,), 1.0)
         res = strip_measure_oracle(central_fixture, 0.9, q, extension_cap=5)
-        expected = kaenmaki_cylinder(central_fixture, 0.9, (1,))
+        expected = kaenmaki_measure(central_fixture, 0.9).log_cylinder((1,))
         assert res.covered
-        assert res.mu_lower == expected and res.mu_upper == expected
+        assert res.log_mu_lower == expected and res.log_mu_upper == expected
 
     def test_tiny_radius_surfaces_undecided(self, ex1):
         sstar = affinity_dimension(ex1)
-        from kaenmaki.coding import product_signature
         sig = product_signature((1,), ex1)
-        q = make_strip_query(ex1, (1,), sig.alpha2 * 1e-6)
+        q = make_strip_query(ex1, (1,), sig.alpha2 / sig.alpha1 * 1e-6)
         res = strip_measure_oracle(ex1, sstar, q, extension_cap=6)
         assert res.undecided
-        assert res.mu_upper > res.mu_lower
+        assert res.log_mu_upper > res.log_mu_lower
 
     def test_reverse_bound_even_prefixes(self, ex1):
         sstar = affinity_dimension(ex1)
-        from kaenmaki.coding import product_signature
         for prefix in [(1, 1), (2, 2), (1, 2, 2)]:
-            alpha1 = product_signature(prefix, ex1).alpha1
-            q = make_strip_query(ex1, prefix, 0.5 * alpha1)
+            q = make_strip_query(ex1, prefix, 0.5)
             for t in (1, 2):
                 rev = strip_reverse_oracle(ex1, sstar, q, extension_cap=6, t=t)
-                assert rev.mu_lower >= rev.rhs_lower * (1 - 1e-9)
-                assert rev.mu_upper >= rev.rhs_upper * (1 - 1e-9)
+                assert rev.log_mu_lower >= rev.log_rhs_lower + np.log1p(-1e-9)
+                assert rev.log_mu_upper >= rev.log_rhs_upper + np.log1p(-1e-9)
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(maps=full_box_system(max_d=4),
+           symbols=st.lists(st.integers(1, 4), min_size=1, max_size=3),
+           rel=st.one_of(st.sampled_from([0.5, 1.0]), st.floats(1e-3, 1.0)),
+           cap=st.integers(1, 4), s=st.floats(0.1, 1.9))
+    # map 2 fixes the corner (1, 1), and the slab of prefix (1,) ends within
+    # rounding below it: unwidened, the cell (1, 2) rounds inside and is decided
+    @example(maps=[diag(0.42, 0.35, 0.3770482226242554, 0.0),
+                   anti(0.37, 0.18, 0.63, 0.8200000000000001)],
+             symbols=[1], rel=0.6998337150887745, cap=3, s=1.0)
+    def test_walk_brackets_the_exact_family(self, maps, symbols, rel, cap, s):
+        # the walk's bracket contains the one of the exact-rational global-frame
+        # families; rounding may only move cells from decided to undecided
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegenerateSystemWarning)
+            spec = make_spec(maps)
+        assume(check_strong_separation(spec).strong_separation)
+        prefix = tuple((i - 1) % spec.d + 1 for i in symbols)
+        nu = kaenmaki_measure(spec, s)
+        lower, undecided = (np.logaddexp.reduce([nu.log_cylinder(prefix + v) for v in family])
+                            for family in strip_family_oracle(spec, prefix, rel, cap))
+        upper = np.logaddexp(lower, undecided)
+        res = strip_measure_oracle(spec, s, make_strip_query(spec, prefix, rel), cap)
+        assert res.log_mu_lower <= lower or res.log_mu_lower == pytest.approx(lower, rel=1e-12)
+        assert res.log_mu_upper >= upper or res.log_mu_upper == pytest.approx(upper, rel=1e-12)
 
     def test_reverse_rejects_odd_prefix(self, ex1):
         q = make_strip_query(ex1, (2,), 0.1)

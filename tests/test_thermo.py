@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import (
+    BOX_RATIO,
     all_words,
     anti,
     bisection_root,
@@ -513,13 +514,6 @@ class TestSvf:
                 la1, la2 = np.maximum(lp, lq), np.minimum(lp, lq)
                 via_a = s * la1 if s < 1 else la1 + (s - 1) * la2
                 assert np.abs(via_a - via_b).max() <= 1e-12
-
-
-# a ratio of the full parameter box: log-uniform down to 1e-300, or uniform in
-# [1e-3, 0.999)
-BOX_RATIO = st.one_of(
-    st.floats(np.log(1e-300), np.log(0.999), exclude_max=True).map(lambda x: float(np.exp(x))),
-    st.floats(1e-3, 0.999, exclude_max=True))
 
 
 @st.composite
