@@ -26,10 +26,8 @@ from .ifs import (
     AffineMap2D,
     IfsSpec,
     MapKind,
-    Rect,
     SeparationReport,
     TransversalityReport,
-    UNIT_SQUARE,
     check_strong_separation,
     check_transversality,
     make_spec,
@@ -38,11 +36,9 @@ from .ifs import (
 from .sampling import (
     Projection,
     SampleSet,
-    StripQuery,
     box_count,
     estimate_local_dimension,
     estimate_projected_dim,
-    make_strip_query,
     render_attractor,
     sample_symbolic,
     strip_measure_oracle,

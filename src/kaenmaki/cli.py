@@ -195,14 +195,13 @@ def cmd_verify(args) -> int:
         ok_strip = True
         details = []
         for prefix in [(1,), (spec.d,), (1, spec.d)]:
-            qy = sampling.make_strip_query(spec, prefix, 0.5)
-            res = sampling.strip_measure_oracle(spec, s, qy, min(depth, 8))
+            res = sampling.strip_measure_oracle(spec, s, prefix, 0.5, min(depth, 8))
             ok_strip &= res.log_mu_upper <= res.log_bound + np.log1p(1e-9)
             details.append(f"{prefix}: log mass {res.log_mu_upper:.4f} "
                            f"<= log bound {res.log_bound:.4f}")
             n_anti = sum(1 for i in prefix if i >= spec.l)
             if n_anti % 2 == 0:
-                rev = sampling.strip_reverse_oracle(spec, s, qy, min(depth, 8))
+                rev = sampling.strip_reverse_oracle(spec, s, prefix, 0.5, min(depth, 8))
                 ok_strip &= (rev.log_mu_lower >= rev.log_rhs_lower + np.log1p(-1e-9)
                              and rev.log_mu_upper >= rev.log_rhs_upper + np.log1p(-1e-9))
         results.append(("strip measure bounds", ok_strip, "; ".join(details)))
@@ -284,7 +283,7 @@ def cmd_project_dim(args) -> int:
 
 def _threads(text: str) -> int | None:
     """The --threads value, also applied by argparse to the KAENMAKI_THREADS
-    default: an int (None for 0), else a usage error naming both."""
+    default (unset when empty): an int (None for 0), else a usage error naming both."""
     try:
         return int(text) or None
     except ValueError:
@@ -311,7 +310,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--s", type=float, default=None,
                            help="dimension parameter in (0,2); defaults to the "
                                 "config value or the affinity dimension")
-        p.add_argument("--threads", type=_threads, default=os.environ.get("KAENMAKI_THREADS"),
+        p.add_argument("--threads", type=_threads,
+                       default=os.environ.get("KAENMAKI_THREADS") or None,
                        help="reserved: accepted, but every command runs in one "
                             "thread; results never depend on it")
 

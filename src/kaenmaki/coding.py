@@ -64,7 +64,8 @@ def check_mixing(row_class: np.ndarray) -> bool:
     return all(0 < row_class[h * d:(h + 1) * d].sum() < d for h in (0, 1))
 
 
-# Unused in src/; perfbench/spans.py traces encode_tau by name, so `run.py --trace 1` needs these.
+# Unused in src/, like product_signature below: perfbench/spans.py traces encode_tau
+# and product_signature by name, so `run.py --trace 1` needs them.
 @dataclass(frozen=True)
 class CodedWord:
     """A word over the doubled alphabet with its admissibility decided eagerly."""
@@ -107,30 +108,6 @@ class ProductSignature:
     log_p: float
     log_q: float
     antidiagonal_parity: bool
-
-    @property
-    def p(self) -> float:
-        return float(np.exp(self.log_p))
-
-    @property
-    def q(self) -> float:
-        return float(np.exp(self.log_q))
-
-    @property
-    def log_alpha1(self) -> float:
-        return max(self.log_p, self.log_q)
-
-    @property
-    def log_alpha2(self) -> float:
-        return min(self.log_p, self.log_q)
-
-    @property
-    def alpha1(self) -> float:
-        return float(np.exp(self.log_alpha1))
-
-    @property
-    def alpha2(self) -> float:
-        return float(np.exp(self.log_alpha2))
 
 
 def product_signature(w, spec: IfsSpec) -> ProductSignature:

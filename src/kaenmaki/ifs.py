@@ -36,38 +36,14 @@ class MapKind(Enum):
 
 
 @dataclass(frozen=True)
-class Rect:
-    """Axis-aligned rectangle [x0, x1] x [y0, y1]."""
-
-    x0: float
-    x1: float
-    y0: float
-    y1: float
-
-    @property
-    def width(self) -> float:
-        return self.x1 - self.x0
-
-    @property
-    def height(self) -> float:
-        return self.y1 - self.y0
-
-    def contains(self, other: "Rect") -> bool:
-        return (self.x0 <= other.x0 and other.x1 <= self.x1
-                and self.y0 <= other.y0 and other.y1 <= self.y1)
-
-
-UNIT_SQUARE = Rect(0.0, 1.0, 0.0, 1.0)
-
-
-@dataclass(frozen=True)
 class AffineMap2D:
     """One contraction of the system.
 
     For a diagonal map the image of a w x h rectangle is (a*w) x (b*h); for an
     anti-diagonal map the axes swap first, so the image is (a*h) x (b*w).
+    Either way the image of the unit square is [tx, tx + a] x [ty, ty + b].
     Construction enforces contraction in both directions and containment of
-    the image of the unit square in the unit square.
+    that image in the unit square.
     """
 
     kind: MapKind
@@ -79,22 +55,14 @@ class AffineMap2D:
     def __post_init__(self):
         if not (0.0 < self.a < 1.0 and 0.0 < self.b < 1.0):
             raise NonContracting(f"ratios must lie in (0,1), got a={self.a}, b={self.b}")
-        img = self(UNIT_SQUARE)
-        if not UNIT_SQUARE.contains(img):
+        x1, y1 = self.tx + self.a, self.ty + self.b
+        if not (0.0 <= self.tx and x1 <= 1.0 and 0.0 <= self.ty and y1 <= 1.0):
             raise SquareEscape(
-                f"image [{img.x0}, {img.x1}] x [{img.y0}, {img.y1}] leaves the unit square")
+                f"image [{self.tx}, {x1}] x [{self.ty}, {y1}] leaves the unit square")
 
     @property
     def anti(self) -> bool:
         return self.kind is MapKind.ANTI_DIAGONAL
-
-    def __call__(self, rect: Rect) -> Rect:
-        """Exact image rectangle (again axis-aligned)."""
-        if self.anti:
-            return Rect(self.a * rect.y0 + self.tx, self.a * rect.y1 + self.tx,
-                        self.b * rect.x0 + self.ty, self.b * rect.x1 + self.ty)
-        return Rect(self.a * rect.x0 + self.tx, self.a * rect.x1 + self.tx,
-                    self.b * rect.y0 + self.ty, self.b * rect.y1 + self.ty)
 
 
 @dataclass(frozen=True)

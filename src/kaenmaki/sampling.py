@@ -37,7 +37,7 @@ from enum import Enum
 
 import numpy as np
 
-from .coding import as_word, product_signature, signature_arrays, tau_arrays
+from .coding import as_word, signature_arrays, tau_arrays
 from .errors import IoFailure, NoCertificate, TooFewHits, TooLarge
 from .ifs import IfsSpec, check_strong_separation
 from .thermo import ENUMERATION_CAP, _log_normalized, kaenmaki_measure
@@ -172,6 +172,8 @@ def _fit_slopes(values: np.ndarray, centers, radii) -> tuple[float, float]:
     radii = np.asarray(radii, dtype=float)
     if radii.size < 3:
         raise ValueError("need at least 3 radii")
+    if not centers:
+        raise ValueError("need at least 1 center")
     log_r = np.log(radii)
     slopes = []
     for c in centers:
@@ -198,13 +200,12 @@ def default_centers(samples: SampleSet, k: int = 20) -> np.ndarray:
 def estimate_projected_dim(samples: SampleSet, axis: Projection,
                            centers=None, radii=None) -> tuple[float, float]:
     """Local dimension estimate for the 1-D projection of the sample points."""
-    coords = samples.points[:, 0] if axis is Projection.X else samples.points[:, 1]
+    col = 0 if axis is Projection.X else 1
     if radii is None:
         radii = 2.0 ** np.arange(-4, -10, -1)
     if centers is None:
-        idx = np.linspace(0, len(coords) - 1, 20).astype(np.int64)
-        centers = coords[idx]
-    return _fit_slopes(coords, list(centers), radii)
+        centers = default_centers(samples)[:, col]
+    return _fit_slopes(samples.points[:, col], list(centers), radii)
 
 
 def box_count(samples: SampleSet, scales) -> float:
@@ -223,34 +224,6 @@ def box_count(samples: SampleSet, scales) -> float:
 # -- primary strips ------------------------------------------------------------
 
 @dataclass(frozen=True)
-class StripQuery:
-    """A cylinder prefix w with a strip through the fixed point of f_w.
-
-    The strip is the set of points of the cylinder rectangle f_w(Q) whose
-    coordinate along the primary axis (the longer side; vertical on ties)
-    lies within r/2 of that coordinate of the fixed point, with r =
-    rel_width * alpha1.  f_w^-1 maps it onto the slab of the unit square of
-    half-width rel_width / 2 around the same fixed point along ``axis``: the
-    primary axis when f_w preserves the axes, the other one otherwise.  That
-    slab is also the strip's blown-up interval for the projected side.
-    """
-
-    word_prefix: tuple[int, ...]
-    rel_width: float
-    axis: Projection
-
-
-def make_strip_query(spec: IfsSpec, prefix, rel_width: float) -> StripQuery:
-    prefix = as_word(prefix, spec.d)
-    if not (0.0 < rel_width <= 1.0):
-        raise ValueError(f"relative strip width r/alpha1={rel_width} must lie in (0, 1]")
-    sig = product_signature(prefix, spec)
-    horizontal = sig.log_p > sig.log_q
-    axis = Projection.X if horizontal != sig.antidiagonal_parity else Projection.Y
-    return StripQuery(word_prefix=prefix, rel_width=float(rel_width), axis=axis)
-
-
-@dataclass(frozen=True)
 class StripOracleResult:
     log_mu_lower: float
     log_mu_upper: float
@@ -259,27 +232,40 @@ class StripOracleResult:
     undecided: bool
 
 
-def _frame_walk(spec: IfsSpec, q: StripQuery, cap: int, log_mass):
+def _frame_walk(spec: IfsSpec, prefix, rel_width: float, cap: int, log_mass):
     """Stopping-time sums of a strip query over suffix cells, in the prefix's frame.
 
-    In the frame of the prefix w the strip is q's slab and each cell f_wv(Q)
-    is f_v(Q), so one stopped family of suffixes v serves both sides of the
-    strip bound.  Walks level by level from the empty word: a cell whose
-    extent along the axis is inside the slab contributes and stops, a
-    disjoint cell stops with nothing, and a straddling cell is extended by
-    every letter until the cap, where it lands in the undecided part.  Each
-    extent is widened outward by a bound on the rounding of its composition
-    and of the slab's centre (zero for the empty word), so rounding can only
-    make a cell straddle.  ``log_mass`` maps an (N, n) batch of words with
-    n >= 1 to log masses.  Returns (covered, decided, undecided): whether
-    the empty word's cell is inside the slab, and the logs of the two parts
-    as pairs (sum of mass(w v), sum of mass(v)), -inf for an empty part.
+    The strip of a nonempty prefix w is the set of points of the cylinder
+    rectangle f_w(Q) whose coordinate along the primary axis (the longer
+    side; vertical on ties) lies within r/2 of that coordinate of the fixed
+    point of f_w, with r = rel_width * alpha1 and rel_width in (0, 1].
+    f_w^-1 maps it onto the slab of the unit square of half-width
+    rel_width / 2 around the same fixed point along the walk's axis: the
+    primary axis when f_w preserves the axes, the other one otherwise.  That
+    slab is also the strip's blown-up interval for the projected side, and
+    each cell f_wv(Q) is f_v(Q) in this frame, so one stopped family of
+    suffixes v serves both sides of the strip bound.
+
+    Walks level by level from the empty word: a cell whose extent along the
+    axis is inside the slab contributes and stops, a disjoint cell stops
+    with nothing, and a straddling cell is extended by every letter until
+    the cap, where it lands in the undecided part.  Each extent is widened
+    outward by a bound on the rounding of its composition and of the slab's
+    centre (zero for the empty word), so rounding can only make a cell
+    straddle.  ``log_mass`` maps an (N, n) batch of words with n >= 1 to log
+    masses.  Returns (covered, decided, undecided): whether the empty word's
+    cell is inside the slab, and the logs of the two parts as pairs
+    (sum of mass(w v), sum of mass(v)), -inf for an empty part.
     """
-    prefix = np.array([q.word_prefix])
+    prefix = np.array([as_word(prefix, spec.d)])
+    if not (0.0 < rel_width <= 1.0):
+        raise ValueError(f"relative strip width r/alpha1={rel_width} must lie in (0, 1]")
+    if spec.d ** cap > ENUMERATION_CAP:
+        raise TooLarge(f"{spec.d}^{cap} exceeds the enumeration cap")
     log_p, log_q, odd, x, y = (float(v[0]) for v in signature_arrays(prefix, spec))
     p, h = math.exp(log_p), math.exp(log_q)
     tx, ty = x - p / 2.0, y - h / 2.0  # image of the origin
-    on_x = q.axis is Projection.X
+    on_x = (log_p > log_q) != odd  # the longer side, the other axis when f_w swaps them
     if odd:  # f_w(u, v) = (p v + tx, h u + ty)
         k = p * h
         fx = (p * ty + tx) / (1.0 - k)
@@ -288,7 +274,8 @@ def _frame_walk(spec: IfsSpec, q: StripQuery, cap: int, log_mass):
         k = p if on_x else h
         fx, fy = tx / (1.0 - p), ty / (1.0 - h)
     centre = fx if on_x else fy
-    lo_s, hi_s = centre - q.rel_width / 2.0, centre + q.rel_width / 2.0
+    half_s = float(rel_width) / 2.0
+    lo_s, hi_s = centre - half_s, centre + half_s
     slack = 8.0 * EPS * (prefix.shape[1] + 1) / (1.0 - k)  # the centre's rounding
 
     def log_totals(v):
@@ -314,7 +301,7 @@ def _frame_walk(spec: IfsSpec, q: StripQuery, cap: int, log_mass):
     return covered, decided, log_totals(suffixes)
 
 
-def strip_measure_oracle(spec: IfsSpec, s: float, q: StripQuery,
+def strip_measure_oracle(spec: IfsSpec, s: float, prefix, rel_width: float,
                          extension_cap: int) -> StripOracleResult:
     """Bracket both sides of the strip upper bound over one stopped family.
 
@@ -325,17 +312,16 @@ def strip_measure_oracle(spec: IfsSpec, s: float, q: StripQuery,
     dominates every ratio nu([uv]) / (nu([u]) nu([v])).  Everything is in
     logs: C alone can overflow and the masses underflow at tiny ratios.
     """
-    if spec.d ** extension_cap > ENUMERATION_CAP:
-        raise TooLarge(f"{spec.d}^{extension_cap} exceeds the enumeration cap")
     if not check_strong_separation(spec).strong_separation:
         raise NoCertificate("strip enumeration requires certified strong separation")
     nu = kaenmaki_measure(spec, s)
     log_lo, log_up = nu.log_envelope()
-    covered, decided, undecided = _frame_walk(spec, q, extension_cap, nu.log_cylinder_batch)
+    covered, decided, undecided = _frame_walk(spec, prefix, rel_width, extension_cap,
+                                              nu.log_cylinder_batch)
     log_mu, log_proj = np.logaddexp(decided, undecided).tolist()
     return StripOracleResult(
         log_mu_lower=float(decided[0]), log_mu_upper=log_mu,
-        log_bound=log_up - 2.0 * log_lo + nu.log_cylinder(q.word_prefix) + log_proj,
+        log_bound=log_up - 2.0 * log_lo + nu.log_cylinder(prefix) + log_proj,
         covered=covered, undecided=bool(undecided[0] > decided[0]))
 
 
@@ -347,8 +333,8 @@ class StripReverseResult:
     log_rhs_upper: float
 
 
-def strip_reverse_oracle(spec: IfsSpec, s: float, q: StripQuery, extension_cap: int,
-                         t: int = 1) -> StripReverseResult:
+def strip_reverse_oracle(spec: IfsSpec, s: float, prefix, rel_width: float,
+                         extension_cap: int, t: int = 1) -> StripReverseResult:
     """Lower-bound counterpart for one lifted Gibbs chain, at axis-preserving prefixes.
 
     Valid only when the prefix composition preserves the axes (even number of
@@ -358,10 +344,6 @@ def strip_reverse_oracle(spec: IfsSpec, s: float, q: StripQuery, extension_cap: 
     >= c * chain mass of the prefix * projected chain mass of the blown
     interval, bracket by bracket, over the same stopped family.  In logs.
     """
-    if spec.d ** extension_cap > ENUMERATION_CAP:
-        raise TooLarge(f"{spec.d}^{extension_cap} exceeds the enumeration cap")
-    if sum(i >= spec.l for i in q.word_prefix) % 2:
-        raise ValueError("reverse bound applies only to axis-preserving prefixes")
     nu = kaenmaki_measure(spec, s)
     g = nu.m1 if t == 1 else nu.m2
 
@@ -369,9 +351,11 @@ def strip_reverse_oracle(spec: IfsSpec, s: float, q: StripQuery, extension_cap: 
         return g.log_cylinder_batch(tau_arrays(words, spec) - 1)
 
     log_c = float(np.min(g.log_rows.ravel() - g.log_stationary))
-    _, decided, undecided = _frame_walk(spec, q, extension_cap, log_mt)
+    _, decided, undecided = _frame_walk(spec, prefix, rel_width, extension_cap, log_mt)
+    if sum(i >= spec.l for i in prefix) % 2:  # a valid word now: the walk checked it
+        raise ValueError("reverse bound applies only to axis-preserving prefixes")
     lower, upper = decided.tolist(), np.logaddexp(decided, undecided).tolist()
-    log_rhs = log_c + float(log_mt(np.array([q.word_prefix]))[0])
+    log_rhs = log_c + float(log_mt(np.array([prefix]))[0])
     return StripReverseResult(log_mu_lower=lower[0], log_mu_upper=upper[0],
                               log_rhs_lower=log_rhs + lower[1], log_rhs_upper=log_rhs + upper[1])
 

@@ -38,6 +38,19 @@ def anti(a, b, tx, ty):
     return AffineMap2D(kind=MapKind.ANTI_DIAGONAL, a=a, b=b, tx=tx, ty=ty)
 
 
+UNIT_SQUARE = (0.0, 1.0, 0.0, 1.0)
+
+
+def map_image(m, rect):
+    """Exact image (x0, x1, y0, y1) of the axis-aligned rectangle [x0, x1] x
+    [y0, y1] under the map m: the axes swap first when m is anti-diagonal.
+    The reference for AffineMap2D's containment check."""
+    x0, x1, y0, y1 = rect
+    if m.anti:
+        x0, x1, y0, y1 = y0, y1, x0, x1
+    return (m.a * x0 + m.tx, m.a * x1 + m.tx, m.b * y0 + m.ty, m.b * y1 + m.ty)
+
+
 @pytest.fixture(scope="session")
 def ex1():
     """d=2, l=2 reference system: one diagonal, one anti-diagonal map."""
@@ -132,7 +145,7 @@ def log_svf_phi(spec, s, w):
         raise SOutOfRange(f"s={s} must lie in (0,2)")
     w = as_word(w, spec.d)
     sig = product_signature(w, spec)
-    via_svd = _log_phi_from_alphas(sig.log_alpha1, sig.log_alpha2, s)
+    via_svd = _log_phi_from_alphas(max(sig.log_p, sig.log_q), min(sig.log_p, sig.log_q), s)
     coded = np.asarray(encode_tau(w, spec).symbols) - 1
     via_birkhoff = max(float(_weight_vector(spec, s, t)[coded].sum()) for t in PotentialIndex)
     if abs(via_svd - via_birkhoff) > 1e-12 * max(1.0, abs(via_svd)):

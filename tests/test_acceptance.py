@@ -321,15 +321,14 @@ def test_criterion_10_strip_oracle(ex1, sstar, central_fixture):
     for _ in range(20):
         n = int(rng.integers(1, 4))
         prefix = tuple(int(x) for x in rng.integers(1, ex1.d + 1, n))
-        q = K.make_strip_query(ex1, prefix, float(rng.uniform(0.2, 0.9)))
-        res = K.strip_measure_oracle(ex1, sstar, q, extension_cap=8)
+        rel = float(rng.uniform(0.2, 0.9))
+        res = K.strip_measure_oracle(ex1, sstar, prefix, rel, extension_cap=8)
         assert res.log_mu_upper <= res.log_bound + np.log1p(1e-9), \
             f"log strip mass {res.log_mu_upper:.6f} exceeds log bound {res.log_bound:.6f} at {prefix}"
         checked += 1
     assert checked == 20
 
-    q = K.make_strip_query(central_fixture, (1,), 1.0)
-    res = K.strip_measure_oracle(central_fixture, 0.9, q, extension_cap=6)
+    res = K.strip_measure_oracle(central_fixture, 0.9, (1,), 1.0, extension_cap=6)
     expected = K.kaenmaki_measure(central_fixture, 0.9).log_cylinder((1,))
     assert res.covered
     assert res.log_mu_lower == expected and res.log_mu_upper == expected, \

@@ -168,6 +168,11 @@ class TestScalarCommands:
         assert exc.value.code == 2
         assert "KAENMAKI_THREADS" in capsys.readouterr().err
 
+    def test_threads_env_empty_is_unset(self, capsys, monkeypatch, ex1_path):
+        monkeypatch.setenv("KAENMAKI_THREADS", "")
+        assert main(["validate", "--spec", ex1_path]) == 0
+        assert "d: 2" in capsys.readouterr().out
+
 
 # full-box system whose longest words reach |log phi| near 4700, where the two
 # phi routes differ by 1.364e-12: about one ulp, above an absolute 1e-12
@@ -303,8 +308,7 @@ class TestVerify:
         # every mass underflows to 0.0 here, where 0 >= 0 passed the leg
         # whatever the logs said
         spec = parse_ifs(TINY_JSON)
-        q = sampling.make_strip_query(spec, (1,), 0.5)
-        rev = sampling.strip_reverse_oracle(spec, 1.0, q, 4)
+        rev = sampling.strip_reverse_oracle(spec, 1.0, (1,), 0.5, 4)
         logs = [rev.log_mu_lower, rev.log_mu_upper, rev.log_rhs_lower, rev.log_rhs_upper]
         assert np.isfinite(logs).all()
         assert np.exp(logs).tolist() == [0.0] * 4
@@ -481,6 +485,13 @@ class TestSampleRenderEstimate:
         payload = json.loads(out.read_text())
         assert set(payload) >= {"slope", "stderr", "target"}
         assert 0.1 < payload["slope"] < 1.5
+
+    def test_estimate_no_centers_is_a_bad_argument(self, capsys, ex1_path):
+        # an empty centre list once printed `slope: nan stderr: nan` and exited 0
+        code, out, err = run(capsys, "estimate", "--spec", ex1_path, "--count", "1000",
+                             "--depth", "10", "--centers", "0")
+        assert code == 2 and out == ""
+        assert err.startswith("BadArgument:") and "center" in err
 
     def test_project_dim(self, capsys, ex1_path):
         code, out, _ = run(capsys, "project-dim", "--spec", ex1_path)

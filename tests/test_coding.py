@@ -166,10 +166,10 @@ class TestProductSignature:
     def test_ex1_example(self, ex1):
         sig = product_signature((1, 2), ex1)
         assert sig.antidiagonal_parity
-        assert sig.p == pytest.approx(1 / 12, rel=1e-15)
-        assert sig.q == pytest.approx(1 / 25, rel=1e-15)
-        assert sig.alpha1 == pytest.approx(1 / 12, rel=1e-15)
-        assert sig.alpha2 == pytest.approx(1 / 25, rel=1e-15)
+        assert np.exp(sig.log_p) == pytest.approx(1 / 12, rel=1e-15)
+        assert np.exp(sig.log_q) == pytest.approx(1 / 25, rel=1e-15)
+        assert np.exp(max(sig.log_p, sig.log_q)) == pytest.approx(1 / 12, rel=1e-15)
+        assert np.exp(min(sig.log_p, sig.log_q)) == pytest.approx(1 / 25, rel=1e-15)
 
     def test_diagonal_powers(self, ex1):
         sig = product_signature((1,) * 6, ex1)
@@ -182,8 +182,8 @@ class TestProductSignature:
         spec = make_spec([diag(0.5, 0.25, 0.0, 0.0), anti(1 / 3, 1 / 3, 0.55, 0.55)])
         sig = product_signature((1, 1, 2, 1, 1), spec)
         assert sig.antidiagonal_parity
-        assert sig.p == pytest.approx(1 / 192, rel=1e-13)
-        assert sig.q == pytest.approx(1 / 192, rel=1e-13)
+        assert np.exp(sig.log_p) == pytest.approx(1 / 192, rel=1e-13)
+        assert np.exp(sig.log_q) == pytest.approx(1 / 192, rel=1e-13)
 
     def test_parity_counts_anti_letters(self):
         rng = np.random.default_rng(17)
@@ -210,8 +210,8 @@ class TestProductSignature:
             prod = prod @ mat
         sv = np.linalg.svd(prod, compute_uv=False)
         sig = product_signature(w, spec)
-        assert sig.alpha1 == pytest.approx(sv[0], rel=1e-12)
-        assert sig.alpha2 == pytest.approx(sv[1], rel=1e-12)
+        assert np.exp(max(sig.log_p, sig.log_q)) == pytest.approx(sv[0], rel=1e-12)
+        assert np.exp(min(sig.log_p, sig.log_q)) == pytest.approx(sv[1], rel=1e-12)
 
     def test_vectorized_matches_scalar(self, ex1):
         rng = np.random.default_rng(19)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import anti, diag, random_spec
+from conftest import UNIT_SQUARE, all_words, anti, diag, map_image, random_spec
 from kaenmaki import (
     ProjectedDim,
     ProjectedMode,
@@ -18,10 +18,8 @@ from kaenmaki import (
     lyapunov_exponents,
     make_spec,
     projected_dimension,
-    UNIT_SQUARE,
 )
 from kaenmaki.errors import MissingValue, NoCertificate
-from conftest import all_words
 
 
 def summary_with(h, chi1, chi2):
@@ -57,13 +55,13 @@ class TestLineSystem:
             for w in all_words(2, n):
                 rect = UNIT_SQUARE
                 for i in reversed(w):
-                    rect = ex1.map(int(i))(rect)
+                    rect = map_image(ex1.map(int(i)), rect)
                 lo, hi = 0.0, 1.0
                 for c in reversed(encode_tau(tuple(int(i) for i in w), ex1).symbols):
                     r, off = ratios[c - 1], offsets[c - 1]
                     lo, hi = r * lo + off, r * hi + off
-                assert rect.x0 == pytest.approx(lo, abs=1e-14)
-                assert rect.x1 == pytest.approx(hi, abs=1e-14)
+                assert rect[0] == pytest.approx(lo, abs=1e-14)
+                assert rect[1] == pytest.approx(hi, abs=1e-14)
 
     def test_symmetric_input_collapses(self):
         from kaenmaki.errors import DegenerateSystemWarning

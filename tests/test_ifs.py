@@ -1,5 +1,6 @@
 import warnings
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,15 +8,17 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import (
     EX1_JSON,
+    UNIT_SQUARE,
     anti,
     diag,
+    map_image,
     projection_ssc_oracle,
     random_spec,
     separation_oracle,
 )
 from kaenmaki import (
-    Rect,
-    UNIT_SQUARE,
+    AffineMap2D,
+    MapKind,
     check_projection_ssc,
     check_strong_separation,
     check_transversality,
@@ -87,20 +90,46 @@ class TestParse:
         assert spec.s == 1.25
 
 
+@st.composite
+def edge_translation(draw, ratio):
+    """A translation at 0 or at 1 - ratio, or one ulp either side of it."""
+    base = draw(st.sampled_from([0.0, 1.0 - ratio]))
+    return float(np.nextafter(base, draw(st.sampled_from([-np.inf, base, np.inf]))))
+
+
 class TestMapImage:
     def test_ex1_anti_on_unit_square(self, ex1):
-        img = ex1.map(2)(UNIT_SQUARE)
-        assert (img.x0, img.x1, img.y0, img.y1) == (0.5, 0.75, 0.5, 0.7)
+        assert map_image(ex1.map(2), UNIT_SQUARE) == (0.5, 0.75, 0.5, 0.7)
 
     def test_ex1_diag_on_unit_square(self, ex1):
-        img = ex1.map(1)(UNIT_SQUARE)
-        assert img.x0 == 0.0 and img.y0 == 0.0
-        assert img.x1 == pytest.approx(1 / 3, abs=0) and img.y1 == pytest.approx(1 / 5, abs=0)
+        x0, x1, y0, y1 = map_image(ex1.map(1), UNIT_SQUARE)
+        assert x0 == 0.0 and y0 == 0.0
+        assert x1 == pytest.approx(1 / 3, abs=0) and y1 == pytest.approx(1 / 5, abs=0)
 
     def test_zero_area(self, ex1):
-        img = ex1.map(2)(Rect(0.25, 0.25, 0.1, 0.9))
-        assert img.height == 0.0  # anti-diagonal: zero width becomes zero height
-        assert img.width == pytest.approx(0.25 * 0.8)
+        x0, x1, y0, y1 = map_image(ex1.map(2), (0.25, 0.25, 0.1, 0.9))
+        assert y1 - y0 == 0.0  # anti-diagonal: zero width becomes zero height
+        assert x1 - x0 == pytest.approx(0.25 * 0.8)
+
+    @settings(max_examples=300, derandomize=True)
+    @given(st.data())
+    def test_square_escape_exactly_when_the_image_leaves(self, data):
+        # the check reads [tx, tx + a] x [ty, ty + b] off the translations;
+        # it must agree with the exact image, ulp for ulp at the edges
+        kind = data.draw(st.sampled_from(MapKind))
+        a, b = (data.draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+                for _ in range(2))
+        tx, ty = data.draw(edge_translation(a)), data.draw(edge_translation(b))
+        m = SimpleNamespace(anti=kind is MapKind.ANTI_DIAGONAL, a=a, b=b, tx=tx, ty=ty)
+        x0, x1, y0, y1 = map_image(m, UNIT_SQUARE)
+        leaves = not (0.0 <= x0 and x1 <= 1.0 and 0.0 <= y0 and y1 <= 1.0)
+        if leaves:
+            with pytest.raises(SquareEscape) as exc:
+                AffineMap2D(kind=kind, a=a, b=b, tx=tx, ty=ty)
+            assert str(exc.value) == \
+                f"SquareEscape: image [{x0}, {x1}] x [{y0}, {y1}] leaves the unit square"
+        else:
+            AffineMap2D(kind=kind, a=a, b=b, tx=tx, ty=ty)
 
     def test_sides_match_singular_values(self, ex1):
         # composed image of the unit square has sides equal to the two
@@ -111,12 +140,14 @@ class TestMapImage:
             w = tuple(int(x) for x in rng.integers(1, ex1.d + 1, n))
             rect = UNIT_SQUARE
             for i in reversed(w):
-                rect = ex1.map(i)(rect)
+                rect = map_image(ex1.map(i), rect)
+            width, height = rect[1] - rect[0], rect[3] - rect[2]
             sig = product_signature(w, ex1)
-            assert rect.width == pytest.approx(sig.p, rel=1e-12)
-            assert rect.height == pytest.approx(sig.q, rel=1e-12)
-            assert {round(rect.width, 15), round(rect.height, 15)} == \
-                   {round(sig.alpha1, 15), round(sig.alpha2, 15)}
+            p, q = np.exp(sig.log_p), np.exp(sig.log_q)
+            assert width == pytest.approx(p, rel=1e-12)
+            assert height == pytest.approx(q, rel=1e-12)
+            assert {round(width, 15), round(height, 15)} == \
+                   {round(max(p, q), 15), round(min(p, q), 15)}
 
 
 class TestSeparation:

@@ -28,7 +28,6 @@ from kaenmaki import (
     kaenmaki_cylinder,
     kaenmaki_measure,
     make_spec,
-    make_strip_query,
     render_attractor,
     sample_symbolic,
     strip_measure_oracle,
@@ -269,8 +268,8 @@ class TestStripOracle:
         for _ in range(10):
             n = int(rng.integers(1, 4))
             prefix = tuple(int(x) for x in rng.integers(1, 3, n))
-            q = make_strip_query(ex1, prefix, float(rng.uniform(0.2, 0.9)))
-            res = strip_measure_oracle(ex1, sstar, q, extension_cap=6)
+            rel = float(rng.uniform(0.2, 0.9))
+            res = strip_measure_oracle(ex1, sstar, prefix, rel, extension_cap=6)
             assert res.log_mu_lower <= res.log_mu_upper
             assert res.log_mu_upper <= res.log_bound + np.log1p(1e-9)
 
@@ -280,8 +279,7 @@ class TestStripOracle:
                           anti(8.11e-260, 2.28e-181, 0.5, 0.5)])
         results = {}
         for prefix in [(1,), (2,), (1, 2)]:
-            q = make_strip_query(spec, prefix, 0.5)
-            res = results[prefix] = strip_measure_oracle(spec, 1.0, q, extension_cap=4)
+            res = results[prefix] = strip_measure_oracle(spec, 1.0, prefix, 0.5, extension_cap=4)
             assert np.isfinite([res.log_mu_upper, res.log_bound]).all(), prefix
             assert res.log_mu_upper <= res.log_bound
         assert results[(1,)].log_bound > np.log(np.finfo(float).max)
@@ -291,18 +289,18 @@ class TestStripOracle:
         # every mass scaled by e^-2000 walks the same cells, and both logs shift
         nu = kaenmaki_measure(ex1, 0.8)
         sig = product_signature((1,), ex1)
+        alpha1, alpha2 = np.exp(max(sig.log_p, sig.log_q)), np.exp(min(sig.log_p, sig.log_q))
         finite = []
-        for rel in (1e-2, 1e-6 * sig.alpha2 / sig.alpha1):  # decided, then undecided mass
-            q = make_strip_query(ex1, (1,), rel)
-            _, *base = sampling._frame_walk(ex1, q, 6, nu.log_cylinder_batch)
-            _, *low = sampling._frame_walk(ex1, q, 6, lambda w: nu.log_cylinder_batch(w) - 2000.0)
+        for rel in (1e-2, 1e-6 * alpha2 / alpha1):  # decided, then undecided mass
+            _, *base = sampling._frame_walk(ex1, (1,), rel, 6, nu.log_cylinder_batch)
+            _, *low = sampling._frame_walk(ex1, (1,), rel, 6,
+                                           lambda w: nu.log_cylinder_batch(w) - 2000.0)
             assert np.array(low) == pytest.approx(np.subtract(base, 2000.0), rel=1e-14)
             finite.append(np.isfinite(low))
         assert np.array(finite).any(axis=0).all()
 
     def test_full_cover_returns_prefix_mass_exactly(self, central_fixture):
-        q = make_strip_query(central_fixture, (1,), 1.0)
-        res = strip_measure_oracle(central_fixture, 0.9, q, extension_cap=5)
+        res = strip_measure_oracle(central_fixture, 0.9, (1,), 1.0, extension_cap=5)
         expected = kaenmaki_measure(central_fixture, 0.9).log_cylinder((1,))
         assert res.covered
         assert res.log_mu_lower == expected and res.log_mu_upper == expected
@@ -310,17 +308,16 @@ class TestStripOracle:
     def test_tiny_radius_surfaces_undecided(self, ex1):
         sstar = affinity_dimension(ex1)
         sig = product_signature((1,), ex1)
-        q = make_strip_query(ex1, (1,), sig.alpha2 / sig.alpha1 * 1e-6)
-        res = strip_measure_oracle(ex1, sstar, q, extension_cap=6)
+        alpha1, alpha2 = np.exp(max(sig.log_p, sig.log_q)), np.exp(min(sig.log_p, sig.log_q))
+        res = strip_measure_oracle(ex1, sstar, (1,), alpha2 / alpha1 * 1e-6, extension_cap=6)
         assert res.undecided
         assert res.log_mu_upper > res.log_mu_lower
 
     def test_reverse_bound_even_prefixes(self, ex1):
         sstar = affinity_dimension(ex1)
         for prefix in [(1, 1), (2, 2), (1, 2, 2)]:
-            q = make_strip_query(ex1, prefix, 0.5)
             for t in (1, 2):
-                rev = strip_reverse_oracle(ex1, sstar, q, extension_cap=6, t=t)
+                rev = strip_reverse_oracle(ex1, sstar, prefix, 0.5, extension_cap=6, t=t)
                 assert rev.log_mu_lower >= rev.log_rhs_lower + np.log1p(-1e-9)
                 assert rev.log_mu_upper >= rev.log_rhs_upper + np.log1p(-1e-9)
 
@@ -346,14 +343,21 @@ class TestStripOracle:
         lower, undecided = (np.logaddexp.reduce([nu.log_cylinder(prefix + v) for v in family])
                             for family in strip_family_oracle(spec, prefix, rel, cap))
         upper = np.logaddexp(lower, undecided)
-        res = strip_measure_oracle(spec, s, make_strip_query(spec, prefix, rel), cap)
+        res = strip_measure_oracle(spec, s, prefix, rel, cap)
         assert res.log_mu_lower <= lower or res.log_mu_lower == pytest.approx(lower, rel=1e-12)
         assert res.log_mu_upper >= upper or res.log_mu_upper == pytest.approx(upper, rel=1e-12)
 
     def test_reverse_rejects_odd_prefix(self, ex1):
-        q = make_strip_query(ex1, (2,), 0.1)
-        with pytest.raises(ValueError):
-            strip_reverse_oracle(ex1, 1.0, q, extension_cap=4)
+        with pytest.raises(ValueError, match="axis-preserving"):
+            strip_reverse_oracle(ex1, 1.0, (2,), 0.1, extension_cap=4)
+
+    @pytest.mark.parametrize("oracle", [strip_measure_oracle, strip_reverse_oracle])
+    @pytest.mark.parametrize("prefix, rel", [((1,), 0.0), ((1,), 1.5), ((1,), float("nan")),
+                                             ((0,), 0.5), ((1, 3), 0.5)])
+    def test_rejects_bad_width_or_prefix(self, ex1, oracle, prefix, rel):
+        # ex1 has d = 2: a prefix holding 0 or 3 is not a word
+        with pytest.raises(ValueError, match="word symbols|strip width"):
+            oracle(ex1, 1.0, prefix, rel, 4)
 
 
 class TestRender:
