@@ -246,7 +246,8 @@ def cmd_estimate(args) -> int:
         slope, stderr = sampling.estimate_local_dimension(samples, centers, radii)
     elif args.target == "projected":
         slope, stderr = sampling.estimate_projected_dim(
-            samples, sampling.Projection.X, radii=radii)
+            samples, sampling.Projection.X,
+            centers=sampling.default_centers(samples, args.centers)[:, 0], radii=radii)
     else:
         slope = sampling.box_count(samples, radii)
         stderr = 0.0

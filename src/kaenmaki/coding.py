@@ -6,8 +6,10 @@ described by three numbers: the magnitudes of the nonzero top-row and
 bottom-row coefficients of the product (tracked in log space) and the parity
 of the number of anti-diagonal factors.  signature_arrays composes batches of
 words in one right-to-left pass and is the one word composer besides the
-level expander in thermo.  The doubled alphabet {1..2d} additionally records, per position,
-whether the composition so far preserves the coordinate axes: the lift tau
+level expander in thermo; it composes a batch's trailing columns once per
+distinct suffix, as a table, and only the leading ones row by row.  The
+doubled alphabet {1..2d} additionally records, per position, whether the
+composition so far preserves the coordinate axes: the lift tau
 shifts a symbol by d exactly when the preceding composition is anti-diagonal.
 A state of row class 0 is followed by every unshifted symbol, one of class 1
 by every shifted one, so the 0/1 row-class vector stands for the 2d x 2d 0/1
@@ -132,24 +134,54 @@ def signature_arrays(words: np.ndarray, spec: IfsSpec):
     (0 or 1), and (x, y) is the image of the square's centre (0.5, 0.5).  The
     cylinder rectangle of a row is (x, y) +- (p, q) / 2.  An (N, 0) batch
     gives the identity.
+
+    The pass up to column t depends only on the row's suffix from t, so the
+    last k columns, with k the largest value such that d^k <= N (and k <= n),
+    are composed once for each of the d^k suffixes by the same prepend step
+    and gathered by the suffix's base-d index; the rest runs row by row.
+    Every row sees the same operations in the same order as a row-by-row
+    pass, so the result is bitwise the same.
     """
     words = np.asarray(words)
     n_rows, n_cols = words.shape
+    d = spec.d
     la, lb = np.log(spec.a), np.log(spec.b)
     a, b = np.asarray(spec.a), np.asarray(spec.b)
     tx = np.array([m.tx for m in spec.maps])
     ty = np.array([m.ty for m in spec.maps])
     anti = np.array([m.anti for m in spec.maps])
-    log_p, log_q = np.zeros(n_rows), np.zeros(n_rows)
-    parity = np.zeros(n_rows, dtype=np.int64)
-    x, y = np.full(n_rows, 0.5), np.full(n_rows, 0.5)
-    for t in range(n_cols - 1, -1, -1):
+    k = 0
+    while k < n_cols and d ** (k + 1) <= n_rows:
+        k += 1
+    # the suffix table: prepending the (d, 1) letter column to a table makes
+    # the new letter the most significant base-d digit of the flat index
+    log_p, log_q = np.zeros(1), np.zeros(1)
+    parity = np.zeros(1, dtype=bool)  # widened to int64 on return: 7 bytes a row less
+    x, y = np.full(1, 0.5), np.full(1, 0.5)
+    j = np.arange(d)[:, None]
+    swap = anti[j]
+    for _ in range(k):
+        x, y = ((a[j] * np.where(swap, y, x) + tx[j]).ravel(),
+                (b[j] * np.where(swap, x, y) + ty[j]).ravel())
+        log_p, log_q = ((la[j] + np.where(swap, log_q, log_p)).ravel(),
+                        (lb[j] + np.where(swap, log_p, log_q)).ravel())
+        parity = (parity ^ swap).ravel()
+    key = np.zeros(n_rows, dtype=np.intp)
+    for t in range(n_cols - k, n_cols):
+        key *= d
+        key += words[:, t].astype(np.intp) - 1
+    # a few at a time, so each table array is freed as soon as its rows replace it
+    log_p, log_q = log_p[key], log_q[key]
+    parity = parity[key]
+    x, y = x[key], y[key]
+    del key
+    for t in range(n_cols - k - 1, -1, -1):
         j = words[:, t].astype(np.intp) - 1
         swap = anti[j]
         x, y = a[j] * np.where(swap, y, x) + tx[j], b[j] * np.where(swap, x, y) + ty[j]
         log_p, log_q = la[j] + np.where(swap, log_q, log_p), lb[j] + np.where(swap, log_p, log_q)
         parity ^= swap
-    return log_p, log_q, parity, x, y
+    return log_p, log_q, parity.astype(np.int64), x, y
 
 
 def tau_arrays(words: np.ndarray, spec: IfsSpec) -> np.ndarray:

@@ -85,17 +85,18 @@ def _lifted_columns(nu, count: int, depth: int, rng):
     CDF of the (nondecreasing) cumulative (chain, c) row at u, capped at d - 1.
     """
     d = nu.spec.d
-    chain = (rng.random(count) >= nu.tau_start_mass()).astype(np.int64)  # 0: m1, 1: m2
+    dtype = np.min_scalar_type(2 * d)  # the words' dtype: it holds every lifted state
+    chain = (rng.random(count) >= nu.tau_start_mass()).astype(dtype)  # 0: m1, 1: m2
     # cumulative rows by key, one column each: 0, 1 the initial laws of m1, m2;
     # 2 + 2 chain + class the chain's row of that class
     chains = (nu.m1, nu.m2)
     laws = ([_log_normalized(g.log_stationary[:d]) for g in chains]
             + [row for g in chains for row in g.log_rows])
     cum = np.cumsum(np.exp(laws), axis=1).T.copy()
-    key, cls = chain, np.zeros(count, dtype=np.int64)
+    key, cls = chain, np.zeros(count, dtype=dtype)
     for _ in range(depth):
         u = rng.random(count)
-        j = np.zeros(count, dtype=np.int64)
+        j = np.zeros(count, dtype=dtype)
         for thresholds in cum[:d - 1]:
             j += u > thresholds[key]
         yield cls * d + j
@@ -160,7 +161,7 @@ def _count_fractions(values: np.ndarray, center, radii: np.ndarray) -> np.ndarra
                           np.abs(values[:, 1] - center[1]))
     else:
         dist = np.abs(values - center)
-    counts = np.array([(dist <= r).sum() for r in radii], dtype=float)
+    counts = np.array([np.count_nonzero(dist <= r) for r in radii], dtype=float)
     if (counts < 50).any():
         raise TooFewHits(
             f"fewer than 50 sample hits at center {center} for the radius grid; "
@@ -215,8 +216,8 @@ def box_count(samples: SampleSet, scales) -> float:
         raise ValueError("need at least 3 scales")
     counts = []
     for sc in scales:
-        cells = np.floor(samples.points / sc).astype(np.int64)
-        keys = cells[:, 0] << 32 | (cells[:, 1] & 0xFFFFFFFF)
+        ix, iy = (np.floor(col / sc).astype(np.int64) for col in samples.points.T)
+        keys = ix << 32 | (iy & 0xFFFFFFFF)
         counts.append(np.unique(keys).size)
     return float(np.polyfit(np.log(1.0 / scales), np.log(counts), 1)[0])
 

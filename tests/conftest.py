@@ -132,6 +132,30 @@ def compose_loop(spec, w):
     return log_p, log_q, odd, x, y
 
 
+def signature_rows_reference(words, spec):
+    """(log_p, log_q, parity, x, y) of a batch of words, one column at a time
+    from the right over every row: the same prepend step in the same order as
+    coding.signature_arrays, so its bitwise reference (compose_loop sums the
+    logs left to right and agrees only to rounding)."""
+    words = np.asarray(words)
+    n_rows, n_cols = words.shape
+    la, lb = np.log(spec.a), np.log(spec.b)
+    a, b = np.asarray(spec.a), np.asarray(spec.b)
+    tx = np.array([m.tx for m in spec.maps])
+    ty = np.array([m.ty for m in spec.maps])
+    anti = np.array([m.anti for m in spec.maps])
+    log_p, log_q = np.zeros(n_rows), np.zeros(n_rows)
+    parity = np.zeros(n_rows, dtype=np.int64)
+    x, y = np.full(n_rows, 0.5), np.full(n_rows, 0.5)
+    for t in range(n_cols - 1, -1, -1):
+        j = words[:, t].astype(np.intp) - 1
+        swap = anti[j]
+        x, y = a[j] * np.where(swap, y, x) + tx[j], b[j] * np.where(swap, x, y) + ty[j]
+        log_p, log_q = la[j] + np.where(swap, log_q, log_p), lb[j] + np.where(swap, log_p, log_q)
+        parity ^= swap
+    return log_p, log_q, parity, x, y
+
+
 def log_svf_phi(spec, s, w):
     """log phi^s(w) of one word, computed two ways with mandatory agreement.
 

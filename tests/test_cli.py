@@ -493,6 +493,18 @@ class TestSampleRenderEstimate:
         assert code == 2 and out == ""
         assert err.startswith("BadArgument:") and "center" in err
 
+    def test_estimate_projected_takes_the_centers(self, capsys, ex1_path):
+        draw = ["estimate", "--spec", ex1_path, "--count", "50000", "--depth", "20",
+                "--seed", "3", "--target", "projected"]
+        outs = {}
+        for extra in ([], ["--centers", "20"], ["--centers", "3"]):
+            code, outs[tuple(extra)], _ = run(capsys, *draw, *extra)
+            assert code == 0
+        assert outs[()] == outs[("--centers", "20")] != outs[("--centers", "3")]
+        code, out, err = run(capsys, *draw, "--centers", "0")
+        assert code == 2 and out == ""
+        assert err.startswith("BadArgument:") and "center" in err
+
     def test_project_dim(self, capsys, ex1_path):
         code, out, _ = run(capsys, "project-dim", "--spec", ex1_path)
         assert code == 0

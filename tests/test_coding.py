@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +12,7 @@ from conftest import (
     diag,
     random_spec,
     rho_symbol,
+    signature_rows_reference,
 )
 from kaenmaki import (
     check_mixing,
@@ -20,7 +23,7 @@ from kaenmaki import (
     transition_matrix,
 )
 from kaenmaki.coding import signature_arrays, tau_arrays
-from kaenmaki.errors import BadShape
+from kaenmaki.errors import BadShape, DegenerateSystemWarning
 
 
 def dummy_spec(d, l):
@@ -225,3 +228,56 @@ class TestProductSignature:
                 assert (x[k], y[k]) == want[3:]  # same expression, same order
             sig = product_signature(tuple(words[-1]), spec)
             assert (sig.log_p, sig.log_q) == (lp[-1], lq[-1])
+
+
+def box_spec(rng, d):
+    """d maps with ratios over the whole box (log-uniform down to 1e-300 or
+    uniform, with equal odds) and translations anywhere inside the square."""
+    n_diag = int(rng.integers(1, d))
+    ratios = np.where(rng.random((d, 2)) < 0.5,
+                      np.exp(rng.uniform(np.log(1e-300), np.log(0.999), (d, 2))),
+                      rng.uniform(1e-3, 0.999, (d, 2)))
+    maps = []
+    for k, (a, b) in enumerate(ratios.tolist()):
+        fx, fy = rng.random(2).tolist()
+        maps.append((diag if k < n_diag else anti)(a, b, fx * (1.0 - a), fy * (1.0 - b)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegenerateSystemWarning)
+        return make_spec(maps)
+
+
+class TestSuffixTable:
+    """signature_arrays composes the last k columns once per suffix (d^k <= N)."""
+
+    @staticmethod
+    def assert_bitwise_reference(words, spec):
+        got, want = signature_arrays(words, spec), signature_rows_reference(words, spec)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.shape == w.shape
+            if g.dtype == np.float64:
+                g, w = g.view(np.uint64), w.view(np.uint64)
+            assert np.array_equal(g, w)
+
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    @given(st.data())
+    def test_bitwise_equal_to_row_by_row_pass(self, data):
+        d = data.draw(st.integers(2, 200))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        spec = box_spec(rng, d)
+        k = data.draw(st.integers(0, int(np.log(20000) / np.log(d))))
+        n_rows = max(0, d ** k + data.draw(st.sampled_from([-1, 0, 1])))
+        n_cols = data.draw(st.integers(0, k + 3))  # n < k, n = k, and the (N, 0) batch
+        dtype = data.draw(st.sampled_from(
+            [np.uint16, np.int64, np.uint64] + ([np.uint8] if 2 * d <= 255 else [])))
+        order = data.draw(st.sampled_from("CF"))
+        words = np.asarray(rng.integers(1, d + 1, (n_rows, n_cols)), dtype=dtype, order=order)
+        self.assert_bitwise_reference(words, spec)
+
+    @pytest.mark.parametrize("d, n_rows, n_cols", [
+        (2, 1, 30), (200, 1, 3), (3, 9, 0), (3, 9, 2), (3, 26, 2), (3, 28, 3),
+        (2, 1024, 10), (2, 1025, 10), (130, 131, 4), (200, 40000, 2)])
+    def test_corner_batches(self, d, n_rows, n_cols):
+        rng = np.random.default_rng(d * n_rows + n_cols)
+        spec = box_spec(rng, d)
+        words = rng.integers(1, d + 1, (n_rows, n_cols)).astype(np.min_scalar_type(2 * d))
+        self.assert_bitwise_reference(words, spec)

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -15,6 +16,7 @@ from conftest import (
     diag,
     full_box_system,
     grid_spec,
+    signature_rows_reference,
     strip_family_oracle,
 )
 from kaenmaki import (
@@ -147,7 +149,7 @@ class TestSampler:
             assert got[i].tolist() == path
         assert zero_after_shifted_row and top_above_row_sum
 
-    @pytest.mark.parametrize("d", [*range(2, 13), 40])
+    @pytest.mark.parametrize("d", [*range(2, 13), 40, 128, 130, 200])
     def test_threshold_gathers_match_dense_table(self, d):
         spec = grid_spec(d, n_anti=1 + d // 3, seed=d)
         s = 0.2 + 1.6 * (d % 7) / 6
@@ -163,6 +165,20 @@ class TestSampler:
         want = np.column_stack(list(lifted_columns_dense(nu, count, depth,
                                                          StubGenerator(values))))
         assert np.array_equal(got, want)
+
+    def test_composer_peak_stays_near_the_row_by_row_pass(self, ex1):
+        # the suffix table and its gather may add little to the row-by-row peak
+        words = sample_symbolic(ex1, 1.0, 200_000, 25, seed=7).words
+
+        def traced_peak(compose):
+            tracemalloc.start()
+            try:
+                compose(words, ex1)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert traced_peak(signature_arrays) <= 1.15 * traced_peak(signature_rows_reference)
 
     def test_accuracy_bounds_distance_to_extensions(self):
         # word (1,) extends to map 1's fixed point (0, 0), at sup distance
