@@ -1,6 +1,7 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or validation error.
+Exit codes: 0 success, 1 verification failure (verify) or an unknown projected
+dimension (project-dim), 2 usage or validation error.
 All randomized subcommands take --seed and are bit-reproducible.  --threads
 (or the KAENMAKI_THREADS variable) is accepted and reserved: every command
 runs in one thread and no worker pool exists, so it never changes results.
@@ -118,22 +119,6 @@ def cmd_measure(args) -> int:
     return 0
 
 
-def _verify_key_identity(spec: IfsSpec, s: float, depth: int) -> tuple[float, bool]:
-    """Worst log disagreement between phi of the side lengths and the larger
-    Birkhoff sum of the two potentials along the tau lift, words up to depth, and
-    whether each word agrees to 1e-12 max(1, |log phi|) (1e-12 is an ulp near 4700)."""
-    w = np.stack([thermo._weight_vector(spec, s, t) for t in PotentialIndex])
-    worst, ok, sums = 0.0, True, None
-    for log_p, log_q, coded in thermo.expand_levels(spec, depth):
-        sums = w[:, coded] if sums is None else np.repeat(sums, spec.d, axis=1) + w[:, coded]
-        via_svd = thermo._log_phi_from_alphas(
-            np.maximum(log_p, log_q), np.minimum(log_p, log_q), s)
-        diff = np.abs(via_svd - sums.max(axis=0))
-        worst = max(worst, float(diff.max()))
-        ok &= bool((diff <= 1e-12 * np.maximum(1.0, np.abs(via_svd))).all())
-    return worst, ok
-
-
 def _comparability_decays(logs) -> bool:
     """The comparability row's rule on the log ratios for n = 1, 2, ...: exactly 1
     up to a threshold n, strict geometric decay after it.  Decided in logs, since
@@ -146,12 +131,14 @@ def _comparability_decays(logs) -> bool:
 def cmd_verify(args) -> int:
     spec = _read_spec(args.spec)
     depth = args.max_depth
+    if depth < 1:
+        raise ValueError(f"--max-depth {depth} must be at least 1")
     if spec.d ** depth > thermo.ENUMERATION_CAP:
         raise TooLarge(f"{spec.d}^{depth} exceeds the enumeration cap")
     s, _ = _resolve_s(spec, args.s)
     results = []
 
-    worst, ok_phi = _verify_key_identity(spec, s, min(depth, 8))
+    worst, ok_phi = thermo.phi_identity_check(spec, s, min(depth, 8))
     results.append(("phi max-of-sides identity", ok_phi, f"max log diff {worst:.3e}"))
 
     nu = thermo.kaenmaki_measure(spec, s)

@@ -4,12 +4,12 @@ Words over {1..d} index compositions of the planar maps.  Because every
 composed linear part is again diagonal or anti-diagonal, a word is fully
 described by three numbers: the magnitudes of the nonzero top-row and
 bottom-row coefficients of the product (tracked in log space) and the parity
-of the number of anti-diagonal factors.  signature_arrays composes batches of
-words in one right-to-left pass and is the one word composer besides the
-level expander in thermo; it composes a batch's trailing columns once per
-distinct suffix, as a table, and only the leading ones row by row.  The
-doubled alphabet {1..2d} additionally records, per position, whether the
-composition so far preserves the coordinate axes: the lift tau
+of the number of anti-diagonal factors.  Words are composed in one place, by
+prepending letters: level_table lists all words of one length (with sums
+along their lifts when asked), and signature_arrays gathers a batch's
+trailing columns from that table and composes only the leading ones row by
+row.  The doubled alphabet {1..2d} additionally records, per position,
+whether the composition so far preserves the coordinate axes: the lift tau
 shifts a symbol by d exactly when the preceding composition is anti-diagonal.
 A state of row class 0 is followed by every unshifted symbol, one of class 1
 by every shifted one, so the 0/1 row-class vector stands for the 2d x 2d 0/1
@@ -123,6 +123,46 @@ def product_signature(w, spec: IfsSpec) -> ProductSignature:
 # Words are passed as an (N, n) integer array with values in 1..d, of any
 # integer dtype that holds 2d (the sampler's words are uint8 for d <= 127).
 
+@lru_cache(maxsize=64)
+def _letters(spec: IfsSpec):
+    """Per letter, read-only: log a, log b, a, b, tx, ty and whether the map is anti-diagonal."""
+    a, b, tx, ty, anti = (np.array([getattr(m, f) for m in spec.maps])
+                          for f in ("a", "b", "tx", "ty", "anti"))
+    arrays = (np.log(a), np.log(b), a, b, tx, ty, anti)
+    for arr in arrays:
+        arr.setflags(write=False)
+    return arrays
+
+
+def level_table(spec: IfsSpec, k: int, rest=None, first=None):
+    """(log_p, log_q, parity, x, y, sums) of all d^k words of length k, lexicographic.
+
+    The table grows from the empty word by signature_arrays' prepend step with
+    a (d, 1) letter column, so the new letter is the most significant base-d
+    digit; parity is boolean.  Given rest, a (K, 2d) stack of tables over the
+    doubled alphabet, sums[i, e] (shape (K, 2, d^k)) is the sum along each
+    word's tau lift started at parity e of first[i] (default rest[i]) at the
+    first symbol and rest[i] at the others.  Prepending letter j flips the
+    start parity of the rest of the word when j is anti-diagonal, so with
+    T = first in the last step and rest before it,
+    S_e(j w) = T[j + d e] + S_(e xor anti_j)(w), from S_e(empty word) = 0.
+    """
+    la, lb, a, b, tx, ty, swap = (v[:, None] for v in _letters(spec))  # letter columns
+    log_p, log_q, x, y = np.zeros(1), np.zeros(1), np.full(1, 0.5), np.full(1, 0.5)
+    parity = np.zeros(1, dtype=bool)
+    sums = None if rest is None else np.zeros((len(rest), 2, 1))
+    for step in range(k):
+        x, y = (a * np.where(swap, y, x) + tx).ravel(), (b * np.where(swap, x, y) + ty).ravel()
+        log_p, log_q = ((la + np.where(swap, log_q, log_p)).ravel(),
+                        (lb + np.where(swap, log_p, log_q)).ravel())
+        parity = (parity ^ swap).ravel()
+        if sums is not None:
+            t = first if first is not None and step == k - 1 else rest
+            sums = (t.reshape(len(t), 2, -1, 1)
+                    + np.where(swap, sums[:, ::-1, None], sums[:, :, None])).reshape(len(t), 2, -1)
+    return log_p, log_q, parity, x, y, sums
+
+
 def signature_arrays(words: np.ndarray, spec: IfsSpec):
     """Per-row (log_p, log_q, parity, x, y) for a batch of words.
 
@@ -133,39 +173,19 @@ def signature_arrays(words: np.ndarray, spec: IfsSpec):
     bottom-row magnitudes, parity is the number of anti-diagonal letters mod 2
     (0 or 1), and (x, y) is the image of the square's centre (0.5, 0.5).  The
     cylinder rectangle of a row is (x, y) +- (p, q) / 2.  An (N, 0) batch
-    gives the identity.
-
-    The pass up to column t depends only on the row's suffix from t, so the
-    last k columns, with k the largest value such that d^k <= N (and k <= n),
-    are composed once for each of the d^k suffixes by the same prepend step
-    and gathered by the suffix's base-d index; the rest runs row by row.
-    Every row sees the same operations in the same order as a row-by-row
-    pass, so the result is bitwise the same.
+    gives the identity.  The last k columns, with k the largest value such
+    that d^k <= N (and k <= n), are gathered from level_table by the base-d
+    index of the row's suffix, and only the rest run row by row: the same
+    operations in the same order, so bitwise the same result.
     """
     words = np.asarray(words)
     n_rows, n_cols = words.shape
     d = spec.d
-    la, lb = np.log(spec.a), np.log(spec.b)
-    a, b = np.asarray(spec.a), np.asarray(spec.b)
-    tx = np.array([m.tx for m in spec.maps])
-    ty = np.array([m.ty for m in spec.maps])
-    anti = np.array([m.anti for m in spec.maps])
+    la, lb, a, b, tx, ty, anti = _letters(spec)
     k = 0
     while k < n_cols and d ** (k + 1) <= n_rows:
         k += 1
-    # the suffix table: prepending the (d, 1) letter column to a table makes
-    # the new letter the most significant base-d digit of the flat index
-    log_p, log_q = np.zeros(1), np.zeros(1)
-    parity = np.zeros(1, dtype=bool)  # widened to int64 on return: 7 bytes a row less
-    x, y = np.full(1, 0.5), np.full(1, 0.5)
-    j = np.arange(d)[:, None]
-    swap = anti[j]
-    for _ in range(k):
-        x, y = ((a[j] * np.where(swap, y, x) + tx[j]).ravel(),
-                (b[j] * np.where(swap, x, y) + ty[j]).ravel())
-        log_p, log_q = ((la[j] + np.where(swap, log_q, log_p)).ravel(),
-                        (lb[j] + np.where(swap, log_p, log_q)).ravel())
-        parity = (parity ^ swap).ravel()
+    log_p, log_q, parity, x, y, _ = level_table(spec, k)  # bool parity: 7 bytes a row less
     key = np.zeros(n_rows, dtype=np.intp)
     for t in range(n_cols - k, n_cols):
         key *= d

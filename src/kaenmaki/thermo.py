@@ -29,12 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .coding import (
-    as_word,
-    check_mixing,
-    tau_arrays,
-    transition_matrix,
-)
+from .coding import as_word, check_mixing, level_table, tau_arrays, transition_matrix
 from .errors import (
     BadMapKinds,
     ConvergenceFailure,
@@ -251,72 +246,67 @@ def _guard_enumeration(spec: IfsSpec, n: int):
         raise TooLarge(f"{spec.d}^{n} words exceed the enumeration cap {ENUMERATION_CAP}")
 
 
-def expand_levels(spec: IfsSpec, n: int):
-    """Yield (log_p, log_q, coded) for the word lengths 1..n.
-
-    A level lists all words of its length m in lexicographic order (word k
-    has the base-d digits of k as letters), with the log top-row and
-    bottom-row magnitudes of its composed linear part and the 0-based tau
-    symbol of its last letter.
-    """
-    _guard_enumeration(spec, n)
-    d = spec.d
-    la, lb = np.log(spec.a), np.log(spec.b)
-    letters = np.arange(d)
-    is_anti = letters >= spec.l - 1
-    log_p, log_q, coded, odd = la, lb, letters, is_anti
-    yield log_p, log_q, coded
-    for _ in range(n - 1):
-        jj = np.tile(letters, log_p.size)
-        even = np.repeat(~odd, d)
-        log_p = np.repeat(log_p, d) + np.where(even, la[jj], lb[jj])
-        log_q = np.repeat(log_q, d) + np.where(even, lb[jj], la[jj])
-        coded = np.where(even, jj, jj + d)
-        odd = np.repeat(odd, d) ^ is_anti[jj]
-        yield log_p, log_q, coded
-
-
 # cells per block of a full-depth level: a few hundred kB per float array
 LEVEL_BLOCK = 1 << 14
 
 
-def level_log_blocks(spec: IfsSpec, s: float, n: int):
-    """Yield (log_phi, log_nu) over all d^n words in lexicographic blocks.
+def _lifted_blocks(s: float, prefixes, suffixes, combine):
+    """Yield (log_phi, combine(sum1, sum2)) in lexicographic blocks over the
+    words u v, u and v from two coding.level_table results with two tables:
+    sum_i is the lifted sum of the prefix's table i on u and the suffix's on v.
 
-    A word of length n is a prefix u of length a = n - n // 2 followed by a
-    suffix v of length b = n // 2, possibly empty.  Its log row magnitudes
-    and both chain logs are a term for u plus a term for v, and the v term
-    depends on u only through the anti-diagonal parity after u: odd parity
-    swaps v's two row sums and moves each coded symbol c of v into the other
-    half, (c + d) % 2d, where the chain steps take log_rows.ravel() at that
-    symbol.  So the two half levels are built once, and each block pairs a
-    run of prefixes with every suffix, about LEVEL_BLOCK cells.
+    A word's log sides and sums are a term for u plus one for v, which depends
+    on u only through the parity after u: odd parity swaps v's sides and
+    starts v's lift in the shifted half.  So each half level is tabulated
+    once, v under both start parities, and each block pairs a run of prefixes
+    with every suffix, about LEVEL_BLOCK cells.
     """
-    _guard_enumeration(spec, n)
-    d, nu = spec.d, kaenmaki_measure(spec, s)
-    starts = np.stack([nu.m1.log_stationary, nu.m2.log_stationary])
-    rows = np.stack([nu.m1.log_rows.ravel(), nu.m2.log_rows.ravel()])
-    steps = np.stack([rows, np.roll(rows, d, axis=1)], axis=1)  # (chain, start parity, 2d)
-    a, b = n - n // 2, n // 2
-    heads, tails, sides = None, np.zeros((2, 2, 1)), np.zeros((2, 1))  # v empty
-    for m, (log_p, log_q, coded) in enumerate(expand_levels(spec, a), start=1):
-        heads = (starts[:, coded] if heads is None
-                 else np.repeat(heads, d, axis=-1) + rows[:, coded])
-        if m <= b:
-            tails = np.repeat(tails, d, axis=-1) + steps[..., coded]
-        if m == b:
-            sides = np.stack([log_p, log_q])
-    odd_u = transition_matrix(d, spec.l)[coded]
-    per_block = max(1, LEVEL_BLOCK // d ** b)
-    for i in range(0, d ** a, per_block):
+    log_p, log_q, odd_u, _, _, heads = prefixes
+    v_p, v_q, _, _, _, tails = suffixes
+    sides, odd_u = np.stack([v_p, v_q]), odd_u.astype(np.intp)
+    per_block = max(1, LEVEL_BLOCK // len(v_p))
+    for i in range(0, len(odd_u), per_block):
         u = slice(i, i + per_block)
         odd = odd_u[u]
         lp = log_p[u, None] + sides[odd]
         lq = log_q[u, None] + sides[1 - odd]
-        log_nu = np.logaddexp(heads[0, u, None] + tails[0, odd],
-                              heads[1, u, None] + tails[1, odd])
+        # one table at a time: the mixed index tails[:, odd] gathers a strided
+        # array, several times slower; and the sums before log_phi: the other
+        # order took about 10% longer over a whole level (numpy 2.4, 2-core x86)
+        sums = combine(heads[0, 0, u, None] + tails[0][odd], heads[1, 0, u, None] + tails[1][odd])
         log_phi = _log_phi_from_alphas(np.maximum(lp, lq), np.minimum(lp, lq), s)
-        yield log_phi.ravel(), log_nu.ravel()
+        yield log_phi.ravel(), sums.ravel()
+
+
+def level_log_blocks(spec: IfsSpec, s: float, n: int):
+    """Yield (log_phi, log_nu) over all d^n words in lexicographic blocks, each
+    word a prefix of length n - n // 2 and a suffix of length n // 2: each
+    chain's log mass is its stationary law at the first lifted symbol plus its
+    rows at the others."""
+    _guard_enumeration(spec, n)
+    nu = kaenmaki_measure(spec, s)
+    rows = np.stack([nu.m1.log_rows.ravel(), nu.m2.log_rows.ravel()])
+    starts = np.stack([nu.m1.log_stationary, nu.m2.log_stationary])
+    halves = level_table(spec, n - n // 2, rows, starts), level_table(spec, n // 2, rows)
+    return _lifted_blocks(s, *halves, np.logaddexp)
+
+
+def phi_identity_check(spec: IfsSpec, s: float, max_len: int) -> tuple[float, bool]:
+    """Worst log disagreement between phi^s of the side lengths and the larger
+    Birkhoff sum of the two potentials along the tau lift, over the words of
+    lengths 1..max_len, and whether each word agrees to 1e-12 max(1, |log phi|)
+    (1e-12 is an ulp near 4700).  One block of a level at a time; both halves
+    of every level come from the same few tables."""
+    _guard_enumeration(spec, max_len)
+    w = np.stack([_weight_vector(spec, s, t) for t in PotentialIndex])
+    tables = [level_table(spec, k, w) for k in range(max_len - max_len // 2 + 1)]
+    worst, ok = 0.0, True
+    for n in range(1, max_len + 1):
+        for log_phi, larger in _lifted_blocks(s, tables[n - n // 2], tables[n // 2], np.maximum):
+            diff = np.abs(log_phi - larger)
+            worst = max(worst, float(diff.max()))
+            ok &= bool((diff <= 1e-12 * np.maximum(1.0, np.abs(log_phi))).all())
+    return worst, ok
 
 
 def level_log_measures(spec: IfsSpec, s: float, n: int):

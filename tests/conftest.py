@@ -12,15 +12,16 @@ from kaenmaki.errors import (
     DegenerateSystemWarning,
     InternalMismatch,
     SOutOfRange,
+    TooLarge,
 )
 from kaenmaki.thermo import (
+    ENUMERATION_CAP,
     PotentialIndex,
     _log_normalized,
     _log_phi_from_alphas,
     _perron,
     _side_logs,
     _weight_vector,
-    expand_levels,
 )
 
 EX1_JSON = """
@@ -179,8 +180,12 @@ def log_svf_phi(spec, s, w):
 
 
 def level_signature_logs(spec, n):
-    """(log_alpha1, log_alpha2) over all d^n words in lexicographic order."""
-    *_, (log_p, log_q, _) = expand_levels(spec, n)
+    """(log_alpha1, log_alpha2) over all d^n words in lexicographic order, each
+    word composed row by row; TooLarge above the enumeration cap, before any
+    level is allocated."""
+    if spec.d ** n > ENUMERATION_CAP:
+        raise TooLarge(f"{spec.d}^{n} words exceed the enumeration cap {ENUMERATION_CAP}")
+    log_p, log_q, *_ = signature_rows_reference(all_words(spec.d, n), spec)
     return np.maximum(log_p, log_q), np.minimum(log_p, log_q)
 
 

@@ -199,18 +199,28 @@ class TestVerify:
         assert "FAIL" not in out
 
     def test_corrupt_potential_fails(self, capsys, ex1_path, monkeypatch):
-        # negative control: symbol 1 of the first potential off by 1e-6, as the
-        # verify rows see it; the key-identity and side-length rows FAIL, and
-        # no per-word phi check inside thermo stops the run before they print
+        # negative control: symbol 1 of the first potential off by 1e-6 wherever
+        # thermo reads it; the key-identity and side-length rows FAIL, and no
+        # per-word phi check inside thermo stops the run before they print
+        weights = thermo._weight_vector
+
         def corrupted(spec, s, t):
-            w = thermo._weight_vector(spec, s, t)
+            w = weights(spec, s, t)
             return w + np.eye(w.size)[0] * 1e-6 if t == thermo.PotentialIndex.ONE else w
 
-        monkeypatch.setattr(cli, "thermo",
-                            SimpleNamespace(**{**vars(thermo), "_weight_vector": corrupted}))
-        code, out, _ = run(capsys, "verify", "--spec", ex1_path, "--max-depth", "6")
+        monkeypatch.setattr(thermo, "_weight_vector", corrupted)
+        caches = (thermo.gibbs_markov, thermo.kaenmaki_measure)
+        for cache in caches:
+            cache.cache_clear()
+        try:
+            code, out, _ = run(capsys, "verify", "--spec", ex1_path, "--max-depth", "6")
+        finally:
+            for cache in caches:  # they hold chains built from the corrupted weights
+                cache.cache_clear()
+        rows = {r[6:].split("  ")[0]: r for r in out.splitlines()}
+        assert rows["phi max-of-sides identity"].startswith("FAIL"), out
+        assert rows["side-length integrals ordered"].startswith("FAIL"), out
         assert code == 1
-        assert "FAIL" in out
 
     def test_phi_identity_relative_to_log_phi(self, capsys, tmp_path):
         p = tmp_path / "ulp.json"
@@ -221,12 +231,13 @@ class TestVerify:
 
     def test_phi_identity_fails_on_a_corrupted_route(self, capsys, ex1_path, monkeypatch):
         # negative control: the side-length route of phi off by 1e-9 in log,
-        # far above 1e-12 max(1, |log phi|) at |log phi| below 10
-        def corrupted(log_a1, log_a2, s):
-            return thermo._log_phi_from_alphas(log_a1, log_a2, s) + 1e-9
-
-        monkeypatch.setattr(cli, "thermo", SimpleNamespace(
-            **{**vars(thermo), "_log_phi_from_alphas": corrupted}))
+        # far above 1e-12 max(1, |log phi|) at |log phi| below 10; the weight
+        # tables of the Birkhoff route keep the uncorrupted phi of each symbol
+        log_phi = thermo._log_phi_from_alphas
+        monkeypatch.setattr(thermo, "_weight_vector",
+                            lambda spec, s, t: log_phi(*thermo._side_logs(spec, t), s))
+        monkeypatch.setattr(thermo, "_log_phi_from_alphas",
+                            lambda log_a1, log_a2, s: log_phi(log_a1, log_a2, s) + 1e-9)
         code, out, _ = run(capsys, "verify", "--spec", ex1_path, "--max-depth", "6")
         assert code == 1
         assert out.startswith("FAIL  phi max-of-sides identity      max log diff 1.000e-09"), out
@@ -381,6 +392,15 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "--spec", ex1_path, "--max-depth", "40")
         assert code == 2 and "TooLarge" in err
 
+    @pytest.mark.parametrize("depth", ["0", "-3"])
+    def test_depth_below_one(self, capsys, ex1_path, monkeypatch, depth):
+        # rejected before any work: ex1 sets no s, so a root search would come first
+        monkeypatch.setattr(thermo, "affinity_dimension",
+                            lambda spec: pytest.fail("pressure root searched"))
+        code, out, err = run(capsys, "verify", "--spec", ex1_path, "--max-depth", depth)
+        assert code == 2 and out == ""
+        assert err.startswith("BadArgument:") and "--max-depth" in err
+
 
 def run_quiet(*argv):
     """(exit code, stdout) of cli.main with both streams captured."""
@@ -509,3 +529,14 @@ class TestSampleRenderEstimate:
         code, out, _ = run(capsys, "project-dim", "--spec", ex1_path)
         assert code == 0
         assert "mode: SscFormula" in out
+
+    def test_project_dim_unknown_exits_1(self, capsys, tmp_path):
+        # no projection certificate and the norm conditions fail: the second
+        # meaning of exit code 1, besides a failed verification
+        p = tmp_path / "unknown.json"
+        p.write_text('{"maps": [{"kind": "diag", "a": 0.6, "b": 0.2, "tx": 0, "ty": 0},'
+                     ' {"kind": "diag", "a": 0.5, "b": 0.2, "tx": 0.5, "ty": 0.5},'
+                     ' {"kind": "anti", "a": 0.3, "b": 0.3, "tx": 0, "ty": 0.7}]}')
+        code, out, err = run(capsys, "project-dim", "--spec", str(p))
+        assert (code, out, err) == (
+            1, "projected_dim: unknown (no certificate and norm conditions fail)\n", "")

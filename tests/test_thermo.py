@@ -16,6 +16,7 @@ from conftest import (
     dense_stochastic,
     dense_transition,
     diag,
+    grid_spec,
     log_svf_phi,
     random_spec,
     rho_symbol,
@@ -46,7 +47,7 @@ from kaenmaki import (
 )
 from kaenmaki import thermo
 from kaenmaki.cli import _comparability_decays
-from kaenmaki.coding import signature_arrays, tau_arrays
+from kaenmaki.coding import level_table, signature_arrays, tau_arrays
 from kaenmaki.errors import BadMapKinds, DegenerateSystemWarning, SOutOfRange, TooLarge
 from kaenmaki.thermo import _weight_vector, level_log_blocks
 
@@ -459,12 +460,21 @@ class TestLevelBlocks:
         log_p, log_q, *_ = signature_arrays(words, spec)
         log_a1, log_a2 = np.maximum(log_p, log_q), np.minimum(log_p, log_q)
         want_phi = s * log_a1 if s < 1.0 else log_a1 + (s - 1.0) * log_a2
+        w = np.stack([_weight_vector(spec, s, t) for t in PotentialIndex])
+        # the Birkhoff sums of each potential along the lift started unshifted and shifted
+        coded = tau_arrays(words, spec) - 1
+        want_sums = [w_t[(coded + spec.d * e) % (2 * spec.d)].sum(1) for e in (0, 1) for w_t in w]
         with mock.patch.object(thermo, "LEVEL_BLOCK", block):
             sizes = [(len(phi), len(nu)) for phi, nu in level_log_blocks(spec, s, n)]
             log_phi, log_nu = level_log_measures(spec, s, n)
             extremes = level_log_ratio_extremes(spec, s, n)
+            halves = level_table(spec, n - n // 2, w), level_table(spec, n // 2, w)
+            larger = np.concatenate([m for _, m in thermo._lifted_blocks(s, *halves, np.maximum)])
+        *_, table = level_table(spec, n, w)
+        sums = list(table.transpose(1, 0, 2).reshape(4, -1))  # start parity major, as want_sums
         assert all(a == b for a, b in sizes) and sum(a for a, _ in sizes) == spec.d ** n
-        for got, want in ((log_phi, want_phi), (log_nu, want_nu)):
+        for got, want in ((log_phi, want_phi), (log_nu, want_nu), *zip(sums, want_sums),
+                          (larger, np.maximum(*want_sums[:2]))):
             assert got.shape == want.shape
             assert (np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want))).all()
         x = log_nu - log_phi
@@ -481,6 +491,18 @@ class TestLevelBlocks:
             tracemalloc.stop()
         assert np.isfinite([lo, hi]).all() and lo <= hi
         assert peak < 16 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MB"
+
+    def test_phi_identity_in_constant_memory(self):
+        # levels 1..8 at d = 5: level 8 alone is 390625 words, 3 MB per float array
+        spec = grid_spec(5, 2, seed=5)
+        tracemalloc.start()
+        try:
+            worst, ok = thermo.phi_identity_check(spec, 0.7, 8)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert ok and worst <= 1e-12
+        assert peak < 8 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MB"
 
     def test_nan_ratio_makes_extremes_nan(self, ex1):
         log_phi, log_nu = level_log_measures(ex1, 0.9, 4)
