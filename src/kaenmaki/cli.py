@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from functools import lru_cache
 
 import numpy as np
 
@@ -366,9 +367,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=1)
+def _parser(threads_env: str | None) -> argparse.ArgumentParser:
+    """build_parser(), about 2 ms, built on the first main call and again only when
+    KAENMAKI_THREADS, which it reads as the --threads default, has changed."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser(os.environ.get("KAENMAKI_THREADS")).parse_args(argv)
     try:
         return args.func(args)
     except KaenmakiError as e:

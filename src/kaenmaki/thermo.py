@@ -250,6 +250,18 @@ def _guard_enumeration(spec: IfsSpec, n: int):
 LEVEL_BLOCK = 1 << 14
 
 
+def _logaddexp(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.logaddexp(a, b) in a's buffer, as max + log1p(exp(min - max)) from numpy's
+    vectorized exp and log1p (np.logaddexp's loop is scalar), to within an ulp.
+    The difference is skipped where max is -inf, so two -infs give -inf quietly."""
+    hi = np.maximum(a, b)
+    np.minimum(a, b, out=a)
+    np.subtract(a, hi, out=a, where=hi != -np.inf)
+    np.log1p(np.exp(a, out=a), out=a)
+    a += hi
+    return a
+
+
 def _lifted_blocks(s: float, prefixes, suffixes, combine):
     """Yield (log_phi, combine(sum1, sum2)) in lexicographic blocks over the
     words u v, u and v from two coding.level_table results with two tables:
@@ -268,14 +280,17 @@ def _lifted_blocks(s: float, prefixes, suffixes, combine):
     for i in range(0, len(odd_u), per_block):
         u = slice(i, i + per_block)
         odd = odd_u[u]
-        lp = log_p[u, None] + sides[odd]
-        lq = log_q[u, None] + sides[1 - odd]
-        # one table at a time: the mixed index tails[:, odd] gathers a strided
-        # array, several times slower; and the sums before log_phi: the other
-        # order took about 10% longer over a whole level (numpy 2.4, 2-core x86)
-        sums = combine(heads[0, 0, u, None] + tails[0][odd], heads[1, 0, u, None] + tails[1][odd])
+        # every gather is a fresh array, so the u terms are added in place; one
+        # table at a time: the mixed index tails[:, odd] gathers a strided
+        # array, several times slower
+        lp, lq = sides[odd], sides[1 - odd]
+        lp += log_p[u, None]
+        lq += log_q[u, None]
         log_phi = _log_phi_from_alphas(np.maximum(lp, lq), np.minimum(lp, lq), s)
-        yield log_phi.ravel(), sums.ravel()
+        sum1, sum2 = tails[0][odd], tails[1][odd]
+        sum1 += heads[0, 0, u, None]
+        sum2 += heads[1, 0, u, None]
+        yield log_phi.ravel(), combine(sum1, sum2).ravel()
 
 
 def level_log_blocks(spec: IfsSpec, s: float, n: int):
@@ -288,7 +303,7 @@ def level_log_blocks(spec: IfsSpec, s: float, n: int):
     rows = np.stack([nu.m1.log_rows.ravel(), nu.m2.log_rows.ravel()])
     starts = np.stack([nu.m1.log_stationary, nu.m2.log_stationary])
     halves = level_table(spec, n - n // 2, rows, starts), level_table(spec, n // 2, rows)
-    return _lifted_blocks(s, *halves, np.logaddexp)
+    return _lifted_blocks(s, *halves, _logaddexp)
 
 
 def phi_identity_check(spec: IfsSpec, s: float, max_len: int) -> tuple[float, bool]:
@@ -453,14 +468,22 @@ def submultiplicativity_check(spec: IfsSpec, s: float, max_len: int) -> tuple[fl
     tiny ratios; a NaN ratio makes both NaN.
     """
     _guard_enumeration(spec, max_len)
-    logs = {n: level_log_measures(spec, s, n)[1] for n in range(1, max_len + 1)}
+    logs = {}  # log nu only, each level filled block by block
+    for n in range(1, max_len + 1):
+        logs[n], i = np.empty(spec.d ** n), 0
+        for _, log_nu in level_log_blocks(spec, s, n):
+            logs[n][i:i + len(log_nu)] = log_nu
+            i += len(log_nu)
     ups, los = [-np.inf], [np.inf]
     for na in range(1, max_len):
         for nb in range(1, max_len - na + 1):
-            ratio = logs[na + nb].reshape(spec.d ** na, spec.d ** nb) \
-                - logs[na][:, None] - logs[nb][None, :]
-            ups.append(ratio.max())
-            los.append(ratio.min())
+            # runs of about LEVEL_BLOCK cells, so no temporary spans a level
+            joint = logs[na + nb].reshape(-1, spec.d ** nb)
+            rows = max(1, LEVEL_BLOCK // spec.d ** nb)
+            for i in range(0, len(joint), rows):
+                ratio = joint[i:i + rows] - logs[na][i:i + rows, None] - logs[nb]
+                ups.append(ratio.max())
+                los.append(ratio.min())
     return float(np.max(ups)), float(np.min(los))
 
 

@@ -173,6 +173,17 @@ class TestScalarCommands:
         assert main(["validate", "--spec", ex1_path]) == 0
         assert "d: 2" in capsys.readouterr().out
 
+    def test_threads_env_read_on_every_call(self, capsys, monkeypatch, ex1_path):
+        # the parser is built once per process; the variable is still read per call
+        monkeypatch.setenv("KAENMAKI_THREADS", "abc")
+        with pytest.raises(SystemExit) as exc:
+            main(["validate", "--spec", ex1_path])
+        assert exc.value.code == 2
+        assert "KAENMAKI_THREADS" in capsys.readouterr().err
+        monkeypatch.delenv("KAENMAKI_THREADS")
+        assert main(["validate", "--spec", ex1_path]) == 0
+        assert "d: 2" in capsys.readouterr().out
+
 
 # full-box system whose longest words reach |log phi| near 4700, where the two
 # phi routes differ by 1.364e-12: about one ulp, above an absolute 1e-12

@@ -480,6 +480,30 @@ class TestLevelBlocks:
         x = log_nu - log_phi
         assert extremes == (x.min(), x.max())
 
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(st.lists(st.tuples(
+        st.one_of(
+            # a larger operand and a gap below it: equal, subnormal or up to 1e3
+            st.tuples(st.floats(-1e5, 0.0), st.one_of(
+                st.just(0.0), st.floats(0.0, 1e3),
+                st.floats(0.0, np.finfo(float).smallest_normal, allow_subnormal=True)))
+            .map(lambda hg: (hg[0], hg[0] - hg[1])),
+            st.tuples(st.sampled_from([-np.inf, np.nan]), st.floats(-1e5, 0.0)),
+            st.tuples(st.sampled_from([-np.inf, np.nan]), st.sampled_from([-np.inf, np.nan]))),
+        st.booleans()).map(lambda pair_swap: pair_swap[0][::-1] if pair_swap[1] else pair_swap[0]),
+        min_size=1, max_size=70))
+    @example([(0.0, 0.0), (-np.inf, -np.inf), (-1.0, -np.inf), (-np.inf, np.nan),
+              (0.0, -5e-324), (-745.0, 0.0)])
+    def test_logaddexp_matches_numpy(self, pairs):
+        a, b = np.array(pairs).T
+        with np.errstate(invalid="ignore"):  # numpy's loop compares NaN with 0
+            want = np.logaddexp(a, b)
+        got = thermo._logaddexp(a.copy(), b)
+        nan, zero = np.isnan(want), want == -np.inf
+        assert (np.isnan(got) == nan).all() and (got[zero] == -np.inf).all()
+        got, want = got[~(nan | zero)], want[~(nan | zero)]
+        assert (np.abs(got - want) <= np.finfo(float).eps * np.maximum(1.0, np.abs(want))).all()
+
     def test_extremes_in_constant_memory(self, ex1):
         # 2^20 words: one float array of the whole level is 8 MB
         kaenmaki_measure(ex1, 0.9)
@@ -752,6 +776,23 @@ class TestSubmultiplicativity:
         assert wu8 <= up / lo ** 2 * (1 + 1e-9)
         assert wu6 <= wu8 <= wu6 * 1.10  # grows with the pair set, but slowly
         assert wl8 < wu8
+
+    def test_keeps_only_log_nu_per_level(self):
+        # levels 1..8 at d = 5: level 8 alone is 390625 words, 3 MB per float array
+        spec = grid_spec(5, 2, seed=5)
+        tracemalloc.start()
+        try:
+            log_wu, log_wl = submultiplicativity_check(spec, 0.7, 8)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MB"
+        # bitwise the extremes of the whole (d^|u|, d^|v|) ratio arrays
+        logs = {n: level_log_measures(spec, 0.7, n)[1] for n in range(1, 9)}
+        ratios = (logs[na + nb].reshape(5 ** na, 5 ** nb) - logs[na][:, None] - logs[nb]
+                  for na in range(1, 8) for nb in range(1, 9 - na))
+        ups, los = zip(*((r.max(), r.min()) for r in ratios))
+        assert log_wu == max(ups) and log_wl == min(los)
 
     def test_lower_decays_along_sandwich_family(self, ex1):
         sstar = affinity_dimension(ex1)
