@@ -54,7 +54,6 @@ from .thermo import (
     affinity_dimension_detail,
     entropy,
     gibbs_markov,
-    kaenmaki_cylinder,
     kaenmaki_measure,
     level_log_measures,
     level_log_ratio_extremes,

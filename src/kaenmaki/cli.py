@@ -47,10 +47,10 @@ def _resolve_s(spec: IfsSpec, s_arg: float | None) -> tuple[float, float | None]
 def _parse_radii(text: str) -> np.ndarray:
     try:
         rmin, rmax, k = text.split(":")
-        grid = np.geomspace(float(rmin), float(rmax), int(k))
+        with np.errstate(invalid="ignore"):  # an infinite end: the estimators name it
+            return np.geomspace(float(rmin), float(rmax), int(k))
     except ValueError:
         raise KaenmakiError(f"bad radii spec {text!r}, expected rmin:rmax:k") from None
-    return grid
 
 
 def _emit(text: str, out_path: str | None):
@@ -115,8 +115,7 @@ def cmd_measure(args) -> int:
     spec = _read_spec(args.spec)
     s, _ = _resolve_s(spec, args.s)
     word = as_word([int(x) for x in args.word.split(",")], spec.d)
-    value = thermo.kaenmaki_cylinder(spec, s, word)
-    print(repr(value))
+    print(repr(float(np.exp(thermo.kaenmaki_measure(spec, s).log_cylinder(word)))))
     return 0
 
 

@@ -108,6 +108,8 @@ def sample_symbolic(spec: IfsSpec, s: float, count: int, depth: int, seed: int) 
     """Draw ``count`` words of length ``depth`` with exact cylinder law, plus points."""
     if depth < 1 or count < 1:
         raise ValueError("count and depth must be >= 1")
+    if not 0 <= seed < 2 ** 64:
+        raise ValueError(f"seed {seed} must lie in [0, 2^64)")
     rng = np.random.Generator(np.random.Philox(np.uint64(seed)))
     words = np.empty((count, depth), dtype=np.min_scalar_type(2 * spec.d), order="F")
     for t, state in enumerate(_lifted_columns(kaenmaki_measure(spec, s), count, depth, rng)):
@@ -169,10 +171,17 @@ def _count_fractions(values: np.ndarray, center, radii: np.ndarray) -> np.ndarra
     return counts / values.shape[0]
 
 
+def _scale_grid(values, name: str, floor: float = 0.0) -> np.ndarray:
+    """values as floats: at least 3 of them, each finite and above floor."""
+    grid = np.asarray(values, dtype=float)
+    if grid.size < 3 or not (np.isfinite(grid) & (grid > floor)).all():
+        raise ValueError(f"need at least 3 {name}, each finite and above {floor!r}; "
+                         f"got {grid.tolist()}")
+    return grid
+
+
 def _fit_slopes(values: np.ndarray, centers, radii) -> tuple[float, float]:
-    radii = np.asarray(radii, dtype=float)
-    if radii.size < 3:
-        raise ValueError("need at least 3 radii")
+    radii = _scale_grid(radii, "radii")
     if not centers:
         raise ValueError("need at least 1 center")
     log_r = np.log(radii)
@@ -211,9 +220,7 @@ def estimate_projected_dim(samples: SampleSet, axis: Projection,
 
 def box_count(samples: SampleSet, scales) -> float:
     """Slope of log occupied-box count against log inverse scale."""
-    scales = np.asarray(scales, dtype=float)
-    if scales.size < 3:
-        raise ValueError("need at least 3 scales")
+    scales = _scale_grid(scales, "scales", 2.0 ** -31)  # cell indices fit the keys' 32 bits
     counts = []
     for sc in scales:
         ix, iy = (np.floor(col / sc).astype(np.int64) for col in samples.points.T)

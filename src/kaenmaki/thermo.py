@@ -109,18 +109,6 @@ def _perron(w: np.ndarray, d: int, l: int) -> tuple[float, np.ndarray, np.ndarra
     return float(log_root), log_right, log_left
 
 
-def pressure(spec: IfsSpec, s: float, t: PotentialIndex = PotentialIndex.ONE) -> float:
-    """Log spectral radius of the weighted transition matrix.
-
-    Computed in closed form from the rank-2 structure (see _perron); the
-    t=ONE and t=TWO values are bit-identical, since the two 2x2 matrices are
-    conjugate by the swap of the two halves.
-    """
-    if not (0.0 < s < 2.0):
-        raise SOutOfRange(f"s={s} must lie in (0,2)")
-    return _perron(_weight_vector(spec, s, t), spec.d, spec.l)[0]
-
-
 @dataclass(frozen=True)
 class MarkovGibbs:
     """Perron eigendata realizing one Gibbs measure as a stationary Markov chain.
@@ -193,6 +181,15 @@ def gibbs_markov(spec: IfsSpec, s: float, t: PotentialIndex = PotentialIndex.ONE
         log_stationary=_log_normalized(log_left + log_right), weights=w)
 
 
+def pressure(spec: IfsSpec, s: float, t: PotentialIndex = PotentialIndex.ONE) -> float:
+    """Log spectral radius of the weighted transition matrix, in closed form from
+    the rank-2 structure (see _perron): the root of the cached chain
+    gibbs_markov(spec, s, t), so P(s) is solved once per (system, s, t).  The
+    t=ONE and t=TWO values are bit-identical, since the two 2x2 matrices are
+    conjugate by the swap of the two halves."""
+    return gibbs_markov(spec, s, t).log_pressure  # t positional: lru_cache keys t=... apart
+
+
 @dataclass(frozen=True)
 class KaenmakiMeasure:
     """The equilibrium measure nu: sum of the two lifted Gibbs measures.
@@ -230,11 +227,6 @@ def kaenmaki_measure(spec: IfsSpec, s: float) -> KaenmakiMeasure:
         spec=spec, s=s,
         m1=gibbs_markov(spec, s, PotentialIndex.ONE),
         m2=gibbs_markov(spec, s, PotentialIndex.TWO))
-
-
-def kaenmaki_cylinder(spec: IfsSpec, s: float, w) -> float:
-    """nu([w]); additive over one-letter extensions and normalized at level 1."""
-    return float(np.exp(kaenmaki_measure(spec, s).log_cylinder(w)))
 
 
 # -- exhaustive enumeration over all words of one length ----------------------
@@ -495,20 +487,17 @@ class ThermoSummary:
     chi1: float
     chi2: float
     affinity_dim: float
-    gibbs_lower: float
-    gibbs_upper: float
 
 
 def thermo_summary(spec: IfsSpec, s: float, affinity_dim: float | None = None) -> ThermoSummary:
-    """Quantities at s; the pressure root is searched for unless given as affinity_dim."""
+    """Quantities at s, all from the one chain gibbs_markov(spec, s, ONE): the
+    dimension formula needs only P(s), h, chi1 and chi2, so the second chain is
+    not built.  The pressure root is searched for unless given as affinity_dim."""
     chi1, chi2 = lyapunov_exponents(spec, s)
-    lo, up = np.exp(kaenmaki_measure(spec, s).log_envelope())  # lo may underflow to 0.0
     return ThermoSummary(
         s=s,
         pressure=pressure(spec, s),
         entropy=entropy(spec, s),
         chi1=chi1,
         chi2=chi2,
-        affinity_dim=affinity_dimension(spec) if affinity_dim is None else affinity_dim,
-        gibbs_lower=float(lo),
-        gibbs_upper=float(up))
+        affinity_dim=affinity_dimension(spec) if affinity_dim is None else affinity_dim)

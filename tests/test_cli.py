@@ -97,6 +97,19 @@ class TestReport:
         assert len(calls) == 1
         assert json.loads(out)["affinity_dim"] == pytest.approx(0.49247209, abs=1e-6)
 
+    @pytest.mark.parametrize("s_args", [(), ("--s", "0.7")])
+    def test_builds_one_chain(self, capsys, tmp_path, s_args):
+        # P(s), h, chi1 and chi2 all come from chain ONE; the second chain and the
+        # equilibrium measure are built only for cylinder masses
+        p = tmp_path / "fresh.json"
+        p.write_text('{"maps": [{"kind": "diag", "a": 0.3172, "b": 0.2141, "tx": 0, "ty": 0},'
+                     ' {"kind": "anti", "a": 0.2713, "b": 0.1931, "tx": 0.5, "ty": 0.5}]}')
+        chains, measures = thermo.gibbs_markov.cache_info(), thermo.kaenmaki_measure.cache_info()
+        code, _, _ = run(capsys, "report", "--spec", str(p), "--output", "json", *s_args)
+        assert code == 0
+        assert thermo.gibbs_markov.cache_info().misses == chains.misses + 1
+        assert thermo.kaenmaki_measure.cache_info().misses == measures.misses
+
     def test_tiny_ratios_answer(self, capsys, tmp_path):
         # ratios down to 1e-4: the Perron data comes in closed form, no iteration cap
         p = tmp_path / "tiny.json"
@@ -535,6 +548,39 @@ class TestSampleRenderEstimate:
         code, out, err = run(capsys, *draw, "--centers", "0")
         assert code == 2 and out == ""
         assert err.startswith("BadArgument:") and "center" in err
+
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64])
+    @pytest.mark.parametrize("command", ["sample", "render", "estimate", "project-dim"])
+    def test_seed_outside_64_bits_is_a_bad_argument(self, capsys, ex1_path, tmp_path,
+                                                    command, seed):
+        # np.uint64(seed) once raised an uncaught OverflowError: a traceback, exit 1
+        extra = {"render": ["--out", str(tmp_path / "img.pgm")],
+                 "project-dim": ["--mode", "mc"]}.get(command, [])
+        code, out, err = run(capsys, command, "--spec", ex1_path, "--count", "1000",
+                             "--depth", "10", "--seed", str(seed), *extra)
+        assert code == 2 and out == ""
+        assert err == f"BadArgument: seed {seed} must lie in [0, 2^64)\n"
+
+    def test_largest_seed_draws(self, capsys, ex1_path):
+        code, out, _ = run(capsys, "sample", "--spec", ex1_path, "--count", "10",
+                           "--depth", "5", "--seed", str(2 ** 64 - 1))
+        assert code == 0 and len(out.splitlines()) == 11
+
+    def test_estimate_box_scale_past_the_key_range_is_a_bad_argument(self, capsys, ex1_path):
+        # cell indices past 2^31 once overflowed the packed key: a cast warning, exit 0
+        code, out, err = run(capsys, "estimate", "--spec", ex1_path, "--count", "20000",
+                             "--depth", "10", "--target", "box", "--radii", "0.1:1e-30:6")
+        assert code == 2 and out == ""
+        assert err.startswith("BadArgument: need at least 3 scales, each finite and above "
+                              "4.656612873077393e-10; got [0.1, ")
+
+    def test_estimate_infinite_radius_is_a_bad_argument(self, capsys, ex1_path):
+        # an infinite radius once reached the fit: LAPACK errors, "SVD did not converge"
+        code, out, err = run(capsys, "estimate", "--spec", ex1_path, "--count", "20000",
+                             "--depth", "10", "--radii", "0.1:inf:6")
+        assert code == 2 and out == ""
+        assert err == ("BadArgument: need at least 3 radii, each finite and above 0.0; "
+                       "got [0.1, inf, inf, inf, inf, inf]\n")
 
     def test_project_dim(self, capsys, ex1_path):
         code, out, _ = run(capsys, "project-dim", "--spec", ex1_path)

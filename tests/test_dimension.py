@@ -24,7 +24,7 @@ from kaenmaki.errors import MissingValue, NoCertificate
 
 def summary_with(h, chi1, chi2):
     return ThermoSummary(s=1.0, pressure=0.0, entropy=h, chi1=chi1, chi2=chi2,
-                         affinity_dim=1.0, gibbs_lower=1.0, gibbs_upper=1.0)
+                         affinity_dim=1.0)
 
 
 def line_maps(spec):

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 import warnings
 from unittest import mock
@@ -27,7 +28,6 @@ from kaenmaki import (
     check_strong_separation,
     estimate_local_dimension,
     estimate_projected_dim,
-    kaenmaki_cylinder,
     kaenmaki_measure,
     make_spec,
     render_attractor,
@@ -118,8 +118,9 @@ class TestSampler:
         idx = ((samples.words[:, 0] - 1) * 4 + (samples.words[:, 1] - 1) * 2
                + (samples.words[:, 2] - 1))
         observed = np.bincount(idx, minlength=8)
-        expected = np.array([kaenmaki_cylinder(ex1, sstar, tuple(w))
-                             for w in all_words(2, 3)]) * len(samples.words)
+        nu = kaenmaki_measure(ex1, sstar)
+        expected = np.exp([nu.log_cylinder(tuple(w))
+                           for w in all_words(2, 3)]) * len(samples.words)
         stat = float(((observed - expected) ** 2 / expected).sum())
         assert stats.chi2.sf(stat, df=7) > 0.001
 
@@ -210,7 +211,7 @@ class TestSampler:
         sstar = affinity_dimension(ex1)
         n = 50000
         samples = sample_symbolic(ex1, sstar, n, 20, seed=31)
-        p = kaenmaki_cylinder(ex1, sstar, (1,))
+        p = float(np.exp(kaenmaki_measure(ex1, sstar).log_cylinder((1,))))
         freq = float((samples.words[:, 0] == 1).mean())
         sigma = np.sqrt(p * (1 - p) / n)
         assert abs(freq - p) <= 4 * sigma
@@ -275,6 +276,24 @@ class TestEstimators:
         pts = np.column_stack([rng.random(10 ** 5), np.full(10 ** 5, 0.5)])
         slope = box_count(synthetic_samples(pts), 2.0 ** np.arange(-2, -8, -1))
         assert abs(slope - 1.0) <= 0.1
+
+    @pytest.mark.parametrize("bad", [0.0, -0.1, np.inf, np.nan])
+    def test_radii_rejected_by_value(self, bad):
+        samples = synthetic_samples(np.tile([0.4, 0.6], (1000, 1)))
+        with pytest.raises(ValueError, match=re.escape(f"above 0.0; got [0.1, 0.05, {bad!r}]")):
+            estimate_local_dimension(samples, [(0.4, 0.6)], [0.1, 0.05, bad])
+
+    @pytest.mark.parametrize("bad", [0.0, -0.1, np.inf, np.nan, 2.0 ** -31, 1e-30])
+    def test_box_count_rejects_scales_by_value(self, bad):
+        samples = synthetic_samples(np.tile([0.4, 0.6], (10, 1)))
+        with pytest.raises(ValueError, match=re.escape(f"scales, each finite and above "
+                                                        f"{2.0 ** -31!r}; got [0.5, 0.25, {bad!r}]")):
+            box_count(samples, [0.5, 0.25, bad])
+
+    def test_box_count_keys_distinct_at_the_smallest_scale(self):
+        # the cell index of 1.0 just below 2^31 still fits the key's 32 bits
+        corners = synthetic_samples([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
+        assert abs(box_count(corners, [0.5, 0.25, np.nextafter(2.0 ** -31, 1.0)])) <= 1e-12
 
 
 class TestStripOracle:
