@@ -175,6 +175,8 @@ def dimension_report(spec: IfsSpec, s: float,
                      "formula is reported without its separation hypothesis")
     if all(m.a == m.b for m in spec.maps if not m.anti):
         notes.append("degenerate system: every diagonal map has a == b")
+    elif (gap := summary.chi2 - summary.chi1) < 1e-12:
+        notes.append(f"Lyapunov gap {gap:.3e} below 1e-12 on a non-degenerate system")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         projected = projected_dimension(spec, s)

@@ -19,14 +19,10 @@ of the square of half-side r around a center is the fraction of sample
 points within sup-distance r, and the slope of log measure against log r is
 the estimate.
 
-The strip oracle checks, at finite enumeration depth, the upper bound on the
-measure of a thin sub-strip of a cylinder rectangle [w] by the product of the
-cylinder mass and a projected measure of the blown-up strip interval.  Both
-strip oracles walk in the frame of the prefix w: f_w^-1 maps the strip onto a
-slab of the unit square through the fixed point of f_w, which is the blown-up
-interval itself, and each cell f_wv(Q) onto f_v(Q).  So one stopped family of
-suffix cells, composed by signature_arrays level by level from the empty word
-and widened by their rounding, brackets both sides in logs.
+The strip oracles check, at finite enumeration depth, the upper bound on the
+measure of a thin sub-strip of a cylinder rectangle [w] by the cylinder mass
+times a projected measure of the blown-up strip interval, and its reverse, in
+logs over one stopped family of suffix cells walked in the prefix's frame.
 """
 
 from __future__ import annotations
@@ -37,7 +33,7 @@ from enum import Enum
 
 import numpy as np
 
-from .coding import as_word, signature_arrays, tau_arrays
+from .coding import _letters, as_word, signature_arrays, tau_arrays
 from .errors import IoFailure, NoCertificate, TooFewHits, TooLarge
 from .ifs import IfsSpec, check_strong_separation
 from .thermo import ENUMERATION_CAP, _log_normalized, kaenmaki_measure
@@ -240,7 +236,7 @@ class StripOracleResult:
     undecided: bool
 
 
-def _frame_walk(spec: IfsSpec, prefix, rel_width: float, cap: int, log_mass):
+def _frame_walk(spec: IfsSpec, prefix, rel_width: float, cap: int, chains):
     """Stopping-time sums of a strip query over suffix cells, in the prefix's frame.
 
     The strip of a nonempty prefix w is the set of points of the cylinder
@@ -255,26 +251,35 @@ def _frame_walk(spec: IfsSpec, prefix, rel_width: float, cap: int, log_mass):
     suffixes v serves both sides of the strip bound.
 
     Walks level by level from the empty word: a cell whose extent along the
-    axis is inside the slab contributes and stops, a disjoint cell stops
-    with nothing, and a straddling cell is extended by every letter until
-    the cap, where it lands in the undecided part.  Each extent is widened
-    outward by a bound on the rounding of its composition and of the slab's
-    centre (zero for the empty word), so rounding can only make a cell
-    straddle.  ``log_mass`` maps an (N, n) batch of words with n >= 1 to log
-    masses.  Returns (covered, decided, undecided): whether the empty word's
-    cell is inside the slab, and the logs of the two parts as pairs
-    (sum of mass(w v), sum of mass(v)), -inf for an empty part.
+    axis is inside the slab contributes and stops, a disjoint cell stops with
+    nothing, and a straddling cell is extended by every letter until the cap,
+    where it lands in the undecided part.  A cell v is its extent
+    [lo, lo + side] on the axis, its parity and, per chain, the log masses of
+    the lifts of w v and v.  Appending j, f_vj = f_v o f_j, takes
+    (offset, ratio) = (tx_j, a_j) or (ty_j, b_j) on the axis f_v maps onto the
+    walk's: lo += side * offset, side *= ratio, parity ^= anti_j; the w v sums
+    add the chain's log row at j + d (w's parity xor v's), the v sums the one
+    at j + d v's parity (the stationary law at v's first letter).  With
+    u = EPS / 2 and n letters, side is within (n - 1) u relatively, and
+    lo + side, the sum of the terms side * offset and the last side, is at most
+    1, as each letter's offset + ratio is.  So both edges, widened, are within
+    (2n + 1) u < 4 EPS n, the widening, to first order for n >= 1, and slack
+    adds the centre's rounding: rounding only makes a cell straddle.  Returns
+    (covered, log_w, decided, undecided): whether the empty word's exact cell
+    [0, 1] is inside the slab (its v mass: every lift), per MarkovGibbs chain
+    the log mass of w's lift, and the logs of the two parts as pairs (sum of
+    mass(w v), sum of mass(v)), -inf for an empty part.
     """
     prefix = np.array([as_word(prefix, spec.d)])
     if not (0.0 < rel_width <= 1.0):
         raise ValueError(f"relative strip width r/alpha1={rel_width} must lie in (0, 1]")
     if spec.d ** cap > ENUMERATION_CAP:
         raise TooLarge(f"{spec.d}^{cap} exceeds the enumeration cap")
-    log_p, log_q, odd, x, y = (float(v[0]) for v in signature_arrays(prefix, spec))
+    log_p, log_q, odd_w, x, y = (v[0].item() for v in signature_arrays(prefix, spec))
     p, h = math.exp(log_p), math.exp(log_q)
     tx, ty = x - p / 2.0, y - h / 2.0  # image of the origin
-    on_x = (log_p > log_q) != odd  # the longer side, the other axis when f_w swaps them
-    if odd:  # f_w(u, v) = (p v + tx, h u + ty)
+    on_x = (log_p > log_q) != odd_w  # the longer side, the other axis when f_w swaps them
+    if odd_w:  # f_w(u, v) = (p v + tx, h u + ty)
         k = p * h
         fx = (p * ty + tx) / (1.0 - k)
         fy = h * fx + ty
@@ -286,27 +291,30 @@ def _frame_walk(spec: IfsSpec, prefix, rel_width: float, cap: int, log_mass):
     lo_s, hi_s = centre - half_s, centre + half_s
     slack = 8.0 * EPS * (prefix.shape[1] + 1) / (1.0 - k)  # the centre's rounding
 
-    def log_totals(v):
-        full = np.column_stack([np.repeat(prefix, len(v), axis=0), v])
-        blown = log_mass(v) if v.shape[1] else np.zeros(len(v))
-        return np.logaddexp.reduce([log_mass(full), blown], axis=1)
-
-    suffixes = np.empty((1, 0), dtype=np.int64)
-    decided = np.full(2, -np.inf)
-    for depth in range(cap + 1):
-        log_p, log_q, _, x, y = signature_arrays(suffixes, spec)
-        mid, log_side = (x, log_p) if on_x else (y, log_q)
-        half = np.exp(log_side) / 2.0 + (4.0 * EPS * depth + slack if depth else 0.0)
-        lo, hi = mid - half, mid + half
-        inside = (lo >= lo_s) & (hi <= hi_s)
-        if depth == 0:
-            covered = bool(inside[0])
-        decided = np.logaddexp(decided, log_totals(suffixes[inside]))
-        suffixes = suffixes[~inside & (hi >= lo_s) & (lo <= hi_s)]
-        if depth < cap:
-            suffixes = np.column_stack([np.repeat(suffixes, spec.d, axis=0),
-                                        np.tile(np.arange(1, spec.d + 1), len(suffixes))])
-    return covered, decided, log_totals(suffixes)
+    log_w = np.array([g.log_cylinder_batch(tau_arrays(prefix, spec) - 1)[0] for g in chains])
+    rows = np.stack([g.log_rows for g in chains])  # (chain, half, letter)
+    first = np.stack([g.log_stationary.reshape(2, -1) for g in chains])  # for v's first letter
+    if lo_s <= 0.0 and 1.0 <= hi_s:  # covered by the empty word: its v mass is every lift
+        log_u = np.logaddexp.reduce(first[:, 0], axis=1)
+        return True, log_w, np.stack([log_w, log_u], axis=1), np.full((len(chains), 2), -np.inf)
+    _, _, *sides, anti = _letters(spec)
+    # (a, b) and (tx, ty), each by v's parity: the walk's axis, then the other one
+    ratios, offsets = np.reshape(sides, (2, 2, -1))[:, [1 - on_x, on_x]]
+    lo, side, odd, decided = np.zeros(1), np.ones(1), np.zeros(1, dtype=np.intp), -np.inf
+    sums = np.stack([log_w, np.zeros_like(log_w)], axis=1)[..., None]  # (chain, w v | v, cell)
+    for depth, widen in enumerate(4.0 * EPS * np.arange(cap + 1) + slack):
+        lo_c, hi_c = lo - widen, lo + side + widen
+        inside = (lo_c >= lo_s) & (hi_c <= hi_s)
+        decided = np.logaddexp(decided, np.logaddexp.reduce(sums[..., inside], axis=2))
+        keep = ~inside & (hi_c >= lo_s) & (lo_c <= hi_s)
+        lo, side, odd, sums = lo[keep], side[keep], odd[keep], sums[..., keep]
+        if depth < cap:  # children follow their parent in letter order
+            lo = (lo[:, None] + side[:, None] * offsets[odd]).ravel()
+            side = (side[:, None] * ratios[odd]).ravel()
+            step = np.stack([rows[:, odd ^ odd_w], (rows if depth else first)[:, odd]], axis=1)
+            sums = (sums[..., None] + step).reshape(len(chains), 2, -1)
+            odd = (odd[:, None] ^ anti).ravel()
+    return False, log_w, decided, np.logaddexp.reduce(sums, axis=2)
 
 
 def strip_measure_oracle(spec: IfsSpec, s: float, prefix, rel_width: float,
@@ -324,12 +332,12 @@ def strip_measure_oracle(spec: IfsSpec, s: float, prefix, rel_width: float,
         raise NoCertificate("strip enumeration requires certified strong separation")
     nu = kaenmaki_measure(spec, s)
     log_lo, log_up = nu.log_envelope()
-    covered, decided, undecided = _frame_walk(spec, prefix, rel_width, extension_cap,
-                                              nu.log_cylinder_batch)
+    covered, log_w, *parts = _frame_walk(spec, prefix, rel_width, extension_cap, (nu.m1, nu.m2))
+    decided, undecided = (np.logaddexp(*part) for part in parts)  # nu = m1 + m2
     log_mu, log_proj = np.logaddexp(decided, undecided).tolist()
     return StripOracleResult(
         log_mu_lower=float(decided[0]), log_mu_upper=log_mu,
-        log_bound=log_up - 2.0 * log_lo + nu.log_cylinder(prefix) + log_proj,
+        log_bound=log_up - 2.0 * log_lo + float(np.logaddexp(*log_w)) + log_proj,
         covered=covered, undecided=bool(undecided[0] > decided[0]))
 
 
@@ -354,16 +362,12 @@ def strip_reverse_oracle(spec: IfsSpec, s: float, prefix, rel_width: float,
     """
     nu = kaenmaki_measure(spec, s)
     g = nu.m1 if t == 1 else nu.m2
-
-    def log_mt(words):
-        return g.log_cylinder_batch(tau_arrays(words, spec) - 1)
-
     log_c = float(np.min(g.log_rows.ravel() - g.log_stationary))
-    _, decided, undecided = _frame_walk(spec, prefix, rel_width, extension_cap, log_mt)
+    _, (log_w,), (lower,), (rest,) = _frame_walk(spec, prefix, rel_width, extension_cap, (g,))
     if sum(i >= spec.l for i in prefix) % 2:  # a valid word now: the walk checked it
         raise ValueError("reverse bound applies only to axis-preserving prefixes")
-    lower, upper = decided.tolist(), np.logaddexp(decided, undecided).tolist()
-    log_rhs = log_c + float(log_mt(np.array([prefix]))[0])
+    lower, upper = lower.tolist(), np.logaddexp(lower, rest).tolist()
+    log_rhs = log_c + float(log_w)
     return StripReverseResult(log_mu_lower=lower[0], log_mu_upper=upper[0],
                               log_rhs_lower=log_rhs + lower[1], log_rhs_upper=log_rhs + upper[1])
 

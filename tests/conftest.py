@@ -356,6 +356,31 @@ def full_box_system(draw, max_d=6):
     return maps
 
 
+def full_box_draw(count, seed=2027):
+    """Yield ``count`` config dicts of the full-box draw: per system d in 2..6,
+    one to d - 1 diagonal maps, then per map a, b, tx, ty.  Each ratio is
+    log-uniform in [1e-300, 0.999) or uniform in [1e-3, 0.999), on a coin
+    drawn first; each translation is uniform in the range that keeps the
+    image inside the square.  The draw order fixes every count quoted for it."""
+    rng = np.random.default_rng(seed)
+
+    def ratio():
+        if rng.random() < 0.5:
+            return float(np.exp(rng.uniform(np.log(1e-300), np.log(0.999))))
+        return float(rng.uniform(1e-3, 0.999))
+
+    for _ in range(count):
+        d = int(rng.integers(2, 7))
+        n_diag = int(rng.integers(1, d))
+        maps = []
+        for k in range(d):
+            a, b = ratio(), ratio()
+            tx, ty = float(rng.uniform(0.0, 1.0 - a)), float(rng.uniform(0.0, 1.0 - b))
+            maps.append({"kind": "diag" if k < n_diag else "anti",
+                         "a": a, "b": b, "tx": tx, "ty": ty})
+        yield {"maps": maps}
+
+
 def strip_family_oracle(spec, prefix, rel_width, cap):
     """(decided, undecided) suffixes v of a strip query, in exact rationals and
     in the global frame: the reference for sampling._frame_walk.

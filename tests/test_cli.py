@@ -5,6 +5,7 @@ import io
 import json
 import math
 import re
+import warnings
 
 from types import SimpleNamespace
 
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import EX1_JSON, anti, diag, full_box_system, grid_spec
+from conftest import EX1_JSON, anti, diag, full_box_draw, full_box_system, grid_spec
 from kaenmaki import cli, errors, parse_ifs, sampling, thermo
 from kaenmaki.cli import main
 
@@ -127,6 +128,24 @@ class TestReport:
                          "--out", str(out_path))
         assert code == 0
         assert json.loads(out_path.read_text())["strong_separation"] is True
+
+    def test_lyapunov_gap_noted_once_without_a_warning(self, capsys, tmp_path):
+        # map 1 carries no mass and maps 2, 3 are similitudes, so chi1 == chi2 on a
+        # system that is not degenerate: the report notes it once, and neither
+        # command emits a Python warning
+        p = tmp_path / "gap.json"
+        p.write_text('{"maps": [{"kind": "diag", "a": 1e-300, "b": 1e-200, "tx": 0, "ty": 0},'
+                     ' {"kind": "diag", "a": 0.5, "b": 0.5, "tx": 0.5, "ty": 0},'
+                     ' {"kind": "anti", "a": 0.5, "b": 0.5, "tx": 0, "ty": 0.5}]}')
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, "report", "--spec", str(p), "--output", "json")
+            code_p, out_p, err_p = run(capsys, "project-dim", "--spec", str(p))
+        assert [str(w.message) for w in caught] == []
+        assert (code, err, code_p, err_p) == (0, "", 0, "")
+        notes = json.loads(out)["warnings"]
+        assert sum(note.startswith("Lyapunov gap 0.000e+00 below 1e-12") for note in notes) == 1
+        assert "Lyapunov" not in out_p
 
 
 class TestScalarCommands:
@@ -435,6 +454,22 @@ def run_quiet(*argv):
 
 
 class TestFullBox:
+    def test_draw_head_exits_0_without_warnings(self, tmp_path):
+        # the first 100 systems of the full-box draw: report and a shallow verify
+        # exit 0, no Python warning escapes, and no report repeats a note
+        path = tmp_path / "box.json"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for k, config in enumerate(full_box_draw(100)):
+                path.write_text(json.dumps(config))
+                code, out = run_quiet("report", "--spec", str(path), "--output", "json")
+                assert code == 0, (k, out)
+                notes = json.loads(out)["warnings"]
+                assert len(set(notes)) == len(notes), (k, notes)
+                code, out = run_quiet("verify", "--spec", str(path), "--max-depth", "3")
+                assert code == 0, (k, out)
+        assert [str(w.message) for w in caught] == []
+
     @pytest.mark.filterwarnings("ignore::UserWarning")  # degenerate-system notices
     @settings(max_examples=100, derandomize=True, deadline=None)
     @given(maps=full_box_system(), s=st.one_of(st.none(), st.floats(0.05, 1.95)))

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 import tracemalloc
 import warnings
@@ -323,13 +324,15 @@ class TestStripOracle:
     def test_interval_mass_in_logs_below_the_smallest_double(self, ex1):
         # every mass scaled by e^-2000 walks the same cells, and both logs shift
         nu = kaenmaki_measure(ex1, 0.8)
+        chains = nu.m1, nu.m2
+        low_chains = tuple(dataclasses.replace(g, log_stationary=g.log_stationary - 2000.0)
+                           for g in chains)
         sig = product_signature((1,), ex1)
         alpha1, alpha2 = np.exp(max(sig.log_p, sig.log_q)), np.exp(min(sig.log_p, sig.log_q))
         finite = []
         for rel in (1e-2, 1e-6 * alpha2 / alpha1):  # decided, then undecided mass
-            _, *base = sampling._frame_walk(ex1, (1,), rel, 6, nu.log_cylinder_batch)
-            _, *low = sampling._frame_walk(ex1, (1,), rel, 6,
-                                           lambda w: nu.log_cylinder_batch(w) - 2000.0)
+            _, _, *base = sampling._frame_walk(ex1, (1,), rel, 6, chains)
+            _, _, *low = sampling._frame_walk(ex1, (1,), rel, 6, low_chains)
             assert np.array(low) == pytest.approx(np.subtract(base, 2000.0), rel=1e-14)
             finite.append(np.isfinite(low))
         assert np.array(finite).any(axis=0).all()
@@ -339,6 +342,23 @@ class TestStripOracle:
         expected = kaenmaki_measure(central_fixture, 0.9).log_cylinder((1,))
         assert res.covered
         assert res.log_mu_lower == expected and res.log_mu_upper == expected
+
+    def test_full_cover_projects_every_lift(self, central_fixture):
+        # the cover by the empty word's cell counts every lift on the projected
+        # side: nu's total mass 1 forward, the chain's unshifted half in reverse
+        nu = kaenmaki_measure(central_fixture, 0.9)
+        res = strip_measure_oracle(central_fixture, 0.9, (1,), 1.0, extension_cap=5)
+        log_lo, log_up = nu.log_envelope()
+        log_proj = res.log_bound - (log_up - 2.0 * log_lo) - nu.log_cylinder((1,))
+        assert res.covered and log_proj == pytest.approx(0.0, abs=1e-14)
+        for t, g in ((1, nu.m1), (2, nu.m2)):
+            rev = strip_reverse_oracle(central_fixture, 0.9, (1,), 1.0, extension_cap=5, t=t)
+            log_c = np.min(g.log_rows.ravel() - g.log_stationary)
+            log_w = g.log_cylinder_batch(np.array([[0]]))[0]
+            log_u = np.logaddexp.reduce(g.log_stationary[:central_fixture.d])
+            assert rev.log_rhs_lower == rev.log_rhs_upper == pytest.approx(
+                log_c + log_w + log_u, rel=1e-14)
+            assert rev.log_mu_lower == rev.log_mu_upper == log_w
 
     def test_tiny_radius_surfaces_undecided(self, ex1):
         sstar = affinity_dimension(ex1)
@@ -367,20 +387,41 @@ class TestStripOracle:
                    anti(0.37, 0.18, 0.63, 0.8200000000000001)],
              symbols=[1], rel=0.6998337150887745, cap=3, s=1.0)
     def test_walk_brackets_the_exact_family(self, maps, symbols, rel, cap, s):
-        # the walk's bracket contains the one of the exact-rational global-frame
-        # families; rounding may only move cells from decided to undecided
+        # the walk's brackets contain the sums over the exact-rational global-frame
+        # families, for nu and, at axis-preserving prefixes, for the reverse leg of
+        # each chain; rounding may only move cells from decided to undecided
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DegenerateSystemWarning)
             spec = make_spec(maps)
         assume(check_strong_separation(spec).strong_separation)
         prefix = tuple((i - 1) % spec.d + 1 for i in symbols)
         nu = kaenmaki_measure(spec, s)
-        lower, undecided = (np.logaddexp.reduce([nu.log_cylinder(prefix + v) for v in family])
-                            for family in strip_family_oracle(spec, prefix, rel, cap))
-        upper = np.logaddexp(lower, undecided)
+        families = strip_family_oracle(spec, prefix, rel, cap)
+
+        def brackets(log_mass, head=()):  # log sums of mass(head + v): decided, then all
+            lower, undecided = (np.logaddexp.reduce([log_mass(head + v) for v in family])
+                                for family in families)
+            return lower, np.logaddexp(lower, undecided)
+
+        def contains(outer, inner):
+            return all(a <= b or a == pytest.approx(b, rel=1e-12)
+                       for a, b in ((outer[0], inner[0]), (inner[1], outer[1])))
+
         res = strip_measure_oracle(spec, s, prefix, rel, cap)
-        assert res.log_mu_lower <= lower or res.log_mu_lower == pytest.approx(lower, rel=1e-12)
-        assert res.log_mu_upper >= upper or res.log_mu_upper == pytest.approx(upper, rel=1e-12)
+        assert contains((res.log_mu_lower, res.log_mu_upper), brackets(nu.log_cylinder, prefix))
+        if sum(i >= spec.l for i in prefix) % 2:
+            return
+        for t, g in ((1, nu.m1), (2, nu.m2)):
+            def log_mt(word):  # the chain's mass of the word's lift; of every lift if empty
+                if not word:
+                    return np.logaddexp.reduce(g.log_stationary[:spec.d])
+                return g.log_cylinder_batch(tau_arrays(np.array([word]), spec) - 1)[0]
+
+            rev = strip_reverse_oracle(spec, s, prefix, rel, cap, t=t)
+            log_c = float(np.min(g.log_rows.ravel() - g.log_stationary))
+            assert contains((rev.log_mu_lower, rev.log_mu_upper), brackets(log_mt, prefix))
+            assert contains((rev.log_rhs_lower, rev.log_rhs_upper),
+                            np.add(log_c + log_mt(prefix), brackets(log_mt)))
 
     def test_reverse_rejects_odd_prefix(self, ex1):
         with pytest.raises(ValueError, match="axis-preserving"):
