@@ -8,9 +8,11 @@ of the number of anti-diagonal factors.  Words are composed in one place, by
 prepending letters: level_table lists all words of one length (with sums
 along their lifts when asked), and signature_arrays gathers a batch's
 trailing columns from that table and composes only the leading ones row by
-row.  The doubled alphabet {1..2d} additionally records, per position,
-whether the composition so far preserves the coordinate axes: the lift tau
-shifts a symbol by d exactly when the preceding composition is anti-diagonal.
+row, each in its suffix's frame (coordinates swapped at odd parity), where a
+prepended letter is one affine step per coordinate with no select.  The
+doubled alphabet {1..2d} additionally records, per position, whether the
+composition so far preserves the coordinate axes: the lift tau shifts a
+symbol by d exactly when the preceding composition is anti-diagonal.
 A state of row class 0 is followed by every unshifted symbol, one of class 1
 by every shifted one, so the 0/1 row-class vector stands for the 2d x 2d 0/1
 transition matrix that governs admissibility of lifted words.
@@ -175,33 +177,53 @@ def signature_arrays(words: np.ndarray, spec: IfsSpec):
     cylinder rectangle of a row is (x, y) +- (p, q) / 2.  An (N, 0) batch
     gives the identity.  The last k columns, with k the largest value such
     that d^k <= N (and k <= n), are gathered from level_table by the base-d
-    index of the row's suffix, and only the rest run row by row: the same
-    operations in the same order, so bitwise the same result.
+    index of the row's suffix, and only the rest run row by row.
+
+    The pass holds each row in its suffix's frame, (x, y) and (log_p, log_q)
+    swapped at odd parity.  Prepending j with new parity o is then one affine
+    step per coordinate picked by (j, o), gathered by take at index 2 j + o,
+    with no select.  Each value is the float the global frame's step gives, in
+    another slot (IEEE * and + commute), so the result is bitwise that pass's.
     """
     words = np.asarray(words)
     n_rows, n_cols = words.shape
     d = spec.d
-    la, lb, a, b, tx, ty, anti = _letters(spec)
     k = 0
     while k < n_cols and d ** (k + 1) <= n_rows:
         k += 1
-    log_p, log_q, parity, x, y, _ = level_table(spec, k)  # bool parity: 7 bytes a row less
     key = np.zeros(n_rows, dtype=np.intp)
     for t in range(n_cols - k, n_cols):
         key *= d
-        key += words[:, t].astype(np.intp) - 1
-    # a few at a time, so each table array is freed as soon as its rows replace it
-    log_p, log_q = log_p[key], log_q[key]
-    parity = parity[key]
-    x, y = x[key], y[key]
-    del key
+        np.add(key, words[:, t], out=key, dtype=np.intp)  # uint64 + intp would be float
+    key -= (d ** k - 1) // (d - 1)  # the 1-based digits' offset
+    table = list(level_table(spec, k)[:5])  # log_p, log_q, bool parity, x, y
+    _swap_rows(*table[:2], table[2])  # into the suffix's frame
+    _swap_rows(*table[3:], table[2])
+    # popped one at a time, so each table array is freed as soon as its rows replace it
+    lu, lv, odd, u, v = (table.pop(0)[key] for _ in range(5))
+    # per index 2 letter + parity of the new suffix: u's factor and term, v's, lu's and lv's terms
+    la, lb, a, b, tx, ty, _ = _letters(spec)
+    steps = np.pad(np.stack([(a, b), (tx, ty), (b, a), (ty, tx), (la, lb), (lb, la)]),
+                   ((0, 0), (0, 0), (1, 0))).transpose(0, 2, 1).reshape(6, -1)
+    ops = (np.multiply, np.add) * 2 + (np.add,) * 2
     for t in range(n_cols - k - 1, -1, -1):
-        j = words[:, t].astype(np.intp) - 1
-        swap = anti[j]
-        x, y = a[j] * np.where(swap, y, x) + tx[j], b[j] * np.where(swap, x, y) + ty[j]
-        log_p, log_q = la[j] + np.where(swap, log_q, log_p), lb[j] + np.where(swap, log_p, log_q)
-        parity ^= swap
-    return log_p, log_q, parity.astype(np.int64), x, y
+        col = words[:, t]
+        odd ^= col >= spec.l
+        np.add(col, col, out=key)  # 2 j fits the words' dtype, which holds 2d
+        key += odd
+        for op, coord, step in zip(ops, (u, u, v, v, lu, lv), steps):
+            op(coord, step.take(key), out=coord)
+    del key
+    _swap_rows(lu, lv, odd)  # back to the global frame
+    _swap_rows(u, v, odd)
+    return lu, lv, odd.astype(np.int64), u, v
+
+
+def _swap_rows(first, second, where):
+    """Swap the entries of two arrays in place at the rows where ``where`` holds."""
+    keep = first.copy()
+    np.copyto(first, second, where=where)
+    np.copyto(second, keep, where=where)
 
 
 def tau_arrays(words: np.ndarray, spec: IfsSpec) -> np.ndarray:

@@ -11,8 +11,9 @@ cylinder rectangle up to the reported accuracy bound.
 All randomness flows through a counter-based generator seeded once per
 sample set, with a fixed draw schedule (one branch draw, one initial-state
 draw, then one transition draw per step, each vectorized over points and
-inverting a cumulative row by one gather per threshold), so identical inputs
-give bit-identical outputs.  Words are column-major; CSV rows are built by column.
+inverting a cumulative row by one take per threshold), so identical inputs
+give bit-identical outputs.  A take from a 2d-entry letter table decodes each
+lifted column.  Words are column-major; CSV rows are built by column.
 
 Local dimensions are estimated on sup-metric squares: the empirical measure
 of the square of half-side r around a center is the fraction of sample
@@ -30,6 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 
 import numpy as np
 
@@ -94,7 +96,7 @@ def _lifted_columns(nu, count: int, depth: int, rng):
         u = rng.random(count)
         j = np.zeros(count, dtype=dtype)
         for thresholds in cum[:d - 1]:
-            j += u > thresholds[key]
+            j += u > thresholds.take(key)
         yield cls * d + j
         cls ^= j >= nu.spec.l - 1
         key = 2 + 2 * chain + cls
@@ -108,8 +110,9 @@ def sample_symbolic(spec: IfsSpec, s: float, count: int, depth: int, seed: int) 
         raise ValueError(f"seed {seed} must lie in [0, 2^64)")
     rng = np.random.Generator(np.random.Philox(np.uint64(seed)))
     words = np.empty((count, depth), dtype=np.min_scalar_type(2 * spec.d), order="F")
+    letters = np.tile(np.arange(1, spec.d + 1, dtype=words.dtype), 2)  # the lift mod d
     for t, state in enumerate(_lifted_columns(kaenmaki_measure(spec, s), count, depth, rng)):
-        words[:, t] = state % spec.d + 1  # decode the lift: reduce mod d into 1..d
+        words[:, t] = letters.take(state)
     log_p, log_q, _, x, y = signature_arrays(words, spec)
     accuracy = float(np.exp(np.maximum(log_p, log_q).max()) * math.sqrt(2.0) / 2.0)
     return SampleSet(points=np.column_stack([x, y]), words=words, seed=int(seed),
@@ -253,18 +256,21 @@ def _frame_walk(spec: IfsSpec, prefix, rel_width: float, cap: int, chains):
     Walks level by level from the empty word: a cell whose extent along the
     axis is inside the slab contributes and stops, a disjoint cell stops with
     nothing, and a straddling cell is extended by every letter until the cap,
-    where it lands in the undecided part.  A cell v is its extent
-    [lo, lo + side] on the axis, its parity and, per chain, the log masses of
-    the lifts of w v and v.  Appending j, f_vj = f_v o f_j, takes
-    (offset, ratio) = (tx_j, a_j) or (ty_j, b_j) on the axis f_v maps onto the
-    walk's: lo += side * offset, side *= ratio, parity ^= anti_j; the w v sums
-    add the chain's log row at j + d (w's parity xor v's), the v sums the one
-    at j + d v's parity (the stationary law at v's first letter).  With
-    u = EPS / 2 and n letters, side is within (n - 1) u relatively, and
-    lo + side, the sum of the terms side * offset and the last side, is at most
-    1, as each letter's offset + ratio is.  So both edges, widened, are within
-    (2n + 1) u < 4 EPS n, the widening, to first order for n >= 1, and slack
-    adds the centre's rounding: rounding only makes a cell straddle.  Returns
+    where it lands in the undecided part.  f_w is composed once, in
+    Fractions: its exact sides pick the primary axis, and its exact fixed
+    point decides the empty word's cover and, rounded, gives the slab's
+    edges.  A cell v is its extent [lo, lo + side] on the axis, its parity
+    and, per chain, the log masses of the lifts of w v and v.  Appending j,
+    f_vj = f_v o f_j, takes (offset, ratio) = (tx_j, a_j) or (ty_j, b_j) on
+    the axis f_v maps onto the walk's: lo += side * offset, side *= ratio,
+    parity ^= anti_j; the w v sums add the chain's log row at j + d (w's
+    parity xor v's), the v sums the one at j + d v's parity (the stationary
+    law at v's first letter).  With u = EPS / 2 and n letters, side is within
+    (n - 1) u relatively, and lo + side, the sum of the terms side * offset
+    and the last side, is at most 1, as each letter's offset + ratio is.  So
+    both edges, widened, are within (2n + 1) u < 4 EPS n, the widening, to
+    first order for n >= 1, and slack more than covers the slab edges'
+    rounding: rounding only makes a cell straddle.  Returns
     (covered, log_w, decided, undecided): whether the empty word's exact cell
     [0, 1] is inside the slab (its v mass: every lift), per MarkovGibbs chain
     the log mass of w's lift, and the logs of the two parts as pairs (sum of
@@ -275,26 +281,28 @@ def _frame_walk(spec: IfsSpec, prefix, rel_width: float, cap: int, chains):
         raise ValueError(f"relative strip width r/alpha1={rel_width} must lie in (0, 1]")
     if spec.d ** cap > ENUMERATION_CAP:
         raise TooLarge(f"{spec.d}^{cap} exceeds the enumeration cap")
-    log_p, log_q, odd_w, x, y = (v[0].item() for v in signature_arrays(prefix, spec))
-    p, h = math.exp(log_p), math.exp(log_q)
-    tx, ty = x - p / 2.0, y - h / 2.0  # image of the origin
-    on_x = (log_p > log_q) != odd_w  # the longer side, the other axis when f_w swaps them
+    p, h, tx, ty, odd_w = Fraction(1), Fraction(1), Fraction(0), Fraction(0), False
+    for m in map(spec.map, reversed(prefix[0].tolist())):  # f_w exactly, prepending each map
+        a, b, ox, oy = map(Fraction, (m.a, m.b, m.tx, m.ty))
+        p, h, tx, ty = (a * h, b * p, a * ty + ox, b * tx + oy) if m.anti else (
+            a * p, b * h, a * tx + ox, b * ty + oy)
+        odd_w ^= m.anti
+    on_x = (p > h) != odd_w  # the longer side, the other axis when f_w swaps them
     if odd_w:  # f_w(u, v) = (p v + tx, h u + ty)
         k = p * h
-        fx = (p * ty + tx) / (1.0 - k)
+        fx = (p * ty + tx) / (1 - k)
         fy = h * fx + ty
     else:
         k = p if on_x else h
-        fx, fy = tx / (1.0 - p), ty / (1.0 - h)
-    centre = fx if on_x else fy
-    half_s = float(rel_width) / 2.0
-    lo_s, hi_s = centre - half_s, centre + half_s
-    slack = 8.0 * EPS * (prefix.shape[1] + 1) / (1.0 - k)  # the centre's rounding
+        fx, fy = tx / (1 - p), ty / (1 - h)
+    centre, half = fx if on_x else fy, Fraction(rel_width) / 2
+    lo_s, hi_s = float(centre - half), float(centre + half)
+    slack = 8.0 * EPS * (prefix.shape[1] + 1) / (1.0 - float(k))  # the slab's rounding
 
     log_w = np.array([g.log_cylinder_batch(tau_arrays(prefix, spec) - 1)[0] for g in chains])
     rows = np.stack([g.log_rows for g in chains])  # (chain, half, letter)
     first = np.stack([g.log_stationary.reshape(2, -1) for g in chains])  # for v's first letter
-    if lo_s <= 0.0 and 1.0 <= hi_s:  # covered by the empty word: its v mass is every lift
+    if centre - half <= 0 and 1 <= centre + half:  # covered by the empty word: every lift
         log_u = np.logaddexp.reduce(first[:, 0], axis=1)
         return True, log_w, np.stack([log_w, log_u], axis=1), np.full((len(chains), 2), -np.inf)
     _, _, *sides, anti = _letters(spec)

@@ -1,4 +1,6 @@
 import dataclasses
+import hashlib
+import math
 import re
 import tracemalloc
 import warnings
@@ -182,6 +184,21 @@ class TestSampler:
 
         assert traced_peak(signature_arrays) <= 1.15 * traced_peak(signature_rows_reference)
 
+    def test_golden_digest_with_two_maps_of_each_kind(self):
+        """SHA-256 of the words and points, and the accuracy, of a d = 4 draw.
+
+        Two diagonal and two anti-diagonal maps, at 50 000 x 25: the composer
+        gathers the last 7 columns from its suffix table and steps the other 18
+        row by row.  Pinned on the composer that still selected each row's
+        coordinates per column, before rows were held in their suffix's frame.
+        """
+        spec = make_spec([diag(0.3, 0.2, 0.0, 0.0), diag(0.2, 0.35, 0.6, 0.0),
+                          anti(0.25, 0.2, 0.0, 0.6), anti(0.3, 0.15, 0.6, 0.6)])
+        samples = sample_symbolic(spec, 1.0, 50_000, 25, seed=4)
+        digest = hashlib.sha256(samples.words.tobytes() + samples.points.tobytes()).hexdigest()
+        assert digest == "17ed504751d824937e9ac72b67253b257e13e674201fa3529f64adf2a4e5db1f"
+        assert repr(samples.accuracy) == "9.035959018318933e-14"
+
     def test_accuracy_bounds_distance_to_extensions(self):
         # word (1,) extends to map 1's fixed point (0, 0), at sup distance
         # 0.225 from the word's point (0.05, 0.225)
@@ -343,6 +360,20 @@ class TestStripOracle:
         assert res.covered
         assert res.log_mu_lower == expected and res.log_mu_upper == expected
 
+    def test_cover_is_decided_on_the_exact_slab(self):
+        # map 1 fixes y = 0.5 up to rounding: the rounded slab of width 1 spans [0, 1],
+        # the exact one misses an end, so (1,) is decided and (2,), (3,) straddle
+        e = math.exp(-1)
+        spec = make_spec([diag(e, 0.493438367776135, 0.0, 0.25328081611193254),
+                          anti(e, e, 0.6321205588285577, 0.0),
+                          anti(e, 0.1353352832366127, 0.0, 0.0)])
+        assert strip_family_oracle(spec, (1,), 1.0, 1) == ([(1,)], [(2,), (3,)])
+        nu = kaenmaki_measure(spec, 1.0)
+        res = strip_measure_oracle(spec, 1.0, (1,), 1.0, extension_cap=1)
+        assert not res.covered and res.undecided
+        assert res.log_mu_lower == pytest.approx(nu.log_cylinder((1, 1)), rel=1e-12)
+        assert res.log_mu_upper == pytest.approx(nu.log_cylinder((1,)), rel=1e-12)
+
     def test_full_cover_projects_every_lift(self, central_fixture):
         # the cover by the empty word's cell counts every lift on the projected
         # side: nu's total mass 1 forward, the chain's unshifted half in reverse
@@ -386,6 +417,11 @@ class TestStripOracle:
     @example(maps=[diag(0.42, 0.35, 0.3770482226242554, 0.0),
                    anti(0.37, 0.18, 0.63, 0.8200000000000001)],
              symbols=[1], rel=0.6998337150887745, cap=3, s=1.0)
+    # prefix (1, 2, 1, 2) is (1, 2) twice, so its sides tie exactly (vertical axis), but
+    # log_p rounds above log_q: on the horizontal axis the walk decided a straddling cell
+    @example(maps=[diag(math.exp(-1), 0.16871758231681616, 0.0, 0.0),
+                   anti(2.990107714479963e-145, 1e-300, 0.0, 1.0)],
+             symbols=[1, 2, 1, 2], rel=0.25, cap=1, s=1.0)
     def test_walk_brackets_the_exact_family(self, maps, symbols, rel, cap, s):
         # the walk's brackets contain the sums over the exact-rational global-frame
         # families, for nu and, at axis-preserving prefixes, for the reverse leg of
