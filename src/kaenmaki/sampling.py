@@ -12,8 +12,8 @@ All randomness flows through a counter-based generator seeded once per
 sample set, with a fixed draw schedule (one branch draw, one initial-state
 draw, then one transition draw per step, each vectorized over points and
 inverting a cumulative row by one take per threshold), so identical inputs
-give bit-identical outputs.  A take from a 2d-entry letter table decodes each
-lifted column.  Words are column-major; CSV rows are built by column.
+give bit-identical outputs.  Each step's 0-based letter j is the word's
+symbol j + 1.  Words are column-major; CSV rows are built by column.
 
 Local dimensions are estimated on sup-metric squares: the empirical measure
 of the square of half-side r around a center is the fraction of sample
@@ -74,13 +74,14 @@ class SampleSet:
 
 
 def _lifted_columns(nu, count: int, depth: int, rng):
-    """Yield the 0-based lifted states of ``count`` sampled words, column by column.
+    """Yield (c, j) per column of ``count`` sampled words: lifted state c * d + j.
 
     Follows the draw schedule: one branch draw, one initial-state draw, then
     one transition draw per further column.  Rows of one class c of a chain
     are equal and move into half c, so the next state is c * d + j: c is the
     anti-diagonal parity so far, and j = #{k < d - 1 : u > row[k]} is the inverse
     CDF of the (nondecreasing) cumulative (chain, c) row at u, capped at d - 1.
+    Neither yielded array is written to afterwards.
     """
     d = nu.spec.d
     dtype = np.min_scalar_type(2 * d)  # the words' dtype: it holds every lifted state
@@ -97,8 +98,8 @@ def _lifted_columns(nu, count: int, depth: int, rng):
         j = np.zeros(count, dtype=dtype)
         for thresholds in cum[:d - 1]:
             j += u > thresholds.take(key)
-        yield cls * d + j
-        cls ^= j >= nu.spec.l - 1
+        yield cls, j
+        cls = cls ^ (j >= nu.spec.l - 1)
         key = 2 + 2 * chain + cls
 
 
@@ -110,9 +111,8 @@ def sample_symbolic(spec: IfsSpec, s: float, count: int, depth: int, seed: int) 
         raise ValueError(f"seed {seed} must lie in [0, 2^64)")
     rng = np.random.Generator(np.random.Philox(np.uint64(seed)))
     words = np.empty((count, depth), dtype=np.min_scalar_type(2 * spec.d), order="F")
-    letters = np.tile(np.arange(1, spec.d + 1, dtype=words.dtype), 2)  # the lift mod d
-    for t, state in enumerate(_lifted_columns(kaenmaki_measure(spec, s), count, depth, rng)):
-        words[:, t] = letters.take(state)
+    for t, (_, j) in enumerate(_lifted_columns(kaenmaki_measure(spec, s), count, depth, rng)):
+        np.add(j, 1, out=words[:, t])
     log_p, log_q, _, x, y = signature_arrays(words, spec)
     accuracy = float(np.exp(np.maximum(log_p, log_q).max()) * math.sqrt(2.0) / 2.0)
     return SampleSet(points=np.column_stack([x, y]), words=words, seed=int(seed),

@@ -81,6 +81,13 @@ def inverse_cdf(probs, u):
     return support[-1]
 
 
+def lifted_states(nu, count, depth, rng):
+    """The lifted states c * d + j rebuilt from sampling._lifted_columns' (c, j)
+    columns, stacked as one (count, depth) array."""
+    return np.column_stack([cls * nu.spec.d + j
+                            for cls, j in _lifted_columns(nu, count, depth, rng)])
+
+
 def lifted_columns_dense(nu, count, depth, rng):
     """The sampler's lifted states from a full (count, d) comparison table per
     column, with the draw schedule of sampling._lifted_columns: its reference."""
@@ -134,7 +141,7 @@ class TestSampler:
         nu, d, top = kaenmaki_measure(spec, 0.5), spec.d, 1.0 - 2.0 ** -53
         values = [0.0, top, 0.0, 0.37, top, 0.81, 0.0]
         count, depth = 42, 12
-        got = np.column_stack(list(_lifted_columns(nu, count, depth, StubGenerator(values))))
+        got = lifted_states(nu, count, depth, StubGenerator(values))
         draws = StubGenerator(values)
         branch = draws.random(count)
         cols = [draws.random(count) for _ in range(depth)]
@@ -165,7 +172,7 @@ class TestSampler:
         assert words.flags.f_contiguous and np.array_equal(words, want % d + 1)
         values = np.random.default_rng(d).random(997)
         values[::5], values[1::7] = 0.0, top
-        got = np.column_stack(list(_lifted_columns(nu, count, depth, StubGenerator(values))))
+        got = lifted_states(nu, count, depth, StubGenerator(values))
         want = np.column_stack(list(lifted_columns_dense(nu, count, depth,
                                                          StubGenerator(values))))
         assert np.array_equal(got, want)

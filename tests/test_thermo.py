@@ -17,6 +17,7 @@ from conftest import (
     dense_transition,
     diag,
     grid_spec,
+    level_extremes_reference,
     log_svf_phi,
     random_spec,
     rho_symbol,
@@ -451,6 +452,21 @@ class TestKaenmakiCylinder:
             assert ext == pytest.approx(target, abs=1e-12)
 
 
+def extremes_and_ratios(spec, s, n):
+    """level_log_ratio_extremes(spec, s, n), and the ratio log nu - log phi of
+    every cell that thermo._lifted_blocks paired for it, block after block."""
+    ratios, kernel = [], thermo._lifted_blocks
+
+    def recorded(*args):
+        for log_phi, log_nu in kernel(*args):
+            ratios.append(log_nu - log_phi)
+            yield log_phi, log_nu
+
+    with mock.patch.object(thermo, "_lifted_blocks", recorded):
+        extremes = level_log_ratio_extremes(spec, s, n)
+    return extremes, np.concatenate(ratios)
+
+
 class TestLevelBlocks:
     @settings(max_examples=80, derandomize=True, deadline=None)
     @given(st.data())
@@ -533,15 +549,50 @@ class TestLevelBlocks:
         assert peak < 8 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MB"
 
     def test_nan_ratio_makes_extremes_nan(self, ex1):
-        log_phi, log_nu = level_log_measures(ex1, 0.9, 4)
+        # one NaN chain sum in either half table; the prefix's at start parity 0,
+        # the suffix's at start parity 1, which only odd prefixes read
+        for first_given, index in ((True, (1, 0, 2)), (False, (0, 1, 3))):
+            def with_nan(spec, k, rest=None, first=None):
+                *columns, sums = level_table(spec, k, rest, first)
+                if (first is not None) == first_given:
+                    sums[index] = np.nan
+                return (*columns, sums)
 
-        def with_nan(spec, s, n):
-            yield log_phi, log_nu
-            yield log_phi[:1], np.array([np.nan])
-            yield log_phi, log_nu
+            with mock.patch.object(thermo, "level_table", with_nan):
+                assert np.isnan(level_log_ratio_extremes(ex1, 0.9, 4)).all()
 
-        with mock.patch.object(thermo, "level_log_blocks", with_nan):
-            assert np.isnan(level_log_ratio_extremes(ex1, 0.9, 4)).all()
+    @pytest.mark.parametrize("ratios", ["tiny", "full-box", "repeated"])
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_distinct_cells_keep_the_extremes_bitwise(self, ratios, data):
+        spec, s = draw_tiny_ratio_system(data, FULL_BOX_RATIO if ratios == "full-box"
+                                         else TINY_RATIO)
+        if ratios == "repeated":
+            # every map takes the first map's ratios, so a half cell is fixed by
+            # its letters' kinds: at most 2^n of the d^n cells stay distinct
+            a, b = spec.a[0], spec.b[0]
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", DegenerateSystemWarning)
+                spec = make_spec([(anti if m.anti else diag)(a, b, 0.0, 0.0) for m in spec.maps])
+        n = data.draw(st.integers(1, max(k for k in range(1, 13) if spec.d ** k <= 1 << 12)),
+                      label="n")
+        block = data.draw(st.sampled_from([1, 7, 100, thermo.LEVEL_BLOCK]), label="block")
+        want = level_extremes_reference(spec, s, n)
+        with mock.patch.object(thermo, "LEVEL_BLOCK", block):
+            got, paired = extremes_and_ratios(spec, s, n)
+        assert np.array_equal(got, want, equal_nan=True), (got, want)
+        # the distinct cells give every ratio of the level, and nothing else
+        level = np.concatenate([nu - phi for phi, nu in level_log_blocks(spec, s, n)])
+        assert np.array_equal(np.unique(paired), np.unique(level), equal_nan=True)
+        assert len(paired) <= spec.d ** n
+        if ratios == "repeated":
+            assert len(paired) <= 2 ** n
+
+    def test_kernel_pairs_a_fraction_of_the_cells(self, ex1):
+        # 2^22 words; the halves have 2^11 rows each, of which a few hundred are distinct
+        (lo, hi), paired = extremes_and_ratios(ex1, 0.9, 22)
+        assert np.isfinite([lo, hi]).all() and lo <= hi
+        assert len(paired) <= 2 ** 22 // 8, len(paired)
 
 
 class TestSvf:
