@@ -244,10 +244,14 @@ LEVEL_BLOCK = 1 << 14
 def _logaddexp(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """np.logaddexp(a, b) in a's buffer, as max + log1p(exp(min - max)) from numpy's
     vectorized exp and log1p (np.logaddexp's loop is scalar), to within an ulp.
-    The difference is skipped where max is -inf, so two -infs give -inf quietly."""
+    The difference is skipped where max is -inf, so two -infs give -inf quietly;
+    a max with no -inf (or NaN) takes the unmasked subtraction, the same floats."""
     hi = np.maximum(a, b)
     np.minimum(a, b, out=a)
-    np.subtract(a, hi, out=a, where=hi != -np.inf)
+    if hi.min(initial=np.inf) > -np.inf:
+        a -= hi
+    else:
+        np.subtract(a, hi, out=a, where=hi != -np.inf)
     np.log1p(np.exp(a, out=a), out=a)
     a += hi
     return a
@@ -284,20 +288,17 @@ def _lifted_blocks(s: float, prefixes, suffixes, combine):
         yield log_phi.ravel(), combine(sum1, sum2).ravel()
 
 
-def _level_halves(spec: IfsSpec, s: float, n: int):
-    """The prefix and suffix level_table of the words of length n, a prefix of
-    length n - n // 2 and a suffix of length n // 2: each chain's log mass is
-    its stationary law at the first lifted symbol plus its rows at the others."""
+def level_log_blocks(spec: IfsSpec, s: float, n: int):
+    """Yield (log_phi, log_nu) over all d^n words in lexicographic blocks, each
+    word a prefix of length n - n // 2 and a suffix of length n // 2: each
+    chain's log mass is its stationary law at the first lifted symbol plus its
+    rows at the others."""
     _guard_enumeration(spec, n)
     nu = kaenmaki_measure(spec, s)
     rows = np.stack([nu.m1.log_rows.ravel(), nu.m2.log_rows.ravel()])
     starts = np.stack([nu.m1.log_stationary, nu.m2.log_stationary])
-    return level_table(spec, n - n // 2, rows, starts), level_table(spec, n // 2, rows)
-
-
-def level_log_blocks(spec: IfsSpec, s: float, n: int):
-    """Yield (log_phi, log_nu) over all d^n words in lexicographic blocks."""
-    return _lifted_blocks(s, *_level_halves(spec, s, n), _logaddexp)
+    halves = level_table(spec, n - n // 2, rows, starts), level_table(spec, n // 2, rows)
+    return _lifted_blocks(s, *halves, _logaddexp)
 
 
 def phi_identity_check(spec: IfsSpec, s: float, max_len: int) -> tuple[float, bool]:
@@ -324,28 +325,14 @@ def level_log_measures(spec: IfsSpec, s: float, n: int):
     return log_phi, log_nu
 
 
-def _distinct_cells(table, *keys):
-    """table (a level_table result) at the first word of each distinct bit
-    pattern of the per-word keys."""
-    _, first = np.unique(np.column_stack(keys).view(np.uint64), axis=0, return_index=True)
-    return tuple(a[..., first] for a in table)
-
-
 def level_log_ratio_extremes(spec: IfsSpec, s: float, n: int) -> tuple[float, float]:
     """(min, max) of log nu - log phi over all d^n words, one block at a time.
 
-    _lifted_blocks computes a word's two floats from its prefix's (log_p,
-    log_q, parity) and start-parity-0 head sums and its suffix's (log_p,
-    log_q) and four tail sums alone.  Words whose halves repeat those values
-    bit for bit repeat their ratio, so pairing only the distinct half cells
-    gives the same extremes, bit for bit, from a fraction of the pairs.  No
-    array longer than a block is held.  A NaN ratio makes both NaN.
+    Every word is visited, but no array longer than a block is held.  A NaN
+    ratio makes both NaN.
     """
-    prefixes, suffixes = _level_halves(spec, s, n)
-    prefixes = _distinct_cells(prefixes, *prefixes[:3], *prefixes[5][:, 0])
-    suffixes = _distinct_cells(suffixes, *suffixes[:2], *suffixes[5].reshape(4, -1))
     lo, hi = np.inf, -np.inf
-    for log_phi, log_nu in _lifted_blocks(s, prefixes, suffixes, _logaddexp):
+    for log_phi, log_nu in level_log_blocks(spec, s, n):
         x = np.subtract(log_nu, log_phi, out=log_nu)  # log_nu is _logaddexp's fresh buffer
         lo, hi = np.minimum(lo, x.min()), np.maximum(hi, x.max())
     return float(lo), float(hi)

@@ -22,7 +22,6 @@ from kaenmaki.thermo import (
     _perron,
     _side_logs,
     _weight_vector,
-    level_log_blocks,
 )
 
 EX1_JSON = """
@@ -188,17 +187,6 @@ def level_signature_logs(spec, n):
         raise TooLarge(f"{spec.d}^{n} words exceed the enumeration cap {ENUMERATION_CAP}")
     log_p, log_q, *_ = signature_rows_reference(all_words(spec.d, n), spec)
     return np.maximum(log_p, log_q), np.minimum(log_p, log_q)
-
-
-def level_extremes_reference(spec, s, n):
-    """(min, max) of log nu - log phi from one pass of thermo._lifted_blocks over
-    every word of the level, no half cell dropped: the reference for
-    thermo.level_log_ratio_extremes.  A NaN ratio makes both NaN."""
-    lo, hi = np.inf, -np.inf
-    for log_phi, log_nu in level_log_blocks(spec, s, n):
-        x = log_nu - log_phi
-        lo, hi = np.minimum(lo, x.min()), np.maximum(hi, x.max())
-    return float(lo), float(hi)
 
 
 def subadditive_pressure_bruteforce(spec, s, n):

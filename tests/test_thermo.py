@@ -17,7 +17,6 @@ from conftest import (
     dense_transition,
     diag,
     grid_spec,
-    level_extremes_reference,
     log_svf_phi,
     random_spec,
     rho_symbol,
@@ -452,19 +451,18 @@ class TestKaenmakiCylinder:
             assert ext == pytest.approx(target, abs=1e-12)
 
 
-def extremes_and_ratios(spec, s, n):
-    """level_log_ratio_extremes(spec, s, n), and the ratio log nu - log phi of
-    every cell that thermo._lifted_blocks paired for it, block after block."""
-    ratios, kernel = [], thermo._lifted_blocks
-
-    def recorded(*args):
-        for log_phi, log_nu in kernel(*args):
-            ratios.append(log_nu - log_phi)
-            yield log_phi, log_nu
-
-    with mock.patch.object(thermo, "_lifted_blocks", recorded):
-        extremes = level_log_ratio_extremes(spec, s, n)
-    return extremes, np.concatenate(ratios)
+# (a, b) pairs for _logaddexp: finite, -inf and NaN operands in either order
+LOGADDEXP_PAIRS = st.lists(st.tuples(
+    st.one_of(
+        # a larger operand and a gap below it: equal, subnormal or up to 1e3
+        st.tuples(st.floats(-1e5, 0.0), st.one_of(
+            st.just(0.0), st.floats(0.0, 1e3),
+            st.floats(0.0, np.finfo(float).smallest_normal, allow_subnormal=True)))
+        .map(lambda hg: (hg[0], hg[0] - hg[1])),
+        st.tuples(st.sampled_from([-np.inf, np.nan]), st.floats(-1e5, 0.0)),
+        st.tuples(st.sampled_from([-np.inf, np.nan]), st.sampled_from([-np.inf, np.nan]))),
+    st.booleans()).map(lambda pair_swap: pair_swap[0][::-1] if pair_swap[1] else pair_swap[0]),
+    min_size=1, max_size=70)
 
 
 class TestLevelBlocks:
@@ -501,17 +499,7 @@ class TestLevelBlocks:
         assert extremes == (x.min(), x.max())
 
     @settings(max_examples=300, derandomize=True, deadline=None)
-    @given(st.lists(st.tuples(
-        st.one_of(
-            # a larger operand and a gap below it: equal, subnormal or up to 1e3
-            st.tuples(st.floats(-1e5, 0.0), st.one_of(
-                st.just(0.0), st.floats(0.0, 1e3),
-                st.floats(0.0, np.finfo(float).smallest_normal, allow_subnormal=True)))
-            .map(lambda hg: (hg[0], hg[0] - hg[1])),
-            st.tuples(st.sampled_from([-np.inf, np.nan]), st.floats(-1e5, 0.0)),
-            st.tuples(st.sampled_from([-np.inf, np.nan]), st.sampled_from([-np.inf, np.nan]))),
-        st.booleans()).map(lambda pair_swap: pair_swap[0][::-1] if pair_swap[1] else pair_swap[0]),
-        min_size=1, max_size=70))
+    @given(LOGADDEXP_PAIRS)
     @example([(0.0, 0.0), (-np.inf, -np.inf), (-1.0, -np.inf), (-np.inf, np.nan),
               (0.0, -5e-324), (-745.0, 0.0)])
     def test_logaddexp_matches_numpy(self, pairs):
@@ -523,6 +511,22 @@ class TestLevelBlocks:
         assert (np.isnan(got) == nan).all() and (got[zero] == -np.inf).all()
         got, want = got[~(nan | zero)], want[~(nan | zero)]
         assert (np.abs(got - want) <= np.finfo(float).eps * np.maximum(1.0, np.abs(want))).all()
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(LOGADDEXP_PAIRS)
+    @example([(-1.0, -np.inf), (0.0, -5e-324)])
+    @example([(0.0, 0.0), (-np.inf, -np.inf), (-1.0, -np.inf), (-np.inf, np.nan)])
+    def test_logaddexp_unmasked_path_keeps_the_floats(self, pairs):
+        # the masked formula throughout, against _logaddexp on the pairs and on
+        # their finite pairs alone (no -inf max: the unmasked subtraction)
+        a, b = np.array(pairs).T
+        hi = np.maximum(a, b)
+        want = np.minimum(a, b)
+        np.subtract(want, hi, out=want, where=hi != -np.inf)
+        want = np.log1p(np.exp(want)) + hi
+        for part in (slice(None), np.isfinite(a) & np.isfinite(b)):
+            got = thermo._logaddexp(a[part].copy(), b[part])
+            assert np.array_equal(got, want[part], equal_nan=True)
 
     def test_extremes_in_constant_memory(self, ex1):
         # 2^20 words: one float array of the whole level is 8 MB
@@ -560,39 +564,6 @@ class TestLevelBlocks:
 
             with mock.patch.object(thermo, "level_table", with_nan):
                 assert np.isnan(level_log_ratio_extremes(ex1, 0.9, 4)).all()
-
-    @pytest.mark.parametrize("ratios", ["tiny", "full-box", "repeated"])
-    @settings(max_examples=100, derandomize=True, deadline=None)
-    @given(data=st.data())
-    def test_distinct_cells_keep_the_extremes_bitwise(self, ratios, data):
-        spec, s = draw_tiny_ratio_system(data, FULL_BOX_RATIO if ratios == "full-box"
-                                         else TINY_RATIO)
-        if ratios == "repeated":
-            # every map takes the first map's ratios, so a half cell is fixed by
-            # its letters' kinds: at most 2^n of the d^n cells stay distinct
-            a, b = spec.a[0], spec.b[0]
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DegenerateSystemWarning)
-                spec = make_spec([(anti if m.anti else diag)(a, b, 0.0, 0.0) for m in spec.maps])
-        n = data.draw(st.integers(1, max(k for k in range(1, 13) if spec.d ** k <= 1 << 12)),
-                      label="n")
-        block = data.draw(st.sampled_from([1, 7, 100, thermo.LEVEL_BLOCK]), label="block")
-        want = level_extremes_reference(spec, s, n)
-        with mock.patch.object(thermo, "LEVEL_BLOCK", block):
-            got, paired = extremes_and_ratios(spec, s, n)
-        assert np.array_equal(got, want, equal_nan=True), (got, want)
-        # the distinct cells give every ratio of the level, and nothing else
-        level = np.concatenate([nu - phi for phi, nu in level_log_blocks(spec, s, n)])
-        assert np.array_equal(np.unique(paired), np.unique(level), equal_nan=True)
-        assert len(paired) <= spec.d ** n
-        if ratios == "repeated":
-            assert len(paired) <= 2 ** n
-
-    def test_kernel_pairs_a_fraction_of_the_cells(self, ex1):
-        # 2^22 words; the halves have 2^11 rows each, of which a few hundred are distinct
-        (lo, hi), paired = extremes_and_ratios(ex1, 0.9, 22)
-        assert np.isfinite([lo, hi]).all() and lo <= hi
-        assert len(paired) <= 2 ** 22 // 8, len(paired)
 
 
 class TestSvf:
