@@ -13,7 +13,8 @@ sample set, with a fixed draw schedule (one branch draw, one initial-state
 draw, then one transition draw per step, each vectorized over points and
 inverting a cumulative row by one take per threshold), so identical inputs
 give bit-identical outputs.  Each step's 0-based letter j is the word's
-symbol j + 1.  Words are column-major; CSV rows are built by column.
+symbol j + 1.  Words are column-major.  A CSV coordinate is exactly its repr,
+from an integer shortest-digit kernel on [1e-4, 1) and from repr elsewhere.
 
 Local dimensions are estimated on sup-metric squares: the empirical measure
 of the square of half-side r around a center is the fraction of sample
@@ -119,23 +120,76 @@ def sample_symbolic(spec: IfsSpec, s: float, count: int, depth: int, seed: int) 
                      depth=int(depth), accuracy=accuracy)
 
 
+# by k = -e - 52 of x = m 2^e (_repr_matrix): places q, shift s = 2 - q - e, 5^q and the
+# half-width 2 5^q / 2^s as quotient and remainder; the ASCII of 0000..9999, then "0.00";
+# and, in row 20 q + j, the columns to keep: "0." and the places 10^(q-1)..10^j of 10^21..1
+_BY_K = np.array([(q, 54 + k - q, 5 ** q, *divmod(2 * 5 ** q, 1 << 54 + k - q)) for k, q in
+                  enumerate(len(str(1 << k)) + 17 for k in range(15))], np.uint64).T
+_PAIRS = np.frombuffer(("%02d" * 100 % tuple(range(100))).encode(), np.uint8).reshape(100, 2)
+_DIGITS4 = np.vstack([np.hstack([_PAIRS.repeat(100, 0), np.tile(_PAIRS, (100, 1))]),
+                      np.frombuffer(b"0.00", np.uint8)]).view(np.uint32).ravel()
+_KEEP = np.frombuffer(b"".join(b"\xff\xff" + bytes(22 - q) + b"\xff" * (q - j) + bytes(min(j, q))
+                               for q in range(23) for j in range(20)), np.uint8).reshape(460, 24)
+
+
+def _repr_matrix(values: np.ndarray) -> np.ndarray:
+    """repr of each float64 as a NUL-padded row of 24 bytes, the longest repr.
+
+    Exact integer kernel for x = m 2^e in [1e-4, 1), m in (2^52, 2^53): at q =
+    ceil(-(e + 52) log10 2) + 17 places, x 10^q = 4 m 5^q / 2^s (s = 2 - q - e)
+    is an exact quotient and remainder of a 32-bit-limb product below 2^107, and
+    the rounding interval, ends in it for even m, is x 10^q -+ 2 5^q / 2^s.  The
+    largest 10^j with a multiple in it fixes the digits, and the multiple nearest
+    x 10^q is repr's; ties between two nearest, and other values, take repr."""
+    u64, low32 = np.uint64, np.uint64(2 ** 32 - 1)
+    bits = values.view(u64)
+    m = (bits & u64((1 << 52) - 1)) | u64(1 << 52)
+    k = np.minimum(u64(1023) - (bits >> u64(52)), u64(14))  # clipped outside [1e-4, 1)
+    q, s, five, half, half_r = _BY_K.take(k, axis=1)
+    a1, a0, b1, b0 = m >> u64(30), (m << u64(2)) & low32, five >> u64(32), five & low32
+    low = a0 * b0
+    mid = a1 * b0 + a0 * b1 + (low >> u64(32))
+    high, low = a1 * b1 + (mid >> u64(32)), (mid << u64(32)) | (low & low32)
+    x, x_r = (high << (u64(64) - s)) | (low >> s), low & ((u64(1) << s) - u64(1))
+    odd, up_r = (m & u64(1)).astype(bool), x_r + half_r
+    lo = x - half + (x_r > half_r) + ((x_r == half_r) & odd)  # the interval's integers
+    hi = x + half + (up_r >> s) - ((up_r == u64(1) << s) & odd)
+    j, t = np.ones(len(values), u64), 2  # every interval is over 22 wide: j >= 1
+    while (has := hi // u64(10 ** t) * u64(10 ** t) >= lo).any():
+        j, t = j + has, t + 1
+    r = x % (p := u64(10) ** j)
+    c = x - r + p * ((r > p >> u64(1)) | ((r == p >> u64(1)) & (x_r != 0)))
+    c = np.where(c > hi, c - p, np.where(c < lo, c + p, c))
+    groups = np.full((len(values), 6), 10 ** 4, np.intp)
+    for i in range(5, 0, -1):  # c in base 10^4, after "0.00"
+        groups[:, i], c = c - c // u64(10 ** 4) * u64(10 ** 4), c // u64(10 ** 4)
+    out = _DIGITS4.take(groups).view(np.uint8) & _KEEP.take(q * u64(20) + j, axis=0)
+    slow = ~((values >= 1e-4) & (values < 1.0) & (bits << u64(12) != 0))  # m = 2^52: lopsided
+    slow |= (r == p >> u64(1)) & (x_r == 0)
+    out[slow] = np.array([*map(repr, values[slow].tolist())], "S24").view(np.uint8).reshape(-1, 24)
+    return out
+
+
 def csv_lines(samples: SampleSet):
-    """Yield the x,y,word header, then blocks of CSV_BLOCK_ROWS rows built column
-    by column: the repr of each coordinate, and the word's digit string, sliced
-    from one ASCII buffer, or joined by '-' from a symbol table when a symbol
-    has two digits (d >= 10): 4-10-3."""
+    """Yield the x,y,word header, then blocks of CSV_BLOCK_ROWS rows: one uint8
+    matrix of NUL-padded fields per block, made text by dropping the NULs.  A
+    coordinate is exactly its repr: _repr_matrix's kernel on [1e-4, 1), repr for
+    0, 1, below 1e-4, NaN, power-of-two significands and ties.  Symbols are
+    right-aligned in the largest's digits, '-' between them if it has two: 4-10-3."""
     words = samples.words
-    symbols = np.array([str(k) for k in range(words.max(initial=0) + 1)], dtype=object)
+    top = int(words.max(initial=0))
+    width, sep = len(str(top)), int(top >= 10)
     yield "x,y,word\n"
     for lo in range(0, len(words), CSV_BLOCK_ROWS):
-        block, n = words[lo:lo + CSV_BLOCK_ROWS], words.shape[1]
-        if len(symbols) > 10:
-            col = map("-".join, symbols[block].tolist())
-        else:
-            text = (block + ord("0")).astype(np.uint8).tobytes().decode("ascii")
-            col = (text[i:i + n] for i in range(0, len(text), n))
-        x, y = samples.points[lo:lo + CSV_BLOCK_ROWS].T.tolist()
-        yield "\n".join(map(",".join, zip(map(repr, x), map(repr, y), col))) + "\n"
+        block, points = words[lo:lo + CSV_BLOCK_ROWS], samples.points[lo:lo + CSV_BLOCK_ROWS]
+        cells = np.full(block.shape + (width + sep,), ord("-"), np.uint8)
+        for k in range(width):  # the digit of 10^k, NUL left of a symbol's leading one
+            digit = block // 10 ** k % 10 + ord("0")
+            cells[..., width - 1 - k] = np.where(block >= 10 ** k, digit, 0) if k else digit
+        comma, newline = (np.full((len(block), 1), ord(c), np.uint8) for c in ",\n")
+        row = np.hstack([_repr_matrix(points[:, 0]), comma, _repr_matrix(points[:, 1]), comma,
+                         cells.reshape(len(block), -1)[:, :cells[0].size - sep], newline])
+        yield row.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def write_csv(samples: SampleSet, path) -> None:
@@ -239,6 +293,7 @@ class StripOracleResult:
     undecided: bool
 
 
+@np.errstate(invalid="ignore")  # a NaN operand gives NaN, quietly
 def _frame_walk(spec: IfsSpec, prefix, rel_width: float, cap: int, chains):
     """Stopping-time sums of a strip query over suffix cells, in the prefix's frame.
 
@@ -325,6 +380,7 @@ def _frame_walk(spec: IfsSpec, prefix, rel_width: float, cap: int, chains):
     return False, log_w, decided, np.logaddexp.reduce(sums, axis=2)
 
 
+@np.errstate(invalid="ignore")  # a NaN operand gives NaN, quietly
 def strip_measure_oracle(spec: IfsSpec, s: float, prefix, rel_width: float,
                          extension_cap: int) -> StripOracleResult:
     """Bracket both sides of the strip upper bound over one stopped family.
@@ -357,6 +413,7 @@ class StripReverseResult:
     log_rhs_upper: float
 
 
+@np.errstate(invalid="ignore")  # a NaN operand gives NaN, quietly
 def strip_reverse_oracle(spec: IfsSpec, s: float, prefix, rel_width: float,
                          extension_cap: int, t: int = 1) -> StripReverseResult:
     """Lower-bound counterpart for one lifted Gibbs chain, at axis-preserving prefixes.

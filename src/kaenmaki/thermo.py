@@ -204,6 +204,7 @@ class KaenmakiMeasure:
     def log_cylinder(self, w) -> float:
         return float(self.log_cylinder_batch(np.array([as_word(w, self.spec.d)]))[0])
 
+    @np.errstate(invalid="ignore")  # a NaN operand gives NaN, quietly
     def log_cylinder_batch(self, words: np.ndarray) -> np.ndarray:
         """Vectorized log nu over an (N, n) array of words (values 1..d)."""
         coded = tau_arrays(words, self.spec) - 1
@@ -214,6 +215,7 @@ class KaenmakiMeasure:
         """m1-mass of coded words starting in the unshifted half."""
         return float(self.m1.stationary[:self.spec.d].sum())
 
+    @np.errstate(invalid="ignore")  # a NaN operand gives NaN, quietly
     def log_envelope(self) -> tuple[float, float]:
         """Logs of two-sided bounds for nu([w]) / (phi^s(w) exp(-n P)) over all words."""
         (lo1, up1), (lo2, up2) = self.m1.log_gibbs_bounds(), self.m2.log_gibbs_bounds()

@@ -1,5 +1,7 @@
 import dataclasses
 import hashlib
+import itertools
+import json
 import math
 import re
 import tracemalloc
@@ -18,6 +20,7 @@ from conftest import (
     csv_text_loop,
     dense_transition,
     diag,
+    full_box_draw,
     full_box_system,
     grid_spec,
     signature_rows_reference,
@@ -43,7 +46,8 @@ from kaenmaki import (
 from kaenmaki import sampling
 from kaenmaki.errors import DegenerateSystemWarning, TooFewHits
 from kaenmaki.coding import product_signature, signature_arrays, tau_arrays
-from kaenmaki.sampling import _lifted_columns, csv_lines, default_centers
+from kaenmaki.ifs import parse_ifs
+from kaenmaki.sampling import _lifted_columns, _repr_matrix, csv_lines, default_centers
 
 
 def synthetic_samples(points):
@@ -543,6 +547,31 @@ SPECIAL_COORDS = [0.0, 1.0, 1e-5, 1e-4, 1e-300, 5e-324, 2.5e-310, 1e16, 1.5e-7,
                   0.1, 1 / 3, 0.9999999999999999]
 
 
+def bits_to_float(bits):
+    return float(np.int64(bits).view(np.float64))
+
+
+# floats for the shortest-digit kernel: raw bit patterns over [2^-34, 1]; the ends
+# of its range [1e-4, 1) and their neighbours; power-of-two significands, whose
+# rounding interval is asymmetric; short decimals; and SPECIAL_COORDS
+KERNEL_FLOATS = st.one_of(
+    st.integers(int(np.float64(2.0 ** -34).view(np.int64)),
+                int(np.float64(1.0).view(np.int64))).map(bits_to_float),
+    st.sampled_from([float(v) for e in (1e-4, 1.0) for v in
+                     (np.nextafter(e, 0.0), e, np.nextafter(e, 2.0))]),
+    st.sampled_from([0.5, 0.25, 2.0 ** -13]),
+    st.text("0123456789", min_size=1, max_size=16).map(lambda digits: float("0." + digits)),
+    st.sampled_from(SPECIAL_COORDS))
+
+
+def tiny_ratio_box_system():
+    """System 72 of the full-box draw (d = 5): at s = 1, 13% of its sampled
+    coordinates lie below 1e-4, where CSV coordinates take repr."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegenerateSystemWarning)
+        return parse_ifs(json.dumps(next(itertools.islice(full_box_draw(73), 72, None))))
+
+
 class TestCsvOracle:
     @settings(max_examples=80, deadline=None)
     @given(data=st.data())
@@ -559,11 +588,30 @@ class TestCsvOracle:
         with mock.patch.object(sampling, "CSV_BLOCK_ROWS", block):
             assert "".join(csv_lines(samples)) == csv_text_loop(points, words)
 
-    @pytest.mark.parametrize("d", [3, 12])
-    def test_sample_set_matches_row_loop(self, d):
-        samples = sample_symbolic(grid_spec(d, n_anti=2), 1.0, 5000, 15, seed=d)
+    @pytest.mark.parametrize("system, seed", [
+        pytest.param(lambda: grid_spec(3, n_anti=2), 3, id="3"),
+        pytest.param(lambda: grid_spec(12, n_anti=2), 12, id="12"),
+        pytest.param(lambda: grid_spec(200, 67, seed=200), 200, id="200"),  # three digits
+        pytest.param(tiny_ratio_box_system, 72, id="tiny-ratio")])
+    def test_sample_set_matches_row_loop(self, system, seed):
+        samples = sample_symbolic(system(), 1.0, 5000, 15, seed=seed)
         with mock.patch.object(sampling, "CSV_BLOCK_ROWS", 1234):
             assert "".join(csv_lines(samples)) == csv_text_loop(samples.points, samples.words)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(KERNEL_FLOATS, min_size=1, max_size=64))
+    def test_kernel_text_is_repr(self, values):
+        rows = _repr_matrix(np.array(values, dtype=np.float64))
+        assert [row[row != 0].tobytes().decode("ascii") for row in rows] == list(map(repr, values))
+
+    def test_few_coordinates_reach_repr(self, ex1):
+        # sample's own s; at the parent every one of the 4e4 coordinates took repr
+        samples = sample_symbolic(ex1, affinity_dimension(ex1), 20_000, 25, seed=1)
+        counted = mock.Mock(side_effect=repr)
+        with mock.patch.object(sampling, "repr", counted, create=True):
+            text = "".join(csv_lines(samples))
+        assert 0 < counted.call_count <= 0.05 * 40_000
+        assert text == csv_text_loop(samples.points, samples.words)
 
 
 class TestTrajectoryDiagnostics:

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 import warnings
 from decimal import Decimal, localcontext
@@ -411,6 +412,17 @@ class TestKaenmakiCylinder:
             ratio = np.exp(log_nu - log_phi + n * p)
             assert (ratio >= lo * (1 - 1e-9)).all()
             assert (ratio <= up * (1 + 1e-9)).all()
+
+    def test_nan_chain_data_give_nan_without_a_warning(self, ex1):
+        # the suite turns RuntimeWarning into an error: np.logaddexp warns on NaN
+        nu = kaenmaki_measure(ex1, 0.9)
+        rows = dataclasses.replace(nu, m1=dataclasses.replace(
+            nu.m1, log_rows=np.full_like(nu.m1.log_rows, np.nan)))
+        assert np.isnan(rows.log_cylinder_batch(np.array([[1, 2, 1], [2, 2, 2]]))).all()
+        # the envelope reads the eigenvectors, not log_rows
+        right = dataclasses.replace(nu, m1=dataclasses.replace(
+            nu.m1, log_right=np.full_like(nu.m1.log_right, np.nan)))
+        assert np.isnan(right.log_envelope()).all()
 
     def test_envelope_finite_down_to_tiny_ratios(self):
         # the normalized right vector underflows on some of these draws; the
