@@ -75,14 +75,17 @@ def projected_dimension(spec: IfsSpec, s: float,
                         mode_request: ProjectedMode | None = None,
                         user_value: float | None = None,
                         mc_options: dict | None = None) -> ProjectedDim | None:
-    """Dimension of the x-projection of the measure.
+    """The projected dimension of the formula: h/chi1, that of the m1 part on x.
 
     With no mode requested: the separation certificate selects the h/chi1
     formula; failing that, the pairwise norm conditions select
     min(h/chi1, 1) (an almost-every-translation value, flagged as such);
     otherwise None is returned and the caller reports the value as unknown.
     Explicit requests raise NoCertificate / MissingValue when their inputs
-    are absent.
+    are absent.  MonteCarlo estimates the whole x-projection pi_x nu instead
+    (sampling.estimate_projected_dim), a mixture: under the certificate its
+    m1 part has dimension h/chi1, while its m2 part contracts on x at rate
+    chi2 and contributes at most h/chi2.
     """
     if not (0.0 < s < 2.0):
         raise SOutOfRange(f"s={s} must lie in (0,2)")

@@ -219,7 +219,8 @@ class KaenmakiMeasure:
     def log_envelope(self) -> tuple[float, float]:
         """Logs of two-sided bounds for nu([w]) / (phi^s(w) exp(-n P)) over all words."""
         (lo1, up1), (lo2, up2) = self.m1.log_gibbs_bounds(), self.m2.log_gibbs_bounds()
-        return min(lo1, lo2), float(np.logaddexp(up1, up2))
+        lo = lo2 if np.isnan(lo2) else min(lo1, lo2)  # min drops a NaN second argument
+        return lo, float(np.logaddexp(up1, up2))
 
 
 @lru_cache(maxsize=64)

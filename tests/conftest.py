@@ -12,6 +12,7 @@ from kaenmaki.errors import (
     DegenerateSystemWarning,
     InternalMismatch,
     SOutOfRange,
+    TooFewHits,
     TooLarge,
 )
 from kaenmaki.thermo import (
@@ -261,6 +262,44 @@ def csv_text_loop(points, words):
         x, y = point.tolist()
         rows.append(f"{x!r},{y!r},{sep.join(map(str, word.tolist()))}\n")
     return "".join(rows)
+
+
+def count_fractions_reference(values, center, radii):
+    """Fractions of the points within sup-distance r of center, from one pass
+    over all points per center: the reference for sampling._count_fractions'
+    sorted window."""
+    if values.ndim == 2:
+        dist = np.maximum(np.abs(values[:, 0] - center[0]),
+                          np.abs(values[:, 1] - center[1]))
+    else:
+        dist = np.abs(values - center)
+    counts = np.array([np.count_nonzero(dist <= r) for r in radii], dtype=float)
+    if (counts < 50).any():
+        raise TooFewHits(
+            f"fewer than 50 sample hits at center {center} for the radius grid; "
+            "enlarge the radii or the sample count")
+    return counts / values.shape[0]
+
+
+def fit_slopes_reference(values, centers, radii):
+    """(slope, stderr) of the local and projected estimators, with
+    count_fractions_reference for the counts."""
+    log_r = np.log(np.asarray(radii, dtype=float))
+    slopes = np.array([np.polyfit(log_r, np.log(count_fractions_reference(values, c, radii)),
+                                  1)[0] for c in centers])
+    if slopes.size == 1:
+        return float(slopes[0]), 0.0
+    return float(slopes.mean()), float(slopes.std(ddof=1) / np.sqrt(slopes.size))
+
+
+def box_count_reference(points, scales):
+    """sampling.box_count's slope with np.unique counting the occupied cells."""
+    scales = np.asarray(scales, dtype=float)
+    counts = []
+    for sc in scales:
+        ix, iy = (np.floor(col / sc).astype(np.int64) for col in points.T)
+        counts.append(np.unique(ix << 32 | (iy & 0xFFFFFFFF)).size)
+    return float(np.polyfit(np.log(1.0 / scales), np.log(counts), 1)[0])
 
 
 def grid_spec(d, n_anti, seed=0):

@@ -35,6 +35,8 @@ GOLDEN_DIGESTS = {
     "csv": "d0de68d88b14a3418b0b34eca3b756de69709ae8d7587d9be9f0aec826eb06e0",
     "pgm": "4df71b71e6983f71e6dc678c1481e321fa3c0b309f1511ae6ec4bd0846f550bc",
     "json": "5ac334f606f59355707dc6bae2f56ea1242025fe1fe8358ab722ffe4c5d7067f",
+    "projected": "b6da18b0e9c695d6e4b99c7becc6b3de574b9a421a7bd6cc1f29076044a32173",
+    "box": "fd8fcd891f25cf06c4cc447a8a999ebdd89aec955559213661cfe0ae5e5680dd",
 }
 
 
@@ -531,19 +533,21 @@ class TestSampleRenderEstimate:
         assert out.splitlines()[1].split(",")[2].count("-") == 5
 
     def test_golden_digests(self, capsys, ex1_path, tmp_path):
-        """SHA-256 of the sample CSV, render PGM and estimate JSON for fixed seeds.
+        """SHA-256 of the sample CSV, render PGM and the three estimate JSONs for fixed seeds.
 
         Pinned on the closed-form Perron data; a change of the chain data by
-        even one ulp can move a draw and shows up here.
+        even one ulp can move a draw and shows up here.  The projected and box
+        estimates were pinned on the pass over all points and np.unique.
         """
-        paths = {k: tmp_path / f"golden.{k}" for k in ("csv", "pgm", "json")}
+        paths = {k: tmp_path / f"golden.{k}" for k in GOLDEN_DIGESTS}
         assert run(capsys, "sample", "--spec", ex1_path, "--count", "2000", "--depth", "50",
                    "--seed", "7", "--out", str(paths["csv"]))[0] == 0
         assert run(capsys, "render", "--spec", ex1_path, "--count", "20000", "--depth", "25",
                    "--seed", "9", "--px", "256", "--out", str(paths["pgm"]))[0] == 0
-        assert run(capsys, "estimate", "--spec", ex1_path, "--count", "50000",
-                   "--depth", "20", "--seed", "11", "--radii", "0.01:0.2:5",
-                   "--out", str(paths["json"]))[0] == 0
+        for target, key in (("local", "json"), ("projected", "projected"), ("box", "box")):
+            assert run(capsys, "estimate", "--spec", ex1_path, "--count", "50000",
+                       "--depth", "20", "--seed", "11", "--radii", "0.01:0.2:5",
+                       "--target", target, "--out", str(paths[key]))[0] == 0
         digests = {k: hashlib.sha256(p.read_bytes()).hexdigest() for k, p in paths.items()}
         assert digests == GOLDEN_DIGESTS
 

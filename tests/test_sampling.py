@@ -16,10 +16,13 @@ from scipy import stats
 from conftest import (
     all_words,
     anti,
+    box_count_reference,
     chain_matrix,
+    count_fractions_reference,
     csv_text_loop,
     dense_transition,
     diag,
+    fit_slopes_reference,
     full_box_draw,
     full_box_system,
     grid_spec,
@@ -57,6 +60,54 @@ def synthetic_samples(points):
 
 
 RADII = 2.0 ** np.arange(-4, -10, -1)
+SMALLEST_SCALE = float(np.nextafter(2.0 ** -31, 1.0))
+
+
+def outcome(fn, *args):
+    """fn(*args), or the type name and text of what it raised."""
+    try:
+        return fn(*args)
+    except Exception as e:  # both sides must raise alike
+        return type(e).__name__, str(e)
+
+
+def with_fractions(fn, *args):
+    """outcome(fn, *args) and the fractions each sampling._count_fractions call returned."""
+    fractions = []
+    count = sampling._count_fractions
+
+    def record(*a):
+        fractions.append(count(*a))
+        return fractions[-1]
+
+    with mock.patch.object(sampling, "_count_fractions", record):
+        return outcome(fn, *args), fractions
+
+
+def draw_estimator_input(data):
+    """Centers (some outside the square, some NaN or infinite), a grid of 3-5
+    radii from 2^-1 down to nextafter(2^-31, 1), and points: random ones, each
+    finite center, and points on every edge c -+ r of a center's squares and
+    one ulp either side, all repeated 1-60 times."""
+    scale = st.one_of(st.integers(1, 30).map(lambda k: 2.0 ** -k),
+                      st.floats(SMALLEST_SCALE, 0.5), st.just(SMALLEST_SCALE))
+    coordinate = st.one_of(st.floats(-0.5, 1.5), st.floats(0.0, 1.0),
+                           st.sampled_from([np.nan, np.inf, -np.inf]))
+    radii = data.draw(st.lists(scale, min_size=3, max_size=5))
+    centers = np.array(data.draw(st.lists(st.tuples(coordinate, coordinate),
+                                          min_size=1, max_size=4)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    parts = [rng.random((data.draw(st.integers(0, 200)), 2))]
+    for cx, cy in centers[np.isfinite(centers).all(axis=1)]:
+        parts.append([[cx, cy]])
+        for r in radii:
+            xs, ys = (np.concatenate([e, np.nextafter(e, -np.inf), np.nextafter(e, np.inf)])
+                      for e in (np.array([c - r, c + r]) for c in (cx, cy)))
+            parts.append(np.column_stack([xs, np.full(xs.size, cy)]))
+            parts.append(np.column_stack([np.full(ys.size, cx), ys]))
+            parts.append(np.stack(np.meshgrid(xs, ys), axis=-1).reshape(-1, 2))
+    points = np.tile(np.concatenate(parts), (data.draw(st.integers(1, 60)), 1))
+    return synthetic_samples(points), centers, radii
 
 
 class StubGenerator:
@@ -318,6 +369,41 @@ class TestEstimators:
         with pytest.raises(ValueError, match=re.escape(f"scales, each finite and above "
                                                         f"{2.0 ** -31!r}; got [0.5, 0.25, {bad!r}]")):
             box_count(samples, [0.5, 0.25, bad])
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(st.data())
+    def test_sorted_counts_match_the_full_pass(self, data):
+        # counts, slopes, stderrs and TooFewHits texts bit for bit, on 2-D and
+        # 1-D values; the box count over the same points and scales
+        samples, centers, radii = draw_estimator_input(data)
+        for values, cs, estimate in (
+                (samples.points, centers, estimate_local_dimension),
+                (samples.points[:, 0], centers[:, 0],
+                 lambda smp, c, r: estimate_projected_dim(smp, Projection.X, c, r))):
+            got, fractions = with_fractions(estimate, samples, cs, radii)
+            want = [count_fractions_reference(values, c, radii) for c in cs[:len(fractions)]]
+            assert [f.tobytes() for f in fractions] == [f.tobytes() for f in want]
+            assert repr(got) == repr(outcome(fit_slopes_reference, values, cs, radii))
+        assert repr(outcome(box_count, samples, radii)) == \
+            repr(outcome(box_count_reference, samples.points, radii))
+
+    def test_too_few_hits_prints_a_1d_center_as_a_float(self):
+        samples = synthetic_samples(np.tile([0.3, 0.3], (49, 1)))
+        with pytest.raises(TooFewHits, match=r"hits at center 0\.3 for the radius grid"):
+            estimate_projected_dim(samples, Projection.X, np.array([0.3]), RADII)
+
+    def test_local_estimate_peak_stays_near_the_point_array(self, ex1):
+        # the sort and its windows hold a few columns at a time; a centers x
+        # points distance matrix would take ten point arrays at 20 centers
+        samples = sample_symbolic(ex1, 1.0, 200_000, 25, seed=7)
+        centers = default_centers(samples)
+        tracemalloc.start()
+        try:
+            estimate_local_dimension(samples, centers, RADII)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * samples.points.nbytes
 
     def test_box_count_keys_distinct_at_the_smallest_scale(self):
         # the cell index of 1.0 just below 2^31 still fits the key's 32 bits

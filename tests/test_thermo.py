@@ -420,9 +420,11 @@ class TestKaenmakiCylinder:
             nu.m1, log_rows=np.full_like(nu.m1.log_rows, np.nan)))
         assert np.isnan(rows.log_cylinder_batch(np.array([[1, 2, 1], [2, 2, 2]]))).all()
         # the envelope reads the eigenvectors, not log_rows
-        right = dataclasses.replace(nu, m1=dataclasses.replace(
-            nu.m1, log_right=np.full_like(nu.m1.log_right, np.nan)))
-        assert np.isnan(right.log_envelope()).all()
+        for chain in ("m1", "m2"):
+            m = getattr(nu, chain)
+            right = dataclasses.replace(nu, **{chain: dataclasses.replace(
+                m, log_right=np.full_like(m.log_right, np.nan))})
+            assert np.isnan(right.log_envelope()).all(), chain
 
     def test_envelope_finite_down_to_tiny_ratios(self):
         # the normalized right vector underflows on some of these draws; the
