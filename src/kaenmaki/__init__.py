@@ -2,16 +2,7 @@
 anti-diagonal parts: coding, thermodynamic quantities, dimension reports,
 and Monte Carlo verification."""
 
-from .coding import (
-    CodedWord,
-    ProductSignature,
-    Word,
-    check_mixing,
-    coded_word,
-    encode_tau,
-    product_signature,
-    transition_matrix,
-)
+from .coding import Word, check_mixing, transition_matrix
 from .dimension import (
     DimensionReport,
     ProjectedDim,

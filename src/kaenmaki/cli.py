@@ -19,7 +19,7 @@ import numpy as np
 
 from . import dimension, sampling, thermo
 from .coding import as_word, check_mixing, transition_matrix
-from .errors import KaenmakiError, TooLarge
+from .errors import KaenmakiError, SOutOfRange, TooLarge
 from .ifs import IfsSpec, check_strong_separation, check_transversality, parse_ifs
 from .thermo import PotentialIndex
 
@@ -35,7 +35,6 @@ def _resolve_s(spec: IfsSpec, s_arg: float | None) -> tuple[float, float | None]
     """(s, root); root is the unclamped pressure root when it was searched."""
     if s_arg is not None:
         if not (0.0 < s_arg < 2.0):
-            from .errors import SOutOfRange
             raise SOutOfRange(f"--s {s_arg} must lie in (0,2)")
         return s_arg, None
     if spec.s is not None:

@@ -4,23 +4,25 @@ Words over {1..d} index compositions of the planar maps.  Because every
 composed linear part is again diagonal or anti-diagonal, a word is fully
 described by three numbers: the magnitudes of the nonzero top-row and
 bottom-row coefficients of the product (tracked in log space) and the parity
-of the number of anti-diagonal factors.  Words are composed in one place, by
+of the number of anti-diagonal factors.  Here words are composed by
 prepending letters: level_table lists all words of one length (with sums
 along their lifts when asked), and signature_arrays gathers a batch's
 trailing columns from that table and composes only the leading ones row by
 row, each in its suffix's frame (coordinates swapped at odd parity), where a
-prepended letter is one affine step per coordinate with no select.  The
-doubled alphabet {1..2d} additionally records, per position, whether the
-composition so far preserves the coordinate axes: the lift tau shifts a
-symbol by d exactly when the preceding composition is anti-diagonal.
-A state of row class 0 is followed by every unshifted symbol, one of class 1
-by every shifted one, so the 0/1 row-class vector stands for the 2d x 2d 0/1
-transition matrix that governs admissibility of lifted words.
+prepended letter is one affine step per coordinate with no select.
+product_signature is one signature_arrays row.  The doubled alphabet
+{1..2d} additionally records, per position, whether the composition so far
+preserves the coordinate axes: the lift tau (tau_arrays; encode_tau for one
+word) shifts a symbol by d exactly when the preceding composition is
+anti-diagonal.  A state of row class 0 is followed by every unshifted
+symbol, one of class 1 by every shifted one, so the 0/1 row-class vector
+stands for the 2d x 2d 0/1 transition matrix of the subshift.  Every tau
+lift is admissible in it, and it is mixing for every system with both map
+kinds.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -68,56 +70,17 @@ def check_mixing(row_class: np.ndarray) -> bool:
     return all(0 < row_class[h * d:(h + 1) * d].sum() < d for h in (0, 1))
 
 
-# Unused in src/, like product_signature below: perfbench/spans.py traces encode_tau
-# and product_signature by name, so `run.py --trace 1` needs them.
-@dataclass(frozen=True)
-class CodedWord:
-    """A word over the doubled alphabet with its admissibility decided eagerly."""
-
-    symbols: tuple[int, ...]
-    admissible: bool
+# Unused in src/: perfbench/spans.py traces encode_tau and product_signature by
+# name, so `run.py --trace 1` needs them.
+def encode_tau(w, spec: IfsSpec) -> tuple[int, ...]:
+    """The tau lift of one word, as a tuple over 1..2d: one tau_arrays row."""
+    return tuple(int(x) for x in tau_arrays(np.array([as_word(w, spec.d)]), spec)[0])
 
 
-def coded_word(symbols, row_class: np.ndarray) -> CodedWord:
-    syms = tuple(int(x) for x in symbols)
-    d = len(row_class) // 2
-    if len(syms) == 0:
-        raise ValueError("coded word must be nonempty")
-    if any(x < 1 or x > 2 * d for x in syms):
-        raise ValueError(f"coded symbols must lie in 1..{2 * d}: {syms}")
-    ok = all(row_class[x - 1] == (y > d) for x, y in zip(syms, syms[1:]))
-    return CodedWord(symbols=syms, admissible=ok)
-
-
-def encode_tau(w, spec: IfsSpec) -> CodedWord:
-    """Lift a word into the doubled alphabet.
-
-    The m-th symbol is shifted by d exactly when an odd number of the first
-    m-1 letters are anti-diagonal (index >= l), i.e. when the composition so
-    far swaps the axes.  The result is always admissible and starts <= d.
-    """
-    w = as_word(w, spec.d)
-    return coded_word(tau_arrays(np.array([w]), spec)[0], transition_matrix(spec.d, spec.l))
-
-
-@dataclass(frozen=True)
-class ProductSignature:
-    """Closed form of a product of diagonal/anti-diagonal matrices.
-
-    log_p and log_q are the logs of the top-row and bottom-row entry
-    magnitudes.  Log space is essential: words of length 100+ underflow
-    doubles.  The singular values are max and min of (p, q).
-    """
-
-    log_p: float
-    log_q: float
-    antidiagonal_parity: bool
-
-
-def product_signature(w, spec: IfsSpec) -> ProductSignature:
+def product_signature(w, spec: IfsSpec) -> tuple[float, float, int]:
+    """(log_p, log_q, parity) of one word: one signature_arrays row."""
     log_p, log_q, parity, _, _ = signature_arrays(np.array([as_word(w, spec.d)]), spec)
-    return ProductSignature(log_p=float(log_p[0]), log_q=float(log_q[0]),
-                            antidiagonal_parity=bool(parity[0]))
+    return float(log_p[0]), float(log_q[0]), int(parity[0])
 
 
 # -- vectorized helpers -------------------------------------------------------

@@ -28,6 +28,7 @@ from enum import Enum
 
 import numpy as np
 
+from . import sampling
 from .errors import MissingValue, NoCertificate, SOutOfRange
 from .ifs import IfsSpec, SeparationReport, TransversalityReport, check_strong_separation, check_transversality
 from .thermo import ThermoSummary, entropy, lyapunov_exponents, thermo_summary
@@ -99,7 +100,6 @@ def projected_dimension(spec: IfsSpec, s: float,
         return ProjectedDim(value=float(user_value), mode=ProjectedMode.USER_SUPPLIED,
                             ssc_certified=certified)
     if mode_request is ProjectedMode.MONTE_CARLO:
-        from . import sampling
         opts = dict(count=200_000, depth=30, seed=0)
         opts.update(mc_options or {})
         samples = sampling.sample_symbolic(spec, s, **opts)

@@ -143,7 +143,10 @@ def parse_ifs(config_text: str) -> IfsSpec:
         maps.append(AffineMap2D(kind=kind, a=a, b=b, tx=tx, ty=ty))
     s = obj.get("s")
     if s is not None:
-        s = float(s)
+        try:
+            s = float(s)
+        except (TypeError, ValueError) as e:
+            raise MalformedConfig(f"s: {e!r}") from None
         if not (0.0 < s < 2.0):
             raise SOutOfRange(f"config s={s} must lie in (0,2)")
     return make_spec(maps, s=s)

@@ -28,7 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .coding import as_word, check_mixing, level_table, tau_arrays, transition_matrix
+from .coding import as_word, level_table, tau_arrays
 from .errors import (
     BadMapKinds,
     ConvergenceFailure,
@@ -166,8 +166,6 @@ def gibbs_markov(spec: IfsSpec, s: float, t: PotentialIndex = PotentialIndex.ONE
     """Build the Gibbs measure of one potential as explicit Markov chain data."""
     if not (0.0 < s < 2.0):
         raise SOutOfRange(f"s={s} must lie in (0,2)")
-    if not check_mixing(transition_matrix(spec.d, spec.l)):
-        raise InternalMismatch("transition matrix is not mixing")
     w = _weight_vector(spec, s, t)
     log_root, log_right, log_left = _perron(w, spec.d, spec.l)
     # P(i,j) = T(i,j) r(j) / (lambda r(i)), and T(i,.) r sums to lambda r(i): the

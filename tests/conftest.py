@@ -1,12 +1,13 @@
 import warnings
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from kaenmaki import AffineMap2D, MapKind, encode_tau, make_spec, product_signature
-from kaenmaki.coding import as_word
+from kaenmaki import AffineMap2D, MapKind, make_spec
+from kaenmaki.coding import as_word, encode_tau, product_signature
 from kaenmaki.errors import (
     ConvergenceFailure,
     DegenerateSystemWarning,
@@ -170,9 +171,9 @@ def log_svf_phi(spec, s, w):
     if not (0.0 < s < 2.0):
         raise SOutOfRange(f"s={s} must lie in (0,2)")
     w = as_word(w, spec.d)
-    sig = product_signature(w, spec)
-    via_svd = _log_phi_from_alphas(max(sig.log_p, sig.log_q), min(sig.log_p, sig.log_q), s)
-    coded = np.asarray(encode_tau(w, spec).symbols) - 1
+    log_p, log_q, _ = product_signature(w, spec)
+    via_svd = _log_phi_from_alphas(max(log_p, log_q), min(log_p, log_q), s)
+    coded = np.asarray(encode_tau(w, spec)) - 1
     via_birkhoff = max(float(_weight_vector(spec, s, t)[coded].sum()) for t in PotentialIndex)
     if abs(via_svd - via_birkhoff) > 1e-12 * max(1.0, abs(via_svd)):
         raise InternalMismatch(
@@ -313,6 +314,26 @@ def grid_spec(d, n_anti, seed=0):
         kind = anti if k >= d - n_anti else diag
         maps.append(kind(float(a), float(b), cx / g, cy / g))
     return make_spec(maps)
+
+
+class CodedWord(NamedTuple):
+    """A word over the doubled alphabet with its admissibility decided eagerly."""
+
+    symbols: tuple[int, ...]
+    admissible: bool
+
+
+def coded_word(symbols, row_class):
+    """The admissibility reference: a lifted word is admissible when each symbol
+    lies in the half that its predecessor's row class names."""
+    syms = tuple(int(x) for x in symbols)
+    d = len(row_class) // 2
+    if len(syms) == 0:
+        raise ValueError("coded word must be nonempty")
+    if any(x < 1 or x > 2 * d for x in syms):
+        raise ValueError(f"coded symbols must lie in 1..{2 * d}: {syms}")
+    ok = all(row_class[x - 1] == (y > d) for x, y in zip(syms, syms[1:]))
+    return CodedWord(symbols=syms, admissible=ok)
 
 
 def dense_transition(d, l):

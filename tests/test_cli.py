@@ -60,6 +60,14 @@ class TestValidate:
         assert code == 2
         assert "MalformedConfig" in err
 
+    @pytest.mark.parametrize("s_value", [{}, [1], "abc"])
+    def test_non_numeric_s_exits_2(self, capsys, tmp_path, s_value):
+        p = tmp_path / "bad_s.json"
+        p.write_text(json.dumps({**json.loads(EX1_JSON), "s": s_value}))
+        code, out, err = run(capsys, "validate", "--spec", str(p))
+        assert (code, out) == (2, "")
+        assert err.startswith("MalformedConfig: s: ")
+
     def test_missing_anti_exits_2(self, capsys, tmp_path):
         p = tmp_path / "noanti.json"
         p.write_text('{"maps": [{"kind": "diag", "a": 0.3, "b": 0.2, "tx": 0, "ty": 0}]}')
@@ -470,6 +478,18 @@ class TestFullBox:
                 assert len(set(notes)) == len(notes), (k, notes)
                 code, out = run_quiet("verify", "--spec", str(path), "--max-depth", "3")
                 assert code == 0, (k, out)
+        assert [str(w.message) for w in caught] == []
+
+    def test_draw_head_validates_mixing(self, tmp_path):
+        # every system has both map kinds, so its subshift is mixing
+        path = tmp_path / "box.json"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for k, config in enumerate(full_box_draw(100)):
+                path.write_text(json.dumps(config))
+                code, out = run_quiet("validate", "--spec", str(path))
+                assert code == 0, (k, out)
+                assert out.endswith("mixing: true\n"), (k, out)
         assert [str(w.message) for w in caught] == []
 
     @pytest.mark.filterwarnings("ignore::UserWarning")  # degenerate-system notices

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import (
     all_words,
     anti,
+    coded_word,
     compose_loop,
     dense_transition,
     diag,
@@ -14,15 +15,8 @@ from conftest import (
     rho_symbol,
     signature_rows_reference,
 )
-from kaenmaki import (
-    check_mixing,
-    coded_word,
-    encode_tau,
-    make_spec,
-    product_signature,
-    transition_matrix,
-)
-from kaenmaki.coding import signature_arrays, tau_arrays
+from kaenmaki import check_mixing, make_spec, transition_matrix
+from kaenmaki.coding import encode_tau, product_signature, signature_arrays, tau_arrays
 from kaenmaki.errors import BadShape, DegenerateSystemWarning
 
 
@@ -121,16 +115,15 @@ class TestCodedWord:
 class TestTauOmega:
     def test_tau_example(self):
         spec = dummy_spec(2, 2)
-        assert encode_tau((1, 2, 2, 1), spec).symbols == (1, 2, 4, 1)
+        assert encode_tau((1, 2, 2, 1), spec) == (1, 2, 4, 1)
 
     def test_diagonal_only_word_unshifted(self):
         spec = dummy_spec(3, 3)
-        c = encode_tau((1, 2, 1, 2, 1), spec)
-        assert c.symbols == (1, 2, 1, 2, 1)
+        assert encode_tau((1, 2, 1, 2, 1), spec) == (1, 2, 1, 2, 1)
 
     def test_single_letter_never_shifted(self):
         spec = dummy_spec(2, 2)
-        assert encode_tau((2,), spec).symbols == (2,)
+        assert encode_tau((2,), spec) == (2,)
 
     def test_tau_admissible_exhaustive(self):
         # every lift is admissible and starts in the unshifted half
@@ -167,26 +160,26 @@ class TestDecode:
 
 class TestProductSignature:
     def test_ex1_example(self, ex1):
-        sig = product_signature((1, 2), ex1)
-        assert sig.antidiagonal_parity
-        assert np.exp(sig.log_p) == pytest.approx(1 / 12, rel=1e-15)
-        assert np.exp(sig.log_q) == pytest.approx(1 / 25, rel=1e-15)
-        assert np.exp(max(sig.log_p, sig.log_q)) == pytest.approx(1 / 12, rel=1e-15)
-        assert np.exp(min(sig.log_p, sig.log_q)) == pytest.approx(1 / 25, rel=1e-15)
+        log_p, log_q, parity = product_signature((1, 2), ex1)
+        assert parity == 1
+        assert np.exp(log_p) == pytest.approx(1 / 12, rel=1e-15)
+        assert np.exp(log_q) == pytest.approx(1 / 25, rel=1e-15)
+        assert np.exp(max(log_p, log_q)) == pytest.approx(1 / 12, rel=1e-15)
+        assert np.exp(min(log_p, log_q)) == pytest.approx(1 / 25, rel=1e-15)
 
     def test_diagonal_powers(self, ex1):
-        sig = product_signature((1,) * 6, ex1)
-        assert not sig.antidiagonal_parity
-        assert sig.log_p == pytest.approx(6 * np.log(1 / 3), rel=1e-14)
-        assert sig.log_q == pytest.approx(6 * np.log(1 / 5), rel=1e-14)
+        log_p, log_q, parity = product_signature((1,) * 6, ex1)
+        assert parity == 0
+        assert log_p == pytest.approx(6 * np.log(1 / 3), rel=1e-14)
+        assert log_q == pytest.approx(6 * np.log(1 / 5), rel=1e-14)
 
     def test_sandwich_family(self):
         # i^2 j i^2 with ratios (1/2, 1/4) and (1/3, 1/3): both entries 1/192
         spec = make_spec([diag(0.5, 0.25, 0.0, 0.0), anti(1 / 3, 1 / 3, 0.55, 0.55)])
-        sig = product_signature((1, 1, 2, 1, 1), spec)
-        assert sig.antidiagonal_parity
-        assert np.exp(sig.log_p) == pytest.approx(1 / 192, rel=1e-13)
-        assert np.exp(sig.log_q) == pytest.approx(1 / 192, rel=1e-13)
+        log_p, log_q, parity = product_signature((1, 1, 2, 1, 1), spec)
+        assert parity == 1
+        assert np.exp(log_p) == pytest.approx(1 / 192, rel=1e-13)
+        assert np.exp(log_q) == pytest.approx(1 / 192, rel=1e-13)
 
     def test_parity_counts_anti_letters(self):
         rng = np.random.default_rng(17)
@@ -194,8 +187,8 @@ class TestProductSignature:
             spec = random_spec(rng)
             n = int(rng.integers(1, 12))
             w = tuple(int(x) for x in rng.integers(1, spec.d + 1, n))
-            sig = product_signature(w, spec)
-            assert sig.antidiagonal_parity == (sum(1 for i in w if i >= spec.l) % 2 == 1)
+            _, _, parity = product_signature(w, spec)
+            assert parity == sum(1 for i in w if i >= spec.l) % 2
 
     @settings(max_examples=60, derandomize=True)
     @given(st.data())
@@ -212,9 +205,9 @@ class TestProductSignature:
             mat = np.array([[0.0, m.a], [m.b, 0.0]]) if m.anti else np.diag([m.a, m.b])
             prod = prod @ mat
         sv = np.linalg.svd(prod, compute_uv=False)
-        sig = product_signature(w, spec)
-        assert np.exp(max(sig.log_p, sig.log_q)) == pytest.approx(sv[0], rel=1e-12)
-        assert np.exp(min(sig.log_p, sig.log_q)) == pytest.approx(sv[1], rel=1e-12)
+        log_p, log_q, _ = product_signature(w, spec)
+        assert np.exp(max(log_p, log_q)) == pytest.approx(sv[0], rel=1e-12)
+        assert np.exp(min(log_p, log_q)) == pytest.approx(sv[1], rel=1e-12)
 
     def test_vectorized_matches_scalar(self, ex1):
         rng = np.random.default_rng(19)
@@ -226,8 +219,7 @@ class TestProductSignature:
                 assert lq[k] == pytest.approx(want[1], rel=1e-14)
                 assert bool(par[k]) == want[2]
                 assert (x[k], y[k]) == want[3:]  # same expression, same order
-            sig = product_signature(tuple(words[-1]), spec)
-            assert (sig.log_p, sig.log_q) == (lp[-1], lq[-1])
+            assert product_signature(words[-1], spec) == (lp[-1], lq[-1], par[-1])
 
 
 def box_spec(rng, d):

@@ -12,13 +12,13 @@ from kaenmaki import (
     affinity_dimension,
     check_projection_ssc,
     dimension_report,
-    encode_tau,
     entropy,
     ly_dimension,
     lyapunov_exponents,
     make_spec,
     projected_dimension,
 )
+from kaenmaki.coding import encode_tau
 from kaenmaki.errors import MissingValue, NoCertificate
 
 
@@ -57,7 +57,7 @@ class TestLineSystem:
                 for i in reversed(w):
                     rect = map_image(ex1.map(int(i)), rect)
                 lo, hi = 0.0, 1.0
-                for c in reversed(encode_tau(tuple(int(i) for i in w), ex1).symbols):
+                for c in reversed(encode_tau(w, ex1)):
                     r, off = ratios[c - 1], offsets[c - 1]
                     lo, hi = r * lo + off, r * hi + off
                 assert rect[0] == pytest.approx(lo, abs=1e-14)

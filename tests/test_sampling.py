@@ -441,8 +441,8 @@ class TestStripOracle:
         chains = nu.m1, nu.m2
         low_chains = tuple(dataclasses.replace(g, log_stationary=g.log_stationary - 2000.0)
                            for g in chains)
-        sig = product_signature((1,), ex1)
-        alpha1, alpha2 = np.exp(max(sig.log_p, sig.log_q)), np.exp(min(sig.log_p, sig.log_q))
+        log_p, log_q, _ = product_signature((1,), ex1)
+        alpha1, alpha2 = np.exp(max(log_p, log_q)), np.exp(min(log_p, log_q))
         finite = []
         for rel in (1e-2, 1e-6 * alpha2 / alpha1):  # decided, then undecided mass
             _, _, *base = sampling._frame_walk(ex1, (1,), rel, 6, chains)
@@ -490,8 +490,8 @@ class TestStripOracle:
 
     def test_tiny_radius_surfaces_undecided(self, ex1):
         sstar = affinity_dimension(ex1)
-        sig = product_signature((1,), ex1)
-        alpha1, alpha2 = np.exp(max(sig.log_p, sig.log_q)), np.exp(min(sig.log_p, sig.log_q))
+        log_p, log_q, _ = product_signature((1,), ex1)
+        alpha1, alpha2 = np.exp(max(log_p, log_q)), np.exp(min(log_p, log_q))
         res = strip_measure_oracle(ex1, sstar, (1,), alpha2 / alpha1 * 1e-6, extension_cap=6)
         assert res.undecided
         assert res.log_mu_upper > res.log_mu_lower

@@ -14,6 +14,7 @@ from conftest import (
     anti,
     bisection_root,
     chain_matrix,
+    coded_word,
     dense_stochastic,
     dense_transition,
     diag,
@@ -28,8 +29,6 @@ from kaenmaki import (
     PotentialIndex,
     affinity_dimension,
     affinity_dimension_detail,
-    coded_word,
-    encode_tau,
     entropy,
     gibbs_markov,
     kaenmaki_measure,
@@ -47,7 +46,7 @@ from kaenmaki import (
 )
 from kaenmaki import thermo
 from kaenmaki.cli import _comparability_decays
-from kaenmaki.coding import level_table, signature_arrays, tau_arrays
+from kaenmaki.coding import encode_tau, level_table, signature_arrays, tau_arrays
 from kaenmaki.errors import BadMapKinds, DegenerateSystemWarning, SOutOfRange, TooLarge
 from kaenmaki.thermo import _weight_vector, level_log_blocks
 
@@ -319,7 +318,7 @@ class TestGibbsMarkov:
         for _ in range(25):
             n = int(rng.integers(1, 9))
             w = tuple(int(x) for x in rng.integers(1, 3, n))
-            c = encode_tau(w, ex1)
+            c = coded_word(encode_tau(w, ex1), row_class)
             flipped = coded_word([rho_symbol(x, 2) for x in c.symbols], row_class)
             assert cylinder_measure_mt(g2, flipped) == \
                 pytest.approx(cylinder_measure_mt(g1, c), rel=1e-12)
