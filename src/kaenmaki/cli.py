@@ -166,11 +166,10 @@ def cmd_verify(args) -> int:
                     f"log worst upper {log_wu:.4f} <= log C {log_c:.4f}; "
                     f"worst lower {np.exp(log_wl):.3e}"))
 
-    diag_idx = next((k + 1 for k, m in enumerate(spec.maps)
-                     if not m.anti and m.a != m.b), None)
-    anti_idx = next((k + 1 for k, m in enumerate(spec.maps) if m.anti), None)
+    # make_spec puts the diagonal maps first, so map l is the first anti-diagonal one
+    diag_idx = next((k for k, m in enumerate(spec.maps[:spec.l - 1], 1) if m.a != m.b), None)
     if diag_idx is not None:
-        logs = [thermo.log_quasi_bernoulli_ratio(spec, s, diag_idx, anti_idx, n)
+        logs = [thermo.log_quasi_bernoulli_ratio(spec, s, diag_idx, spec.l, n)
                 for n in range(1, 5)]
         results.append(("two-sided comparability decay", _comparability_decays(logs),
                         "ratios " + ", ".join(f"{np.exp(x):.3e}" for x in logs)))
@@ -185,11 +184,10 @@ def cmd_verify(args) -> int:
             ok_strip &= res.log_mu_upper <= res.log_bound + np.log1p(1e-9)
             details.append(f"{prefix}: log mass {res.log_mu_upper:.4f} "
                            f"<= log bound {res.log_bound:.4f}")
-            n_anti = sum(1 for i in prefix if i >= spec.l)
-            if n_anti % 2 == 0:
-                rev = sampling.strip_reverse_oracle(spec, s, prefix, 0.5, min(depth, 8))
-                ok_strip &= (rev.log_mu_lower >= rev.log_rhs_lower + np.log1p(-1e-9)
-                             and rev.log_mu_upper >= rev.log_rhs_upper + np.log1p(-1e-9))
+        # map 1 is diagonal and map d anti-diagonal: only (1,) has the reverse leg's even parity
+        rev = sampling.strip_reverse_oracle(spec, s, (1,), 0.5, min(depth, 8))
+        ok_strip &= (rev.log_mu_lower >= rev.log_rhs_lower + np.log1p(-1e-9)
+                     and rev.log_mu_upper >= rev.log_rhs_upper + np.log1p(-1e-9))
         results.append(("strip measure bounds", ok_strip, "; ".join(details)))
     else:
         results.append(("strip measure bounds", True, "skipped: no separation certificate"))
@@ -290,7 +288,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--depth", type=int, default=depth)
         p.add_argument("--seed", type=int, default=0)
 
-    def common(p, s_opt=True):
+    def command(name, func, help, s_opt=True):
+        p = sub.add_parser(name, help=help)
         p.add_argument("--spec", required=True,
                        help="path to a JSON system config, or - for stdin")
         if s_opt:
@@ -301,66 +300,48 @@ def build_parser() -> argparse.ArgumentParser:
                        default=os.environ.get("KAENMAKI_THREADS") or None,
                        help="reserved: accepted, but every command runs in one "
                             "thread; results never depend on it")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("validate", help="parse a config and print hypothesis checks")
-    common(p, s_opt=False)
-    p.set_defaults(func=cmd_validate)
+    command("validate", cmd_validate, "parse a config and print hypothesis checks", s_opt=False)
 
-    p = sub.add_parser("report", help="full dimension report")
-    common(p)
+    p = command("report", cmd_report, "full dimension report")
     p.add_argument("--output", choices=["text", "json"], default="text")
     p.add_argument("--out", default=None, help="write the report to a file")
-    p.set_defaults(func=cmd_report)
 
-    p = sub.add_parser("pressure", help="pressure at a parameter value")
-    common(p)
+    p = command("pressure", cmd_pressure, "pressure at a parameter value")
     p.add_argument("--t", type=int, choices=[1, 2], default=1)
-    p.set_defaults(func=cmd_pressure)
 
-    p = sub.add_parser("affinity", help="root of the pressure")
-    common(p, s_opt=False)
-    p.set_defaults(func=cmd_affinity)
+    command("affinity", cmd_affinity, "root of the pressure", s_opt=False)
 
-    p = sub.add_parser("measure", help="cylinder mass of a word")
-    common(p)
+    p = command("measure", cmd_measure, "cylinder mass of a word")
     p.add_argument("--word", required=True, help="comma-separated symbols, e.g. 1,2,2,1")
-    p.set_defaults(func=cmd_measure)
 
-    p = sub.add_parser("verify", help="run the identity and bound checks at an "
+    p = command("verify", cmd_verify, "run the identity and bound checks at an "
                                       "enumeration depth")
-    common(p)
     p.add_argument("--max-depth", type=int, default=8)
-    p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("sample", help="draw measure-distributed points as CSV")
-    common(p)
+    p = command("sample", cmd_sample, "draw measure-distributed points as CSV")
     draw_options(p, 10000)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_sample)
 
-    p = sub.add_parser("render", help="render sampled points to a PGM image")
-    common(p)
+    p = command("render", cmd_render, "render sampled points to a PGM image")
     draw_options(p, 200000)
     p.add_argument("--px", type=int, default=512)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_render)
 
-    p = sub.add_parser("estimate", help="Monte Carlo dimension estimators")
-    common(p)
+    p = command("estimate", cmd_estimate, "Monte Carlo dimension estimators")
     draw_options(p, 1000000, 25)
     p.add_argument("--radii", default="0.002:0.0625:6", help="rmin:rmax:k geometric grid")
     p.add_argument("--centers", type=int, default=20)
     p.add_argument("--target", choices=["local", "projected", "box"], default="local")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_estimate)
 
-    p = sub.add_parser("project-dim", help="projected dimension with mode selection")
-    common(p)
+    p = command("project-dim", cmd_project_dim, "projected dimension with mode selection")
     p.add_argument("--mode", choices=["auto", "ssc", "expected", "user", "mc"],
                    default="auto")
     p.add_argument("--value", type=float, default=None, help="value for --mode user")
     draw_options(p, 200000)
-    p.set_defaults(func=cmd_project_dim)
 
     return parser
 

@@ -15,21 +15,22 @@ and the dimension of the x-projection:
     dim = h / chi2 + ((chi2 - chi1) / chi2) * dim_projected
 
 Under a per-state separation certificate for the interval system the
-projected dimension is h / chi1; when only the pairwise norm conditions hold
-it is min(h / chi1, 1) for almost every translation, and that mode is
-flagged as a conjecture for any specific translation.
+projected dimension is h / chi1, below 1: it is at most the dimension of the
+interval attractor, and each family's disjoint intervals in [0, 1] have ratios
+summing to less than 1.  When only the pairwise norm conditions hold it is
+min(h / chi1, 1) for almost every translation, flagged as a conjecture for
+any specific translation.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from . import sampling
-from .errors import MissingValue, NoCertificate, SOutOfRange
+from .errors import InternalMismatch, MissingValue, NoCertificate, SOutOfRange
 from .ifs import IfsSpec, SeparationReport, TransversalityReport, check_strong_separation, check_transversality
 from .thermo import ThermoSummary, entropy, lyapunov_exponents, thermo_summary
 
@@ -79,9 +80,11 @@ def projected_dimension(spec: IfsSpec, s: float,
     """The projected dimension of the formula: h/chi1, that of the m1 part on x.
 
     With no mode requested: the separation certificate selects the h/chi1
-    formula; failing that, the pairwise norm conditions select
-    min(h/chi1, 1) (an almost-every-translation value, flagged as such);
-    otherwise None is returned and the caller reports the value as unknown.
+    formula, below 1 since each certified family's ratios sum to less than 1
+    (rounding past 1 is clamped; InternalMismatch above 1 + 1e-12); failing
+    that, the pairwise norm conditions select min(h/chi1, 1) (an almost-every-
+    translation value, flagged as such); otherwise None is returned and the
+    caller reports the value as unknown.
     Explicit requests raise NoCertificate / MissingValue when their inputs
     are absent.  MonteCarlo estimates the whole x-projection pi_x nu instead
     (sampling.estimate_projected_dim), a mixture: under the certificate its
@@ -114,12 +117,10 @@ def projected_dimension(spec: IfsSpec, s: float,
     if mode_request is ProjectedMode.SSC_FORMULA or (mode_request is None and certified):
         if not certified:
             raise NoCertificate("projection separation certificate failed")
-        value = ratio
-        if value > 1.0:
-            warnings.warn(f"h/chi1 = {value:.6f} clamped to 1 despite separation; "
-                          "check the inputs", stacklevel=2)
-            value = 1.0
-        return ProjectedDim(value=value, mode=ProjectedMode.SSC_FORMULA, ssc_certified=certified)
+        if ratio > 1.0 + 1e-12:
+            raise InternalMismatch(f"h/chi1={ratio} exceeds 1 under the separation certificate")
+        return ProjectedDim(value=min(ratio, 1.0), mode=ProjectedMode.SSC_FORMULA,
+                            ssc_certified=certified)
 
     trans = check_transversality(spec)
     if mode_request is ProjectedMode.EXPECTED_MIN or (mode_request is None and trans.holds):
@@ -180,10 +181,7 @@ def dimension_report(spec: IfsSpec, s: float,
         notes.append("degenerate system: every diagonal map has a == b")
     elif (gap := summary.chi2 - summary.chi1) < 1e-12:
         notes.append(f"Lyapunov gap {gap:.3e} below 1e-12 on a non-degenerate system")
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        projected = projected_dimension(spec, s)
-    notes.extend(str(w.message) for w in caught)
+    projected = projected_dimension(spec, s)
     if projected is None:
         notes.append("projected dimension unknown: no separation certificate and "
                      "the pairwise norm conditions fail; dimension omitted")

@@ -112,6 +112,13 @@ def make_spec(maps, s: float | None = None) -> IfsSpec:
     return IfsSpec(maps=ordered, d=len(ordered), l=len(diag) + 1, s=s)
 
 
+def _number(value, where: str) -> float:
+    """A JSON number, which parse_ifs reads as a float; else (a bool too) MalformedConfig."""
+    if type(value) is not float:
+        raise MalformedConfig(f"{where}: expected a number, got {value!r}")
+    return value
+
+
 def parse_ifs(config_text: str) -> IfsSpec:
     """Parse a JSON config into a validated IfsSpec.
 
@@ -124,7 +131,7 @@ def parse_ifs(config_text: str) -> IfsSpec:
     preserving relative order.
     """
     try:
-        obj = json.loads(config_text)
+        obj = json.loads(config_text, parse_int=float)  # an integer past the float range: inf
     except json.JSONDecodeError as e:
         raise MalformedConfig(f"invalid JSON: {e}") from None
     if not isinstance(obj, dict) or "maps" not in obj or not isinstance(obj["maps"], list):
@@ -136,19 +143,13 @@ def parse_ifs(config_text: str) -> IfsSpec:
             raise MalformedConfig(f"maps[{k}] is not an object")
         try:
             kind = kinds[entry["kind"]]
-            a, b = float(entry["a"]), float(entry["b"])
-            tx, ty = float(entry["tx"]), float(entry["ty"])
-        except (KeyError, TypeError, ValueError) as e:
+            fields = {f: _number(entry[f], f"maps[{k}].{f}") for f in ("a", "b", "tx", "ty")}
+        except (KeyError, TypeError) as e:
             raise MalformedConfig(f"maps[{k}]: {e!r}") from None
-        maps.append(AffineMap2D(kind=kind, a=a, b=b, tx=tx, ty=ty))
-    s = obj.get("s")
-    if s is not None:
-        try:
-            s = float(s)
-        except (TypeError, ValueError) as e:
-            raise MalformedConfig(f"s: {e!r}") from None
-        if not (0.0 < s < 2.0):
-            raise SOutOfRange(f"config s={s} must lie in (0,2)")
+        maps.append(AffineMap2D(kind=kind, **fields))
+    s = None if obj.get("s") is None else _number(obj["s"], "s")
+    if s is not None and not (0.0 < s < 2.0):
+        raise SOutOfRange(f"config s={s} must lie in (0,2)")
     return make_spec(maps, s=s)
 
 

@@ -353,9 +353,10 @@ def affinity_dimension_detail(spec: IfsSpec) -> AffinityResult:
 
     The weights are linear in s on (0, 1] and on [1, 2], so P is convex and
     decreasing on each piece, and Newton's method from the piece's left end (s = 0
-    if P(1) < 0, else s = 1) climbs monotonically to the root; the slope
-    dP/ds = stationary . dw/ds comes from the same closed form.  Steps stop once
-    P <= 0 or s stops increasing, or at 48 evaluations, as many as the 1e-13
+    if P(1) < 0, else s = 1) climbs monotonically to the root; P(0) = log d > 0, as
+    every weight is 0 there and M = [[l-1, d-l+1], [d-l+1, l-1]] has root d.  The
+    slope dP/ds = stationary . dw/ds comes from the same closed form.  Steps stop
+    once P <= 0 or s stops increasing, or at 48 evaluations, as many as the 1e-13
     bisection took: adversarial searches found no system needing more than 18 to
     come within 1e-12 of the root, so the cap only ends a creep of an ulp or two
     per step while rounding leaves P > 0.  P must decrease along the trace.
@@ -377,8 +378,6 @@ def affinity_dimension_detail(spec: IfsSpec) -> AffinityResult:
     root, (v, slope) = 1.0, p(1.0)
     if v < 0.0:
         root, (v, slope) = 0.0, p(0.0)
-        if v <= 0.0:
-            raise InternalMismatch("pressure not positive near s=0")
     while v > 0.0 and len(trace) < 48 and (step := root - v / slope) > root:
         root, (v, slope) = step, p(step)
     if abs(v) > 1e-12 * max(1.0, abs(slope)):
@@ -402,8 +401,7 @@ def lyapunov_exponents(spec: IfsSpec, s: float) -> tuple[float, float]:
     a gap below 1e-12 on a non-degenerate system, where it is positive.
     """
     pi = gibbs_markov(spec, s, PotentialIndex.ONE).stationary
-    chi1 = float(-(pi @ _weight_vector(spec, 1.0, PotentialIndex.ONE)))
-    chi2 = float(-(pi @ _weight_vector(spec, 1.0, PotentialIndex.TWO)))
+    chi1, chi2 = (float(-(pi @ side)) for side in _side_logs(spec, PotentialIndex.ONE))
     if chi1 > chi2 + 1e-12:
         raise InternalMismatch(f"chi1={chi1} exceeds chi2={chi2}")
     return chi1, chi2

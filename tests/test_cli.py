@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import dataclasses
 import hashlib
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import EX1_JSON, anti, diag, full_box_draw, full_box_system, grid_spec
-from kaenmaki import cli, errors, parse_ifs, sampling, thermo
+from kaenmaki import cli, dimension, errors, lyapunov_exponents, parse_ifs, sampling, thermo
 from kaenmaki.cli import main
 
 
@@ -68,6 +69,32 @@ class TestValidate:
         assert (code, out) == (2, "")
         assert err.startswith("MalformedConfig: s: ")
 
+    @pytest.mark.parametrize("field, value", [("s", True), ("s", "1.5"), ("a", "0.3"),
+                                              ("tx", False)])
+    def test_bool_or_string_number_exits_2(self, capsys, tmp_path, field, value):
+        # each once ran, as 1.0, 1.5, 0.3 and 0.0
+        cfg = json.loads(EX1_JSON)
+        (cfg if field == "s" else cfg["maps"][0])[field] = value
+        p = tmp_path / "bad_number.json"
+        p.write_text(json.dumps(cfg))
+        code, out, err = run(capsys, "report", "--spec", str(p))
+        assert (code, out) == (2, "")
+        where = "s" if field == "s" else f"maps[0].{field}"
+        assert err == f"MalformedConfig: {where}: expected a number, got {value!r}\n"
+
+    def test_integers_are_numbers(self, capsys, tmp_path):
+        # an integer is read as a float, one past the float range as inf (it
+        # once ended in an uncaught OverflowError)
+        cfg = json.loads(EX1_JSON)
+        p = tmp_path / "ints.json"
+        for s, maps0_a, want in ((1, 0.3, (0, "s: 1.0\n")),
+                                 (10 ** 400, 0.3, (2, "SOutOfRange: config s=inf")),
+                                 (None, 10 ** 400, (2, "NonContracting: ratios"))):
+            cfg["s"], cfg["maps"][0]["a"] = s, maps0_a
+            p.write_text(json.dumps(cfg))
+            code, out, err = run(capsys, "report", "--spec", str(p))
+            assert (code, (out + err)[:len(want[1])]) == want
+
     def test_missing_anti_exits_2(self, capsys, tmp_path):
         p = tmp_path / "noanti.json"
         p.write_text('{"maps": [{"kind": "diag", "a": 0.3, "b": 0.2, "tx": 0, "ty": 0}]}')
@@ -79,6 +106,29 @@ class TestValidate:
         monkeypatch.setattr("sys.stdin", io.StringIO(EX1_JSON))
         code, out, _ = run(capsys, "validate", "--spec", "-")
         assert code == 0 and "strong_separation: true" in out
+
+
+SUBCOMMAND_OPTIONS = {
+    "validate": "--spec --threads",
+    "report": "--spec --s --threads --output --out",
+    "pressure": "--spec --s --threads --t",
+    "affinity": "--spec --threads",
+    "measure": "--spec --s --threads --word",
+    "verify": "--spec --s --threads --max-depth",
+    "sample": "--spec --s --threads --count --depth --seed --out",
+    "render": "--spec --s --threads --count --depth --seed --px --out",
+    "estimate": "--spec --s --threads --count --depth --seed --radii --centers --target --out",
+    "project-dim": "--spec --s --threads --mode --value --count --depth --seed",
+}
+
+
+def test_subcommand_options_in_order():
+    # the order of the options is the order of the --help text
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    got = {name: " ".join(a.option_strings[0] for a in p._actions if a.dest != "help")
+           for name, p in sub.choices.items()}
+    assert list(got.items()) == list(SUBCOMMAND_OPTIONS.items())
 
 
 class TestReport:
@@ -645,6 +695,15 @@ class TestSampleRenderEstimate:
         code, out, _ = run(capsys, "project-dim", "--spec", ex1_path)
         assert code == 0
         assert "mode: SscFormula" in out
+
+    def test_project_dim_ssc_above_one_is_an_internal_mismatch(self, capsys, ex1_path,
+                                                                 monkeypatch):
+        # under the certificate h/chi1 < 1, so a ratio of 1 + 1e-9 is a fault
+        monkeypatch.setattr(dimension, "entropy",
+                            lambda spec, s: lyapunov_exponents(spec, s)[0] * (1.0 + 1e-9))
+        code, out, err = run(capsys, "project-dim", "--spec", ex1_path, "--mode", "ssc")
+        assert (code, out) == (2, "")
+        assert err.startswith("InternalMismatch: h/chi1=1.000000001"), err
 
     def test_project_dim_unknown_exits_1(self, capsys, tmp_path):
         # no projection certificate and the norm conditions fail: the second

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -19,7 +20,8 @@ from kaenmaki import (
     projected_dimension,
 )
 from kaenmaki.coding import encode_tau
-from kaenmaki.errors import MissingValue, NoCertificate
+from kaenmaki import dimension
+from kaenmaki.errors import InternalMismatch, MissingValue, NoCertificate
 
 
 def summary_with(h, chi1, chi2):
@@ -118,6 +120,24 @@ class TestProjectedDimension:
         spec = make_spec([diag(0.6, 0.3, 0.0, 0.0), diag(0.6, 0.3, 0.1, 0.5),
                           anti(0.3, 0.3, 0.7, 0.05)])
         assert projected_dimension(spec, 1.0) is None
+
+
+    def test_ssc_rounding_past_one_reads_as_one_without_a_warning(self, ex1, monkeypatch):
+        # under the certificate h/chi1 < 1, so a ratio rounded past 1 reads as 1,
+        # with no Python warning and no report note, and 1 + 1e-9 is a fault
+        s = affinity_dimension(ex1)
+        chi1, _ = lyapunov_exponents(ex1, s)
+        monkeypatch.setattr(dimension, "entropy", lambda spec, s: chi1 * (1.0 + 1e-15))
+        assert dimension.entropy(ex1, s) / chi1 > 1.0
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            proj = projected_dimension(ex1, s)
+            rep = dimension_report(ex1, s)
+        assert (proj.value, proj.mode) == (1.0, ProjectedMode.SSC_FORMULA)
+        assert rep.projected == proj and rep.warnings == () and caught == []
+        monkeypatch.setattr(dimension, "entropy", lambda spec, s: chi1 * (1.0 + 1e-9))
+        with pytest.raises(InternalMismatch, match="exceeds 1"):
+            projected_dimension(ex1, s)
 
 
 class TestLyDimension:

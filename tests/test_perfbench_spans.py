@@ -1,8 +1,10 @@
 """The benchmark's traced run binds every span target by name with a bare
 getattr, so a name removed from the library crashes ``run.py --trace 1``;
 its operations clear named caches, so a cache removed from the library
-crashes every run.  spans.py is read as a script and run.py as source text
-(no bytecode is written next to either)."""
+crashes every run; and its library workload reads names off the package,
+so a name removed from it fails every mc-estimate operation.  spans.py is
+read as a script, run.py and workloads.py as source text (no bytecode is
+written next to any of them)."""
 
 import ast
 import importlib
@@ -12,6 +14,7 @@ from pathlib import Path
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 SPANS = PERFBENCH / "spans.py"
 RUN = PERFBENCH / "run.py"
+WORKLOADS = PERFBENCH / "workloads.py"
 
 
 def test_every_span_target_is_a_library_callable():
@@ -33,3 +36,26 @@ def test_every_cleared_cache_is_a_library_cache():
                if not callable(getattr(getattr(importlib.import_module(f"kaenmaki.{module}"),
                                                name, None), "cache_clear", None))]
     assert not missing, f"cleared caches missing from kaenmaki: {missing}"
+
+
+def test_every_package_name_a_workload_reads_resolves():
+    # every `K.<name>...` attribute chain in workloads.py, K being the package
+    chains = set()
+    for node in ast.walk(ast.parse(WORKLOADS.read_text())):
+        names = []
+        while isinstance(node, ast.Attribute):
+            names.insert(0, node.attr)
+            node = node.value
+        if names and isinstance(node, ast.Name) and node.id == "K":
+            chains.add(".".join(names))
+    assert {"parse_ifs", "sample_symbolic", "sampling.default_centers",
+            "Projection.X"} <= chains, chains
+
+    def resolves(chain):
+        obj = importlib.import_module("kaenmaki")
+        for name in chain.split("."):
+            obj = getattr(obj, name, None)
+        return obj is not None
+
+    missing = sorted(chain for chain in chains if not resolves(chain))
+    assert not missing, f"names that perfbench reads missing from kaenmaki: {missing}"

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import tracemalloc
 import warnings
 from decimal import Decimal, localcontext
@@ -18,6 +19,7 @@ from conftest import (
     dense_stochastic,
     dense_transition,
     diag,
+    full_box_draw,
     grid_spec,
     log_svf_phi,
     random_spec,
@@ -37,6 +39,7 @@ from kaenmaki import (
     log_quasi_bernoulli_ratio,
     lyapunov_exponents,
     make_spec,
+    parse_ifs,
     pressure,
     quasi_bernoulli_ratio,
     sample_symbolic,
@@ -255,6 +258,14 @@ class TestPerronClosedForm:
             for s in (1e-3, 0.5, 1.0, 1.5, 1.999):
                 want = decimal_log_root(a1, b1, a2, b2, s)
                 assert abs(pressure(spec, s) - want) <= 1e-14 * max(1.0, abs(want))
+
+
+    def test_pressure_at_zero_is_log_d(self):
+        # every weight is 0 at s = 0, so M = [[l-1, d-l+1], [d-l+1, l-1]] with
+        # Perron root d: the root search may start at s = 0 with P(0) > 0
+        for d in range(2, 41):
+            for l in range(2, d + 1):
+                assert abs(thermo._perron(np.zeros(2 * d), d, l)[0] - np.log(d)) <= 1e-15, (d, l)
 
 
 class TestBruteForcePressure:
@@ -705,6 +716,14 @@ class TestLyapunovEntropy:
             assert chi1 <= chi2 + 1e-12
             h = entropy(spec, s)
             assert -1e-12 <= h <= np.log(spec.d) + 1e-9
+
+    def test_exponents_are_the_s1_potentials_integrated(self):
+        # at s = 1 each weight is its side log exactly (log a1 + 0 * log a2)
+        for cfg in full_box_draw(100):
+            spec = parse_ifs(json.dumps(cfg))
+            pi = gibbs_markov(spec, 0.9, ONE).stationary
+            assert lyapunov_exponents(spec, 0.9) == tuple(
+                float(-(pi @ _weight_vector(spec, 1.0, t))) for t in (ONE, TWO))
 
     def test_entropy_symmetric_in_t(self):
         rng = np.random.default_rng(78)
