@@ -513,34 +513,54 @@ def run_quiet(*argv):
     return code, out.getvalue()
 
 
+def digest_run(digest, *argv):
+    """run_quiet, with the exit code and stdout fed into ``digest``."""
+    code, out = run_quiet(*argv)
+    digest.update(f"{code}\n{out}".encode())
+    return code, out
+
+
+# SHA-256 of the exit codes and stdout of the commands run on the first 100
+# full-box systems: a change that moves one byte of their output shows up here
+FULL_BOX_DIGESTS = {
+    "report-verify": "a29e1dbe4d8a4cc0f108021fb4a8e33c4e2d1e3cf554c5dc085f536abee96022",
+    "validate": "837ac569e52f0df9fff6c60cf9706f2f5d6d29c685eee3280db90247326c0e60",
+}
+
+
 class TestFullBox:
     def test_draw_head_exits_0_without_warnings(self, tmp_path):
         # the first 100 systems of the full-box draw: report and a shallow verify
-        # exit 0, no Python warning escapes, and no report repeats a note
+        # exit 0, no Python warning escapes, and no report repeats a note; their
+        # exit codes and stdout hash to the digest pinned below
         path = tmp_path / "box.json"
+        digest = hashlib.sha256()
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             for k, config in enumerate(full_box_draw(100)):
                 path.write_text(json.dumps(config))
-                code, out = run_quiet("report", "--spec", str(path), "--output", "json")
+                code, out = digest_run(digest, "report", "--spec", str(path), "--output", "json")
                 assert code == 0, (k, out)
                 notes = json.loads(out)["warnings"]
                 assert len(set(notes)) == len(notes), (k, notes)
-                code, out = run_quiet("verify", "--spec", str(path), "--max-depth", "3")
+                code, out = digest_run(digest, "verify", "--spec", str(path), "--max-depth", "3")
                 assert code == 0, (k, out)
         assert [str(w.message) for w in caught] == []
+        assert digest.hexdigest() == FULL_BOX_DIGESTS["report-verify"]
 
     def test_draw_head_validates_mixing(self, tmp_path):
         # every system has both map kinds, so its subshift is mixing
         path = tmp_path / "box.json"
+        digest = hashlib.sha256()
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             for k, config in enumerate(full_box_draw(100)):
                 path.write_text(json.dumps(config))
-                code, out = run_quiet("validate", "--spec", str(path))
+                code, out = digest_run(digest, "validate", "--spec", str(path))
                 assert code == 0, (k, out)
                 assert out.endswith("mixing: true\n"), (k, out)
         assert [str(w.message) for w in caught] == []
+        assert digest.hexdigest() == FULL_BOX_DIGESTS["validate"]
 
     @pytest.mark.filterwarnings("ignore::UserWarning")  # degenerate-system notices
     @settings(max_examples=100, derandomize=True, deadline=None)
