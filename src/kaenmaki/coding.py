@@ -88,17 +88,6 @@ def product_signature(w, spec: IfsSpec) -> tuple[float, float, int]:
 # Words are passed as an (N, n) integer array with values in 1..d, of any
 # integer dtype that holds 2d (the sampler's words are uint8 for d <= 127).
 
-@lru_cache(maxsize=64)
-def _letters(spec: IfsSpec):
-    """Per letter, read-only: log a, log b, a, b, tx, ty and whether the map is anti-diagonal."""
-    a, b, tx, ty, anti = (np.array([getattr(m, f) for m in spec.maps])
-                          for f in ("a", "b", "tx", "ty", "anti"))
-    arrays = (np.log(a), np.log(b), a, b, tx, ty, anti)
-    for arr in arrays:
-        arr.setflags(write=False)
-    return arrays
-
-
 def level_table(spec: IfsSpec, k: int, rest=None, first=None):
     """(log_p, log_q, parity, x, y, sums) of all d^k words of length k, lexicographic.
 
@@ -112,7 +101,8 @@ def level_table(spec: IfsSpec, k: int, rest=None, first=None):
     T = first in the last step and rest before it,
     S_e(j w) = T[j + d e] + S_(e xor anti_j)(w), from S_e(empty word) = 0.
     """
-    la, lb, a, b, tx, ty, swap = (v[:, None] for v in _letters(spec))  # letter columns
+    a, b, tx, ty = (v[:, None] for v in (spec.a, spec.b, spec.tx, spec.ty))  # letter columns
+    la, lb, swap = np.log(a), np.log(b), np.arange(spec.d)[:, None] >= spec.l - 1
     log_p, log_q, x, y = np.zeros(1), np.zeros(1), np.full(1, 0.5), np.full(1, 0.5)
     parity = np.zeros(1, dtype=bool)
     sums = None if rest is None else np.zeros((len(rest), 2, 1))
@@ -165,8 +155,8 @@ def signature_arrays(words: np.ndarray, spec: IfsSpec):
     # popped one at a time, so each table array is freed as soon as its rows replace it
     lu, lv, odd, u, v = (table.pop(0)[key] for _ in range(5))
     # per index 2 letter + parity of the new suffix: u's factor and term, v's, lu's and lv's terms
-    la, lb, a, b, tx, ty, _ = _letters(spec)
-    steps = np.pad(np.stack([(a, b), (tx, ty), (b, a), (ty, tx), (la, lb), (lb, la)]),
+    a, b, tx, ty = spec.a, spec.b, spec.tx, spec.ty
+    steps = np.pad(np.stack([(a, b), (tx, ty), (b, a), (ty, tx), np.log((a, b)), np.log((b, a))]),
                    ((0, 0), (0, 0), (1, 0))).transpose(0, 2, 1).reshape(6, -1)
     ops = (np.multiply, np.add) * 2 + (np.add,) * 2
     for t in range(n_cols - k - 1, -1, -1):

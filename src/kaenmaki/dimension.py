@@ -50,9 +50,7 @@ def check_projection_ssc(spec: IfsSpec) -> bool:
     with intervals [ty, ty + b], so each family is sorted once.  Conservative
     sufficient certificate for the projected dimension formula.
     """
-    for offsets, ratios in (([m.tx for m in spec.maps], spec.a),
-                            ([m.ty for m in spec.maps], spec.b)):
-        lo = np.asarray(offsets)
+    for lo, ratios in ((spec.tx, spec.a), (spec.ty, spec.b)):
         order = np.argsort(lo)
         if ((lo + ratios)[order][:-1] >= lo[order][1:]).any():
             return False
@@ -177,7 +175,7 @@ def dimension_report(spec: IfsSpec, s: float,
     if not separation.strong_separation:
         notes.append("strong separation not certified at level 1; the dimension "
                      "formula is reported without its separation hypothesis")
-    if all(m.a == m.b for m in spec.maps if not m.anti):
+    if (spec.a == spec.b)[:spec.l - 1].all():
         notes.append("degenerate system: every diagonal map has a == b")
     elif (gap := summary.chi2 - summary.chi1) < 1e-12:
         notes.append(f"Lyapunov gap {gap:.3e} below 1e-12 on a non-degenerate system")

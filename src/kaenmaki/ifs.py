@@ -4,7 +4,9 @@ A system consists of d affine maps of the unit square into itself.  Each map
 has a linear part that is either diagonal, acting as (x, y) -> (a*x, b*y), or
 anti-diagonal, acting as (x, y) -> (a*y, b*x), followed by a translation.
 Maps are kept sorted so that all diagonal maps precede all anti-diagonal maps;
-``l`` is the 1-based index of the first anti-diagonal map.
+``l`` is the 1-based index of the first anti-diagonal map.  A system also
+holds its maps' fields ``a``, ``b``, ``tx`` and ``ty`` as read-only float64
+arrays in that order, built once at construction.
 
 All values are immutable after construction and every operation here is a
 pure function, so the types are safe to share between threads.
@@ -14,7 +16,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -70,21 +72,26 @@ class IfsSpec:
     """A validated system: maps 1..l-1 diagonal, maps l..d anti-diagonal.
 
     ``s`` is an optional dimension parameter carried over from the config
-    file; operations that need s take it explicitly.
+    file; operations that need s take it explicitly.  ``a``, ``b``, ``tx``
+    and ``ty`` are the maps' fields as read-only float64 arrays in map order
+    (diagonal maps first), built once here; they are derived from ``maps``,
+    so equality, hash and repr leave them out.
     """
 
     maps: tuple[AffineMap2D, ...]
     d: int
     l: int
     s: float | None = None
+    a: np.ndarray = field(init=False, compare=False, repr=False)
+    b: np.ndarray = field(init=False, compare=False, repr=False)
+    tx: np.ndarray = field(init=False, compare=False, repr=False)
+    ty: np.ndarray = field(init=False, compare=False, repr=False)
 
-    @property
-    def a(self) -> tuple[float, ...]:
-        return tuple(m.a for m in self.maps)
-
-    @property
-    def b(self) -> tuple[float, ...]:
-        return tuple(m.b for m in self.maps)
+    def __post_init__(self):
+        for name in ("a", "b", "tx", "ty"):
+            values = np.array([getattr(m, name) for m in self.maps], dtype=np.float64)
+            values.setflags(write=False)
+            object.__setattr__(self, name, values)
 
     def map(self, i: int) -> AffineMap2D:
         """1-based map lookup, matching word symbols."""
@@ -168,7 +175,7 @@ def check_strong_separation(spec: IfsSpec) -> SeparationReport:
     bound for the first-level separation constant.  failing_pair is the
     first pair (i, j), i < j, whose rectangles meet.
     """
-    x0, y0 = np.array([m.tx for m in spec.maps]), np.array([m.ty for m in spec.maps])
+    x0, y0 = spec.tx, spec.ty
     x1, y1 = x0 + spec.a, y0 + spec.b
     gaps = np.maximum(np.maximum(x0[:, None] - x1, x0 - x1[:, None]),
                       np.maximum(y0[:, None] - y1, y0 - y1[:, None])).clip(0.0)
@@ -198,14 +205,11 @@ def check_transversality(spec: IfsSpec) -> TransversalityReport:
     u_i = a_i * max(b_j), v_i = b_i * max(a_j).  The condition holds when
     u_i + u_j < 1 and v_i + v_j < 1 for every pair i != j.
     """
-    anti_maps = [m for m in spec.maps if m.anti]
-    max_b = max(m.b for m in anti_maps)
-    max_a = max(m.a for m in anti_maps)
-    u = [m.a * max_b if m.anti else m.a for m in spec.maps]
-    v = [m.b * max_a if m.anti else m.b for m in spec.maps]
+    anti = np.arange(spec.d) >= spec.l - 1
+    u = np.where(anti, spec.a * spec.b[anti].max(), spec.a)
+    v = np.where(anti, spec.b * spec.a[anti].max(), spec.b)
     # rounding is monotone, so the largest pair sum is that of the two largest
-    holds = all(sum(sorted(x)[-2:]) < 1.0 for x in (u, v))
-    norm_sufficient = all(
-        max(m.a, m.b) < (0.5 if not m.anti else 0.5 ** 0.5) for m in spec.maps)
-    return TransversalityReport(u=tuple(u), v=tuple(v), holds=holds,
+    holds = all(np.sort(x)[-2:].sum() < 1.0 for x in (u, v))
+    norm_sufficient = bool((np.maximum(spec.a, spec.b) < np.where(anti, 0.5 ** 0.5, 0.5)).all())
+    return TransversalityReport(u=tuple(u.tolist()), v=tuple(v.tolist()), holds=holds,
                                 norm_sufficient=norm_sufficient)

@@ -40,7 +40,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .coding import _letters, as_word, signature_arrays, tau_arrays
+from .coding import as_word, signature_arrays, tau_arrays
 from .errors import IoFailure, NoCertificate, TooFewHits, TooLarge
 from .ifs import IfsSpec, check_strong_separation
 from .thermo import ENUMERATION_CAP, _log_normalized, kaenmaki_measure
@@ -385,9 +385,9 @@ def _frame_walk(spec: IfsSpec, prefix, rel_width: float, cap: int, chains):
     if centre - half <= 0 and 1 <= centre + half:  # covered by the empty word: every lift
         log_u = np.logaddexp.reduce(first[:, 0], axis=1)
         return True, log_w, np.stack([log_w, log_u], axis=1), np.full((len(chains), 2), -np.inf)
-    _, _, *sides, anti = _letters(spec)
+    anti = np.arange(spec.d) >= spec.l - 1
     # (a, b) and (tx, ty), each by v's parity: the walk's axis, then the other one
-    ratios, offsets = np.reshape(sides, (2, 2, -1))[:, [1 - on_x, on_x]]
+    ratios, offsets = np.array([(spec.a, spec.b), (spec.tx, spec.ty)])[:, [1 - on_x, on_x]]
     lo, side, odd, decided = np.zeros(1), np.ones(1), np.zeros(1, dtype=np.intp), -np.inf
     sums = np.stack([log_w, np.zeros_like(log_w)], axis=1)[..., None]  # (chain, w v | v, cell)
     for depth, widen in enumerate(4.0 * EPS * np.arange(cap + 1) + slack):

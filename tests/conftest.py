@@ -142,11 +142,9 @@ def signature_rows_reference(words, spec):
     logs left to right and agrees only to rounding)."""
     words = np.asarray(words)
     n_rows, n_cols = words.shape
-    la, lb = np.log(spec.a), np.log(spec.b)
-    a, b = np.asarray(spec.a), np.asarray(spec.b)
-    tx = np.array([m.tx for m in spec.maps])
-    ty = np.array([m.ty for m in spec.maps])
-    anti = np.array([m.anti for m in spec.maps])
+    a, b, tx, ty, anti = (np.array([getattr(m, f) for m in spec.maps])
+                          for f in ("a", "b", "tx", "ty", "anti"))
+    la, lb = np.log(a), np.log(b)
     log_p, log_q = np.zeros(n_rows), np.zeros(n_rows)
     parity = np.zeros(n_rows, dtype=np.int64)
     x, y = np.full(n_rows, 0.5), np.full(n_rows, 0.5)

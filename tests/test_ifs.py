@@ -11,6 +11,7 @@ from conftest import (
     UNIT_SQUARE,
     anti,
     diag,
+    full_box_system,
     map_image,
     projection_ssc_oracle,
     random_spec,
@@ -24,6 +25,7 @@ from kaenmaki import (
     check_transversality,
     make_spec,
     parse_ifs,
+    thermo,
 )
 from kaenmaki.coding import product_signature
 from kaenmaki.errors import (
@@ -78,6 +80,7 @@ class TestParse:
         assert spec.d == 3 and spec.l == 3
         # relative order preserved inside each block
         assert spec.maps[0].a == 0.3 and spec.maps[1].a == 0.25 and spec.maps[2].a == 0.2
+        assert spec.a.tolist() == [0.3, 0.25, 0.2] and spec.tx.tolist() == [0.0, 0.4, 0.7]
 
     def test_degenerate_warns(self):
         with pytest.warns(DegenerateSystemWarning):
@@ -88,6 +91,46 @@ class TestParse:
             '{"maps": [{"kind": "diag", "a": 0.3, "b": 0.2, "tx": 0, "ty": 0},'
             '{"kind": "anti", "a": 0.3, "b": 0.2, "tx": 0.5, "ty": 0.5}], "s": 1.25}')
         assert spec.s == 1.25
+
+
+FIELDS = ("a", "b", "tx", "ty")
+
+
+def assert_fields_in_map_order(spec):
+    for name in FIELDS:
+        values = getattr(spec, name)
+        assert values.dtype == np.float64, name
+        assert values.tolist() == [getattr(m, name) for m in spec.maps], name
+
+
+class TestSpecArrays:
+    def test_ex1_fields_in_map_order(self, ex1):
+        assert_fields_in_map_order(ex1)
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(full_box_system())
+    def test_drawn_fields_in_map_order(self, maps):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegenerateSystemWarning)
+            assert_fields_in_map_order(make_spec(maps))
+
+    def test_read_only(self, ex1):
+        for name in FIELDS:
+            with pytest.raises(ValueError):
+                getattr(ex1, name)[0] = 0.5
+
+    def test_outside_repr_equality_and_hash(self):
+        # derived from maps: two parses of one config are one cache key
+        first, second = parse_ifs(EX1_JSON), parse_ifs(EX1_JSON)
+        assert first is not second and first.a is not second.a
+        assert first == second and hash(first) == hash(second)
+        assert repr(first) == f"IfsSpec(maps={first.maps!r}, d=2, l=2, s=None)"
+
+    def test_second_parse_hits_the_chain_cache(self):
+        thermo.gibbs_markov(parse_ifs(EX1_JSON), 0.9)
+        hits = thermo.gibbs_markov.cache_info().hits
+        thermo.gibbs_markov(parse_ifs(EX1_JSON), 0.9)
+        assert thermo.gibbs_markov.cache_info().hits == hits + 1
 
 
 @st.composite
@@ -246,6 +289,10 @@ class TestTransversality:
         u = [m.a * max_b if m.anti else m.a for m in spec.maps]
         v = [m.b * max_a if m.anti else m.b for m in spec.maps]
         assert rep.u == tuple(u) and rep.v == tuple(v)
+        assert type(rep.u) is tuple and type(rep.v) is tuple
+        assert all(type(x) is float for x in rep.u + rep.v)
+        assert rep.norm_sufficient == all(
+            max(m.a, m.b) < (0.5 if not m.anti else 0.5 ** 0.5) for m in spec.maps)
         assert rep.holds == all(u[i] + u[j] < 1.0 and v[i] + v[j] < 1.0
                                 for i in range(spec.d) for j in range(spec.d) if i != j)
 
