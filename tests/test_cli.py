@@ -525,6 +525,7 @@ def digest_run(digest, *argv):
 FULL_BOX_DIGESTS = {
     "report-verify": "a29e1dbe4d8a4cc0f108021fb4a8e33c4e2d1e3cf554c5dc085f536abee96022",
     "validate": "837ac569e52f0df9fff6c60cf9706f2f5d6d29c685eee3280db90247326c0e60",
+    "project-dim": "a73488c8363f061f7ed51c6abda3c89ba4e36ec73b21f2850c75d7ba118ec913",
 }
 
 
@@ -561,6 +562,17 @@ class TestFullBox:
                 assert out.endswith("mixing: true\n"), (k, out)
         assert [str(w.message) for w in caught] == []
         assert digest.hexdigest() == FULL_BOX_DIGESTS["validate"]
+
+    def test_draw_head_project_dim_digest(self, tmp_path):
+        # every formula mode and a user value on the first 100 systems; an ssc
+        # request without the certificate exits 2 with nothing on stdout
+        path = tmp_path / "box.json"
+        digest = hashlib.sha256()
+        for config in full_box_draw(100):
+            path.write_text(json.dumps(config))
+            for mode in (["auto"], ["ssc"], ["expected"], ["user", "--value", "0.3"]):
+                digest_run(digest, "project-dim", "--spec", str(path), "--mode", *mode)
+        assert digest.hexdigest() == FULL_BOX_DIGESTS["project-dim"]
 
     @pytest.mark.filterwarnings("ignore::UserWarning")  # degenerate-system notices
     @settings(max_examples=100, derandomize=True, deadline=None)
@@ -715,6 +727,12 @@ class TestSampleRenderEstimate:
         code, out, _ = run(capsys, "project-dim", "--spec", ex1_path)
         assert code == 0
         assert "mode: SscFormula" in out
+
+    def test_project_dim_monte_carlo_stdout(self, capsys, ex1_path):
+        code, out, err = run(capsys, "project-dim", "--spec", ex1_path, "--mode", "mc",
+                             "--count", "20000", "--depth", "20", "--seed", "3")
+        assert (code, out, err) == (0, "projected_dim: 0.4748673046177953\nmode: MonteCarlo\n"
+                                       "ssc_certified: true\n", "")
 
     def test_project_dim_ssc_above_one_is_an_internal_mismatch(self, capsys, ex1_path,
                                                                  monkeypatch):
