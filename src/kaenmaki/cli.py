@@ -19,7 +19,7 @@ import numpy as np
 
 from . import dimension, sampling, thermo
 from .coding import as_word, check_mixing, transition_matrix
-from .errors import KaenmakiError, SOutOfRange, TooLarge
+from .errors import KaenmakiError, MissingValue, SOutOfRange, TooLarge
 from .ifs import IfsSpec, check_strong_separation, check_transversality, parse_ifs
 from .thermo import PotentialIndex
 
@@ -49,7 +49,7 @@ def _parse_radii(text: str) -> np.ndarray:
         with np.errstate(invalid="ignore"):  # an infinite end: the estimators name it
             return np.geomspace(float(rmin), float(rmax), int(k))
     except ValueError:
-        raise KaenmakiError(f"bad radii spec {text!r}, expected rmin:rmax:k") from None
+        raise ValueError(f"bad radii spec {text!r}, expected rmin:rmax:k") from None
 
 
 def _emit(text: str, out_path: str | None):
@@ -247,16 +247,24 @@ def cmd_estimate(args) -> int:
 def cmd_project_dim(args) -> int:
     spec = _read_spec(args.spec)
     s, _ = _resolve_s(spec, args.s)
-    mode = {
-        "auto": None,
-        "ssc": dimension.ProjectedMode.SSC_FORMULA,
-        "expected": dimension.ProjectedMode.EXPECTED_MIN,
-        "user": dimension.ProjectedMode.USER_SUPPLIED,
-        "mc": dimension.ProjectedMode.MONTE_CARLO,
-    }[args.mode]
-    mc_options = dict(count=args.count, depth=args.depth, seed=args.seed)
-    proj = dimension.projected_dimension(spec, s, mode_request=mode,
-                                         user_value=args.value, mc_options=mc_options)
+    mode = dimension.ProjectedMode
+    if args.mode == "user":
+        if args.value is None:
+            raise MissingValue("UserSupplied mode needs a value")
+        if not (0.0 <= args.value <= 1.0):
+            raise SOutOfRange(f"user projected dimension {args.value} must lie in [0,1]")
+        proj = dimension.ProjectedDim(args.value, mode.USER_SUPPLIED,
+                                      dimension.check_projection_ssc(spec))
+    elif args.mode == "mc":
+        # the whole x-projection pi_x nu, a mixture: under the certificate its m1 part
+        # has dimension h/chi1, its m2 part contracts at rate chi2 (at most h/chi2)
+        samples = sampling.sample_symbolic(spec, s, args.count, args.depth, args.seed)
+        slope, _ = sampling.estimate_projected_dim(samples, sampling.Projection.X)
+        proj = dimension.ProjectedDim(float(min(max(slope, 0.0), 1.0)), mode.MONTE_CARLO,
+                                      dimension.check_projection_ssc(spec))
+    else:
+        modes = {"auto": None, "ssc": mode.SSC_FORMULA, "expected": mode.EXPECTED_MIN}
+        proj = dimension.projected_dimension(spec, s, modes[args.mode])
     if proj is None:
         print("projected_dim: unknown (no certificate and norm conditions fail)")
         return 1

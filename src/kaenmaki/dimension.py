@@ -19,7 +19,9 @@ projected dimension is h / chi1, below 1: it is at most the dimension of the
 interval attractor, and each family's disjoint intervals in [0, 1] have ratios
 summing to less than 1.  When only the pairwise norm conditions hold it is
 min(h / chi1, 1) for almost every translation, flagged as a conjecture for
-any specific translation.
+any specific translation.  projected_dimension resolves only these two modes,
+SscFormula and ExpectedMin; a user-supplied or Monte Carlo value is built by
+its caller as a ProjectedDim (the command line's project-dim builds both).
 """
 
 from __future__ import annotations
@@ -29,8 +31,7 @@ from enum import Enum
 
 import numpy as np
 
-from . import sampling
-from .errors import InternalMismatch, MissingValue, NoCertificate, SOutOfRange
+from .errors import InternalMismatch, NoCertificate, SOutOfRange
 from .ifs import IfsSpec, SeparationReport, TransversalityReport, check_strong_separation, check_transversality
 from .thermo import ThermoSummary, entropy, lyapunov_exponents, thermo_summary
 
@@ -72,59 +73,41 @@ class ProjectedDim:
 
 
 def projected_dimension(spec: IfsSpec, s: float,
-                        mode_request: ProjectedMode | None = None,
-                        user_value: float | None = None,
-                        mc_options: dict | None = None) -> ProjectedDim | None:
+                        mode_request: ProjectedMode | None = None) -> ProjectedDim | None:
     """The projected dimension of the formula: h/chi1, that of the m1 part on x.
 
-    With no mode requested: the separation certificate selects the h/chi1
-    formula, below 1 since each certified family's ratios sum to less than 1
-    (rounding past 1 is clamped; InternalMismatch above 1 + 1e-12); failing
-    that, the pairwise norm conditions select min(h/chi1, 1) (an almost-every-
-    translation value, flagged as such); otherwise None is returned and the
-    caller reports the value as unknown.
-    Explicit requests raise NoCertificate / MissingValue when their inputs
-    are absent.  MonteCarlo estimates the whole x-projection pi_x nu instead
-    (sampling.estimate_projected_dim), a mixture: under the certificate its
-    m1 part has dimension h/chi1, while its m2 part contracts on x at rate
-    chi2 and contributes at most h/chi2.
+    Resolves the formula's two modes.  With no mode requested, the separation
+    certificate selects SscFormula, the h/chi1 value, below 1 since each
+    certified family's ratios sum to less than 1 (rounding past 1 is clamped;
+    InternalMismatch above 1 + 1e-12); failing that, the pairwise norm
+    conditions select ExpectedMin, min(h/chi1, 1) (an almost-every-translation
+    value, flagged as such); otherwise None is returned and the caller reports
+    the value as unknown.  A requested SscFormula raises NoCertificate without
+    the certificate.  A user-supplied or Monte Carlo value is not a formula
+    mode: its caller builds the ProjectedDim itself.
     """
     if not (0.0 < s < 2.0):
         raise SOutOfRange(f"s={s} must lie in (0,2)")
     certified = check_projection_ssc(spec)
-
-    if mode_request is ProjectedMode.USER_SUPPLIED:
-        if user_value is None:
-            raise MissingValue("UserSupplied mode needs a value")
-        if not (0.0 <= user_value <= 1.0):
-            raise SOutOfRange(f"user projected dimension {user_value} must lie in [0,1]")
-        return ProjectedDim(value=float(user_value), mode=ProjectedMode.USER_SUPPLIED,
-                            ssc_certified=certified)
-    if mode_request is ProjectedMode.MONTE_CARLO:
-        opts = dict(count=200_000, depth=30, seed=0)
-        opts.update(mc_options or {})
-        samples = sampling.sample_symbolic(spec, s, **opts)
-        slope, _ = sampling.estimate_projected_dim(samples, sampling.Projection.X)
-        return ProjectedDim(value=float(min(max(slope, 0.0), 1.0)),
-                            mode=ProjectedMode.MONTE_CARLO, ssc_certified=certified)
+    if mode_request is None:
+        if certified:
+            mode_request = ProjectedMode.SSC_FORMULA
+        elif check_transversality(spec).holds:
+            mode_request = ProjectedMode.EXPECTED_MIN
+        else:
+            return None
 
     h = entropy(spec, s)
     chi1, _ = lyapunov_exponents(spec, s)
     ratio = h / chi1
-
-    if mode_request is ProjectedMode.SSC_FORMULA or (mode_request is None and certified):
+    if mode_request is ProjectedMode.SSC_FORMULA:
         if not certified:
             raise NoCertificate("projection separation certificate failed")
         if ratio > 1.0 + 1e-12:
             raise InternalMismatch(f"h/chi1={ratio} exceeds 1 under the separation certificate")
-        return ProjectedDim(value=min(ratio, 1.0), mode=ProjectedMode.SSC_FORMULA,
-                            ssc_certified=certified)
-
-    trans = check_transversality(spec)
-    if mode_request is ProjectedMode.EXPECTED_MIN or (mode_request is None and trans.holds):
-        return ProjectedDim(value=min(ratio, 1.0), mode=ProjectedMode.EXPECTED_MIN,
-                            ssc_certified=certified)
-    return None
+    elif mode_request is not ProjectedMode.EXPECTED_MIN:
+        raise ValueError(f"{mode_request.value} is not a mode of the formula")
+    return ProjectedDim(value=min(ratio, 1.0), mode=mode_request, ssc_certified=certified)
 
 
 def ly_dimension(thermo: ThermoSummary, projected: ProjectedDim) -> float:

@@ -734,6 +734,46 @@ class TestSampleRenderEstimate:
         assert (code, out, err) == (0, "projected_dim: 0.4748673046177953\nmode: MonteCarlo\n"
                                        "ssc_certified: true\n", "")
 
+    def test_project_dim_monte_carlo_agrees_with_ssc(self, capsys, ex1_path):
+        values = {}
+        for mode, draw in (("ssc", []),
+                           ("mc", ["--count", "200000", "--depth", "30", "--seed", "12"])):
+            code, out, _ = run(capsys, "project-dim", "--spec", ex1_path, "--mode", mode, *draw)
+            assert code == 0 and out.startswith("projected_dim: ")
+            values[mode] = float(out.splitlines()[0].removeprefix("projected_dim: "))
+        assert abs(values["mc"] - values["ssc"]) <= 0.05
+
+    def test_project_dim_user_value(self, capsys, ex1_path):
+        user = ["project-dim", "--spec", ex1_path, "--mode", "user"]
+        assert run(capsys, *user, "--value", "0.42") == (
+            0, "projected_dim: 0.42\nmode: UserSupplied\nssc_certified: true\n", "")
+        code, out, err = run(capsys, *user)
+        assert (code, out) == (2, "") and err.startswith("MissingValue:")
+        code, out, err = run(capsys, *user, "--value", "1.5")
+        assert (code, out) == (2, "") and err.startswith("SOutOfRange:")
+
+    @pytest.mark.parametrize("radii", ["abc", "1:2"])
+    def test_estimate_malformed_radii_is_a_bad_argument(self, capsys, ex1_path, radii):
+        # once raised as the base error class, printed as `Error: bad radii spec ...`
+        code, out, err = run(capsys, "estimate", "--spec", ex1_path, "--count", "1000",
+                             "--depth", "10", "--radii", radii)
+        assert (code, out) == (2, "")
+        assert err == f"BadArgument: bad radii spec {radii!r}, expected rmin:rmax:k\n"
+
+    @pytest.mark.parametrize("command, extra", [
+        ("report", ["--out", "{missing}/r.json"]),
+        ("sample", ["--count", "100", "--depth", "5", "--out", "{missing}/s.csv"]),
+        ("render", ["--count", "100", "--depth", "5", "--out", "{missing}/r.pgm"]),
+        ("validate", []),
+    ])
+    def test_io_failure_exits_2(self, capsys, ex1_path, tmp_path, command, extra):
+        missing = tmp_path / "missing"
+        spec = str(missing / "ex1.json") if command == "validate" else ex1_path
+        code, out, err = run(capsys, command, "--spec", spec,
+                             *[arg.format(missing=missing) for arg in extra])
+        assert (code, out) == (2, "")
+        assert err.startswith("IoFailure:"), err
+
     def test_project_dim_ssc_above_one_is_an_internal_mismatch(self, capsys, ex1_path,
                                                                  monkeypatch):
         # under the certificate h/chi1 < 1, so a ratio of 1 + 1e-9 is a fault
