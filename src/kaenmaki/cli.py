@@ -223,8 +223,8 @@ def cmd_render(args) -> int:
 
 
 def cmd_estimate(args) -> int:
-    samples = _draw(args)
     radii = _parse_radii(args.radii)
+    samples = _draw(args)
     if args.target == "local":
         centers = sampling.default_centers(samples, args.centers)
         slope, stderr = sampling.estimate_local_dimension(samples, centers, radii)
@@ -245,6 +245,8 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_project_dim(args) -> int:
+    if args.value is not None and args.mode != "user":
+        raise ValueError(f"--value is read only by --mode user, not --mode {args.mode}")
     spec = _read_spec(args.spec)
     s, _ = _resolve_s(spec, args.s)
     mode = dimension.ProjectedMode

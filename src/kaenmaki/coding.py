@@ -8,8 +8,9 @@ of the number of anti-diagonal factors.  Here words are composed by
 prepending letters: level_table lists all words of one length (with sums
 along their lifts when asked), and signature_arrays gathers a batch's
 trailing columns from that table and composes only the leading ones row by
-row, each in its suffix's frame (coordinates swapped at odd parity), where a
-prepended letter is one affine step per coordinate with no select.
+row, in cache-sized blocks of rows, each in its suffix's frame (coordinates
+swapped at odd parity), where a prepended letter is one affine step per
+coordinate with no select.
 product_signature is one signature_arrays row.  The doubled alphabet
 {1..2d} additionally records, per position, whether the composition so far
 preserves the coordinate axes: the lift tau (tau_arrays; encode_tau for one
@@ -31,6 +32,9 @@ from .errors import BadShape
 from .ifs import IfsSpec
 
 Word = tuple[int, ...]
+
+# rows per block of signature_arrays' row-by-row pass: 256 kB per float column
+ROW_BLOCK = 1 << 15
 
 
 def as_word(symbols, d: int) -> Word:
@@ -130,7 +134,10 @@ def signature_arrays(words: np.ndarray, spec: IfsSpec):
     cylinder rectangle of a row is (x, y) +- (p, q) / 2.  An (N, 0) batch
     gives the identity.  The last k columns, with k the largest value such
     that d^k <= N (and k <= n), are gathered from level_table by the base-d
-    index of the row's suffix, and only the rest run row by row.
+    index of the row's suffix, and only the rest run row by row, ROW_BLOCK
+    rows at a time: every column over one block of rows, then the next block,
+    so that a block's coordinates and keys stay in cache across the columns.
+    Each row takes the same steps in the same order as in one pass over all rows.
 
     The pass holds each row in its suffix's frame, (x, y) and (log_p, log_q)
     swapped at odd parity.  Prepending j with new parity o is then one affine
@@ -159,13 +166,16 @@ def signature_arrays(words: np.ndarray, spec: IfsSpec):
     steps = np.pad(np.stack([(a, b), (tx, ty), (b, a), (ty, tx), np.log((a, b)), np.log((b, a))]),
                    ((0, 0), (0, 0), (1, 0))).transpose(0, 2, 1).reshape(6, -1)
     ops = (np.multiply, np.add) * 2 + (np.add,) * 2
-    for t in range(n_cols - k - 1, -1, -1):
-        col = words[:, t]
-        odd ^= col >= spec.l
-        np.add(col, col, out=key)  # 2 j fits the words' dtype, which holds 2d
-        key += odd
-        for op, coord, step in zip(ops, (u, u, v, v, lu, lv), steps):
-            op(coord, step.take(key), out=coord)
+    for lo in range(0, n_rows, ROW_BLOCK):
+        rows = slice(lo, lo + ROW_BLOCK)
+        key_b, odd_b, coords = key[rows], odd[rows], [c[rows] for c in (u, u, v, v, lu, lv)]
+        for t in range(n_cols - k - 1, -1, -1):
+            col = words[rows, t]
+            odd_b ^= col >= spec.l
+            np.add(col, col, out=key_b)  # 2 j fits the words' dtype, which holds 2d
+            key_b += odd_b
+            for op, coord, step in zip(ops, coords, steps):
+                op(coord, step.take(key_b), out=coord)
     del key
     _swap_rows(lu, lv, odd)  # back to the global frame
     _swap_rows(u, v, odd)

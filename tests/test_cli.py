@@ -752,13 +752,31 @@ class TestSampleRenderEstimate:
         code, out, err = run(capsys, *user, "--value", "1.5")
         assert (code, out) == (2, "") and err.startswith("SOutOfRange:")
 
+    @staticmethod
+    def refuse_draws(monkeypatch):
+        def draw(*args, **kwargs):
+            raise AssertionError("drew a sample set")
+        monkeypatch.setattr(sampling, "sample_symbolic", draw)
+
     @pytest.mark.parametrize("radii", ["abc", "1:2"])
-    def test_estimate_malformed_radii_is_a_bad_argument(self, capsys, ex1_path, radii):
-        # once raised as the base error class, printed as `Error: bad radii spec ...`
-        code, out, err = run(capsys, "estimate", "--spec", ex1_path, "--count", "1000",
-                             "--depth", "10", "--radii", radii)
+    def test_estimate_malformed_radii_is_a_bad_argument(self, capsys, monkeypatch, ex1_path,
+                                                        radii):
+        # once raised as the base error class, printed as `Error: bad radii spec ...`;
+        # and once parsed only after drawing the default 10^6 x 25 sample set
+        self.refuse_draws(monkeypatch)
+        code, out, err = run(capsys, "estimate", "--spec", ex1_path, "--radii", radii)
         assert (code, out) == (2, "")
         assert err == f"BadArgument: bad radii spec {radii!r}, expected rmin:rmax:k\n"
+
+    @pytest.mark.parametrize("mode", ["auto", "ssc", "expected", "mc"])
+    def test_project_dim_value_outside_user_mode_is_a_bad_argument(self, capsys, monkeypatch,
+                                                                    ex1_path, mode):
+        # once ignored: `--mode auto --value 0.9` printed the SscFormula value, exit 0
+        self.refuse_draws(monkeypatch)
+        code, out, err = run(capsys, "project-dim", "--spec", ex1_path, "--mode", mode,
+                             "--value", "0.9")
+        assert (code, out) == (2, "")
+        assert err == f"BadArgument: --value is read only by --mode user, not --mode {mode}\n"
 
     @pytest.mark.parametrize("command, extra", [
         ("report", ["--out", "{missing}/r.json"]),

@@ -15,7 +15,7 @@ from conftest import (
     rho_symbol,
     signature_rows_reference,
 )
-from kaenmaki import check_mixing, make_spec, transition_matrix
+from kaenmaki import check_mixing, coding, make_spec, transition_matrix
 from kaenmaki.coding import encode_tau, product_signature, signature_arrays, tau_arrays
 from kaenmaki.errors import BadShape, DegenerateSystemWarning
 
@@ -273,3 +273,14 @@ class TestSuffixTable:
         spec = box_spec(rng, d)
         words = rng.integers(1, d + 1, (n_rows, n_cols)).astype(np.min_scalar_type(2 * d))
         self.assert_bitwise_reference(words, spec)
+
+    @pytest.mark.parametrize("d", [2, 3, 200])
+    def test_row_blocks_bitwise_equal_to_row_by_row_pass(self, monkeypatch, d):
+        # blocks of 7 rows: one short of, at and one past 1, 2 and 3 whole blocks,
+        # with 3 or more columns composed row by row after the suffix table's
+        monkeypatch.setattr(coding, "ROW_BLOCK", 7)
+        rng = np.random.default_rng(d)
+        spec = box_spec(rng, d)
+        for n_rows in (7 * m + r for m in (1, 2, 3) for r in (-1, 0, 1)):
+            words = rng.integers(1, d + 1, (n_rows, 6)).astype(np.min_scalar_type(2 * d))
+            self.assert_bitwise_reference(np.asfortranarray(words), spec)

@@ -379,7 +379,9 @@ class TestEstimators:
         for values, cs, estimate in (
                 (samples.points, centers, estimate_local_dimension),
                 (samples.points[:, 0], centers[:, 0],
-                 lambda smp, c, r: estimate_projected_dim(smp, Projection.X, c, r))):
+                 lambda smp, c, r: estimate_projected_dim(smp, Projection.X, c, r)),
+                (samples.points[:, 1], centers[:, 1],
+                 lambda smp, c, r: estimate_projected_dim(smp, Projection.Y, c, r))):
             got, fractions = with_fractions(estimate, samples, cs, radii)
             want = [count_fractions_reference(values, c, radii) for c in cs[:len(fractions)]]
             assert [f.tobytes() for f in fractions] == [f.tobytes() for f in want]
@@ -404,6 +406,34 @@ class TestEstimators:
         finally:
             tracemalloc.stop()
         assert peak <= 2 * samples.points.nbytes
+
+    def test_sample_set_sorts_by_x_once(self, ex1):
+        samples = sample_symbolic(ex1, 1.0, 20_000, 12, seed=5)
+        assert samples.points.flags.f_contiguous
+        columns = samples.sorted_by_x
+        want = samples.points[np.argsort(samples.points[:, 0])]
+        assert len(columns) == 2
+        for got, col in zip(columns, want.T, strict=True):
+            assert got.dtype == col.dtype and got.tobytes() == col.tobytes()
+            assert not got.flags.writeable
+            with pytest.raises(ValueError):
+                got[0] = 0.0
+        again = samples.sorted_by_x
+        assert again is columns and all(a is b for a, b in zip(again, columns))
+        assert "sorted_by_x" not in {f.name for f in dataclasses.fields(samples)}
+        assert "sorted_by_x" not in repr(synthetic_samples([[0.5, 0.5]]))
+
+    def test_projected_x_reuses_the_local_estimate_sort(self, ex1):
+        # re-sorting x would hold an index and a sorted column: one point array
+        samples = sample_symbolic(ex1, 1.0, 200_000, 25, seed=7)
+        estimate_local_dimension(samples, default_centers(samples), RADII)
+        tracemalloc.start()
+        try:
+            estimate_projected_dim(samples, Projection.X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.5 * samples.points.nbytes
 
     def test_box_count_keys_distinct_at_the_smallest_scale(self):
         # the cell index of 1.0 just below 2^31 still fits the key's 32 bits
