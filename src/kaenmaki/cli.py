@@ -217,6 +217,7 @@ def cmd_sample(args) -> int:
 
 
 def cmd_render(args) -> int:
+    sampling.check_px(args.px)  # before the draw
     sampling.render_attractor(_draw(args), args.px, args.out)
     print(f"wrote {args.out}")
     return 0
@@ -224,6 +225,8 @@ def cmd_render(args) -> int:
 
 def cmd_estimate(args) -> int:
     radii = _parse_radii(args.radii)
+    if args.target != "box" and args.centers < 1:
+        raise ValueError(f"--centers {args.centers} must be at least 1")
     samples = _draw(args)
     if args.target == "local":
         centers = sampling.default_centers(samples, args.centers)

@@ -1,25 +1,31 @@
 """Symbolic coding on the doubled alphabet.
 
-Words over {1..d} index compositions of the planar maps.  Because every
-composed linear part is again diagonal or anti-diagonal, a word is fully
-described by three numbers: the magnitudes of the nonzero top-row and
-bottom-row coefficients of the product (tracked in log space) and the parity
-of the number of anti-diagonal factors.  Here words are composed by
-prepending letters: level_table lists all words of one length (with sums
-along their lifts when asked), and signature_arrays gathers a batch's
-trailing columns from that table and composes only the leading ones row by
-row, in cache-sized blocks of rows, each in its suffix's frame (coordinates
-swapped at odd parity), where a prepended letter is one affine step per
-coordinate with no select.
-product_signature is one signature_arrays row.  The doubled alphabet
-{1..2d} additionally records, per position, whether the composition so far
-preserves the coordinate axes: the lift tau (tau_arrays; encode_tau for one
-word) shifts a symbol by d exactly when the preceding composition is
-anti-diagonal.  A state of row class 0 is followed by every unshifted
-symbol, one of class 1 by every shifted one, so the 0/1 row-class vector
-stands for the 2d x 2d 0/1 transition matrix of the subshift.  Every tau
-lift is admissible in it, and it is mixing for every system with both map
-kinds.
+Words over {1..d} index compositions of the planar maps.  Every composed linear
+part is again diagonal or anti-diagonal, so a word is fully described by the
+logs (log_p, log_q) of its product's top-row and bottom-row magnitudes and the
+parity of its anti-diagonal letters; (x, y) is the image of the square's
+centre, and (x, y) +- (p, q) / 2 the word's cylinder rectangle.
+
+Words are composed by prepending letters with one step, on cells held in their
+word's frame: (u, v) = (x, y) and (lu, lv) = (log_p, log_q), both pairs swapped
+at odd parity.  Prepending letter j with new parity o = parity xor (j >= l) is
+one affine step per coordinate picked by (j, o), with no select:
+u' = (o ? b_j : a_j) u + (o ? ty_j : tx_j), lu' = lu + log(o ? b_j : a_j), and
+v, lv likewise with a, b and tx, ty exchanged.  A sum S_e(w) of a table T over
+the doubled alphabet along w's tau lift from parity e is held as
+R_f(w) = S_(f xor parity)(w), so R_f(j w) = T[j - 1 + d (f xor o)] + R_f(w).
+Each value is the global frame step's float, in another slot (IEEE * and +
+commute).  level_table lists all words of one length; signature_arrays
+gathers a batch's trailing columns from the same frame-held table and
+prepends the rest row by row.  Each leaves the frame once, at the end.
+
+The doubled alphabet {1..2d} records, per position, whether the composition so
+far preserves the axes: the lift tau (tau_arrays; encode_tau for one word)
+shifts a symbol by d exactly when the preceding composition is anti-diagonal.
+A state of row class 0 is followed by every unshifted symbol, one of class 1
+by every shifted one, so the 0/1 row-class vector stands for the 2d x 2d 0/1
+transition matrix of the subshift.  Every tau lift is admissible in it, and
+it is mixing for every system with both map kinds.
 """
 
 from __future__ import annotations
@@ -87,68 +93,61 @@ def product_signature(w, spec: IfsSpec) -> tuple[float, float, int]:
     return float(log_p[0]), float(log_q[0]), int(parity[0])
 
 
-# -- vectorized helpers -------------------------------------------------------
-#
-# Words are passed as an (N, n) integer array with values in 1..d, of any
-# integer dtype that holds 2d (the sampler's words are uint8 for d <= 127).
-
 def level_table(spec: IfsSpec, k: int, rest=None, first=None):
-    """(log_p, log_q, parity, x, y, sums) of all d^k words of length k, lexicographic.
+    """(log_p, log_q, bool parity, x, y, sums) of all d^k words of length k, lexicographic;
+    given rest, a (K, 2d) stack of tables over the doubled alphabet, sums[i, e] (shape
+    (K, 2, d^k)) is the sum along each word's tau lift started at parity e of first[i]
+    (default rest[i]) at the first symbol and rest[i] at the others."""
+    log_p, log_q, parity, x, y, sums = _frame_table(spec, k, rest, first)
+    for pair in [(log_p, log_q), (x, y), *zip(sums[0::2], sums[1::2])]:
+        _swap_rows(*pair, parity)  # out of the frame; S_e = R_(e xor parity)
+    return log_p, log_q, parity, x, y, None if rest is None else sums.reshape(len(rest), 2, -1)
 
-    The table grows from the empty word by signature_arrays' prepend step with
-    a (d, 1) letter column, so the new letter is the most significant base-d
-    digit; parity is boolean.  Given rest, a (K, 2d) stack of tables over the
-    doubled alphabet, sums[i, e] (shape (K, 2, d^k)) is the sum along each
-    word's tau lift started at parity e of first[i] (default rest[i]) at the
-    first symbol and rest[i] at the others.  Prepending letter j flips the
-    start parity of the rest of the word when j is anti-diagonal, so with
-    T = first in the last step and rest before it,
-    S_e(j w) = T[j + d e] + S_(e xor anti_j)(w), from S_e(empty word) = 0.
-    """
-    a, b, tx, ty = (v[:, None] for v in (spec.a, spec.b, spec.tx, spec.ty))  # letter columns
-    la, lb, swap = np.log(a), np.log(b), np.arange(spec.d)[:, None] >= spec.l - 1
-    log_p, log_q, x, y = np.zeros(1), np.zeros(1), np.full(1, 0.5), np.full(1, 0.5)
-    parity = np.zeros(1, dtype=bool)
-    sums = None if rest is None else np.zeros((len(rest), 2, 1))
+
+def _prepend_steps(spec: IfsSpec, tables=None) -> np.ndarray:
+    """The step's coefficients at column 2 j + o (j = 0 a zero pad): u's factor and
+    term, v's factor and term, lu's and lv's terms, then each table's R_0 and R_1 terms."""
+    a, b, tx, ty, la, lb = spec.a, spec.b, spec.tx, spec.ty, np.log(spec.a), np.log(spec.b)
+    halves = np.reshape(() if tables is None else tables, (-1, 2, spec.d))[:, [[0, 1], [1, 0]]]
+    rows = np.concatenate([[(a, b), (tx, ty), (b, a), (ty, tx), (la, lb), (lb, la)],
+                           halves.reshape(-1, 2, spec.d)]).transpose(0, 2, 1)  # [., j - 1, o]
+    return np.concatenate([np.zeros((len(rows), 2)), rows.reshape(len(rows), -1)], axis=1)
+
+
+def _frame_table(spec: IfsSpec, k: int, rest=None, first=None):
+    """level_table's cells in their frames: lu, lv, parity, u, v, then R_0, R_1 per table."""
+    letters, steps = np.arange(1, spec.d + 1)[:, None], _prepend_steps(spec, rest)
+    lu, lv, odd, u, v = *np.zeros((2, 1)), np.zeros(1, bool), *np.full((2, 1), 0.5)
+    sums = np.zeros((len(steps) - 6, 1))
     for step in range(k):
-        x, y = (a * np.where(swap, y, x) + tx).ravel(), (b * np.where(swap, x, y) + ty).ravel()
-        log_p, log_q = ((la + np.where(swap, log_q, log_p)).ravel(),
-                        (lb + np.where(swap, log_p, log_q)).ravel())
-        parity = (parity ^ swap).ravel()
-        if sums is not None:
-            t = first if first is not None and step == k - 1 else rest
-            sums = (t.reshape(len(t), 2, -1, 1)
-                    + np.where(swap, sums[:, ::-1, None], sums[:, :, None])).reshape(len(t), 2, -1)
-    return log_p, log_q, parity, x, y, sums
+        if step == k - 1 and first is not None and rest is not None:
+            steps = _prepend_steps(spec, first)
+        odd = odd ^ (letters >= spec.l)
+        key = 2 * letters + odd  # letter-major: the new letter is the most significant digit
+        u, v = steps[0].take(key) * u, steps[2].take(key) * v
+        u += steps[1].take(key)
+        v += steps[3].take(key)
+        new = steps[4].take(key), steps[5].take(key), steps[6:].take(key, axis=1)
+        for t, c in zip(new, (lu, lv, sums[:, None])):
+            t += c  # in place: no temporary at table size
+        lu, lv, sums = new[0].ravel(), new[1].ravel(), new[2].reshape(len(sums), key.size)
+        odd, u, v = odd.ravel(), u.ravel(), v.ravel()
+    return lu, lv, odd, u, v, sums
 
 
 def signature_arrays(words: np.ndarray, spec: IfsSpec):
-    """Per-row (log_p, log_q, parity, x, y) for a batch of words.
+    """Per-row (log_p, log_q, parity, x, y), parity 0 or 1, of an (N, n) batch of words.
 
-    One right-to-left pass composes each word: prepending letter j to a
-    product with row magnitudes (p, q) gives (a_j p, b_j q) when map j is
-    diagonal and (a_j q, b_j p) when it is anti-diagonal, whatever the parity
-    of the product.  log_p and log_q are the logs of the top-row and
-    bottom-row magnitudes, parity is the number of anti-diagonal letters mod 2
-    (0 or 1), and (x, y) is the image of the square's centre (0.5, 0.5).  The
-    cylinder rectangle of a row is (x, y) +- (p, q) / 2.  An (N, 0) batch
-    gives the identity.  The last k columns, with k the largest value such
-    that d^k <= N (and k <= n), are gathered from level_table by the base-d
-    index of the row's suffix, and only the rest run row by row, ROW_BLOCK
-    rows at a time: every column over one block of rows, then the next block,
-    so that a block's coordinates and keys stay in cache across the columns.
+    Words are integers in 1..d of any dtype that holds 2d (the sampler's are uint8
+    for d <= 127).  An (N, 0) batch gives the identity.  The last k columns, with k
+    the largest value such that d^k <= N (and k <= n), are gathered from _frame_table
+    by the base-d index of each row's suffix, and the rest are prepended row by row,
+    ROW_BLOCK rows at a time: every column over one block of rows, then the next
+    block, so that a block's coordinates and keys stay in cache across the columns.
     Each row takes the same steps in the same order as in one pass over all rows.
-
-    The pass holds each row in its suffix's frame, (x, y) and (log_p, log_q)
-    swapped at odd parity.  Prepending j with new parity o is then one affine
-    step per coordinate picked by (j, o), gathered by take at index 2 j + o,
-    with no select.  Each value is the float the global frame's step gives, in
-    another slot (IEEE * and + commute), so the result is bitwise that pass's.
     """
     words = np.asarray(words)
-    n_rows, n_cols = words.shape
-    d = spec.d
-    k = 0
+    (n_rows, n_cols), d, k = words.shape, spec.d, 0
     while k < n_cols and d ** (k + 1) <= n_rows:
         k += 1
     key = np.zeros(n_rows, dtype=np.intp)
@@ -156,16 +155,9 @@ def signature_arrays(words: np.ndarray, spec: IfsSpec):
         key *= d
         np.add(key, words[:, t], out=key, dtype=np.intp)  # uint64 + intp would be float
     key -= (d ** k - 1) // (d - 1)  # the 1-based digits' offset
-    table = list(level_table(spec, k)[:5])  # log_p, log_q, bool parity, x, y
-    _swap_rows(*table[:2], table[2])  # into the suffix's frame
-    _swap_rows(*table[3:], table[2])
-    # popped one at a time, so each table array is freed as soon as its rows replace it
-    lu, lv, odd, u, v = (table.pop(0)[key] for _ in range(5))
-    # per index 2 letter + parity of the new suffix: u's factor and term, v's, lu's and lv's terms
-    a, b, tx, ty = spec.a, spec.b, spec.tx, spec.ty
-    steps = np.pad(np.stack([(a, b), (tx, ty), (b, a), (ty, tx), np.log((a, b)), np.log((b, a))]),
-                   ((0, 0), (0, 0), (1, 0))).transpose(0, 2, 1).reshape(6, -1)
-    ops = (np.multiply, np.add) * 2 + (np.add,) * 2
+    table = list(_frame_table(spec, k)[:5])  # popped one at a time: each freed once gathered
+    lu, lv, odd, u, v = (table.pop(0).take(key) for _ in range(5))
+    steps, ops = _prepend_steps(spec), (np.multiply, np.add) * 2 + (np.add,) * 2
     for lo in range(0, n_rows, ROW_BLOCK):
         rows = slice(lo, lo + ROW_BLOCK)
         key_b, odd_b, coords = key[rows], odd[rows], [c[rows] for c in (u, u, v, v, lu, lv)]

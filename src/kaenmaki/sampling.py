@@ -481,14 +481,19 @@ def strip_reverse_oracle(spec: IfsSpec, s: float, prefix, rel_width: float,
 
 # -- rendering -----------------------------------------------------------------
 
+def check_px(px: int) -> None:
+    """render_attractor's image side px: ValueError outside [16, 8192]."""
+    if not (16 <= px <= 8192):
+        raise ValueError(f"px={px} must lie in [16, 8192]")
+
+
 def render_attractor(samples: SampleSet, px: int, path) -> None:
     """Write a binary PGM (P5, maxval 255) heat map of the sample points.
 
     Row 0 is the top of the square (y = 1); intensity is the log-scaled hit
     count.  Deterministic for a given sample set.
     """
-    if not (16 <= px <= 8192):
-        raise ValueError(f"px={px} must lie in [16, 8192]")
+    check_px(px)
     cols = np.clip((samples.points[:, 0] * px).astype(np.int64), 0, px - 1)
     rows = px - 1 - np.clip((samples.points[:, 1] * px).astype(np.int64), 0, px - 1)
     counts = np.bincount(rows * px + cols, minlength=px * px).reshape(px, px)

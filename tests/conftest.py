@@ -157,6 +157,31 @@ def signature_rows_reference(words, spec):
     return log_p, log_q, parity, x, y
 
 
+def level_table_reference(spec, k, rest=None, first=None):
+    """(log_p, log_q, parity, x, y, sums) of all d^k words of length k by
+    prepend steps in the global frame, each coordinate picked by an np.where
+    select: the bitwise reference for coding.level_table, which steps in each
+    word's frame and leaves it once at the end.  Prepending letter j flips
+    the start parity of the rest of the word when j is anti-diagonal, so with
+    T = first in the last step and rest before it,
+    S_e(j w) = T[j + d e] + S_(e xor anti_j)(w), from S_e(empty word) = 0."""
+    a, b, tx, ty = (v[:, None] for v in (spec.a, spec.b, spec.tx, spec.ty))  # letter columns
+    la, lb, swap = np.log(a), np.log(b), np.arange(spec.d)[:, None] >= spec.l - 1
+    log_p, log_q, x, y = np.zeros(1), np.zeros(1), np.full(1, 0.5), np.full(1, 0.5)
+    parity = np.zeros(1, dtype=bool)
+    sums = None if rest is None else np.zeros((len(rest), 2, 1))
+    for step in range(k):
+        x, y = (a * np.where(swap, y, x) + tx).ravel(), (b * np.where(swap, x, y) + ty).ravel()
+        log_p, log_q = ((la + np.where(swap, log_q, log_p)).ravel(),
+                        (lb + np.where(swap, log_p, log_q)).ravel())
+        parity = (parity ^ swap).ravel()
+        if sums is not None:
+            t = first if first is not None and step == k - 1 else rest
+            sums = (t.reshape(len(t), 2, -1, 1)
+                    + np.where(swap, sums[:, ::-1, None], sums[:, :, None])).reshape(len(t), 2, -1)
+    return log_p, log_q, parity, x, y, sums
+
+
 def log_svf_phi(spec, s, w):
     """log phi^s(w) of one word, computed two ways with mandatory agreement.
 

@@ -768,6 +768,38 @@ class TestSampleRenderEstimate:
         assert (code, out) == (2, "")
         assert err == f"BadArgument: bad radii spec {radii!r}, expected rmin:rmax:k\n"
 
+    @pytest.mark.parametrize("centers", [0, -3])
+    @pytest.mark.parametrize("target", ["local", "projected"])
+    def test_estimate_centers_below_one_is_refused_before_the_draw(self, capsys, monkeypatch,
+                                                                   ex1_path, target, centers):
+        # once rejected only after drawing the default 10^6 x 25 sample set, and
+        # -3 with numpy's text: `Number of samples, -3, must be non-negative.`
+        self.refuse_draws(monkeypatch)
+        code, out, err = run(capsys, "estimate", "--spec", ex1_path, "--target", target,
+                             "--centers", str(centers))
+        assert (code, out) == (2, "")
+        assert err == f"BadArgument: --centers {centers} must be at least 1\n"
+
+    def test_estimate_box_ignores_the_centers(self, capsys, ex1_path):
+        draw = ["estimate", "--spec", ex1_path, "--count", "20000", "--depth", "20",
+                "--target", "box"]
+        code, out, err = run(capsys, *draw)
+        assert (code, err) == (0, "")
+        assert run(capsys, *draw, "--centers", "0") == (0, out, "")
+        assert run(capsys, *draw, "--centers", "-3") == (0, out, "")
+
+    @pytest.mark.parametrize("px", [5, 15, 8193])
+    def test_render_px_out_of_range_is_refused_before_the_draw(self, capsys, monkeypatch,
+                                                               ex1_path, tmp_path, px):
+        # once rejected only after drawing the default 200000 x 30 sample set
+        self.refuse_draws(monkeypatch)
+        out_path = tmp_path / "img.pgm"
+        code, out, err = run(capsys, "render", "--spec", ex1_path, "--px", str(px),
+                             "--out", str(out_path))
+        assert (code, out) == (2, "")
+        assert err == f"BadArgument: px={px} must lie in [16, 8192]\n"
+        assert not out_path.exists()
+
     @pytest.mark.parametrize("mode", ["auto", "ssc", "expected", "mc"])
     def test_project_dim_value_outside_user_mode_is_a_bad_argument(self, capsys, monkeypatch,
                                                                     ex1_path, mode):

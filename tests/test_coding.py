@@ -11,12 +11,14 @@ from conftest import (
     compose_loop,
     dense_transition,
     diag,
+    level_table_reference,
     random_spec,
     rho_symbol,
     signature_rows_reference,
 )
 from kaenmaki import check_mixing, coding, make_spec, transition_matrix
-from kaenmaki.coding import encode_tau, product_signature, signature_arrays, tau_arrays
+from kaenmaki.coding import (
+    encode_tau, level_table, product_signature, signature_arrays, tau_arrays)
 from kaenmaki.errors import BadShape, DegenerateSystemWarning
 
 
@@ -284,3 +286,32 @@ class TestSuffixTable:
         for n_rows in (7 * m + r for m in (1, 2, 3) for r in (-1, 0, 1)):
             words = rng.integers(1, d + 1, (n_rows, 6)).astype(np.min_scalar_type(2 * d))
             self.assert_bitwise_reference(np.asfortranarray(words), spec)
+
+
+class TestLevelTable:
+    """level_table steps in each word's frame and leaves it once, bitwise as
+    the global frame's np.where selects do."""
+
+    @settings(max_examples=120, derandomize=True, deadline=None)
+    @given(st.data())
+    def test_bitwise_equal_to_where_selects(self, data):
+        d = data.draw(st.integers(2, 200), label="d")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        spec = box_spec(rng, d)
+        k = data.draw(st.integers(0, int(np.log(5000) / np.log(d))), label="k")
+        # K lifted-sum tables over the doubled alphabet, magnitudes 1e-3..1e3 and some -inf
+        n_tables = data.draw(st.integers(1, 3), label="K")
+        rest, first = (rng.standard_normal((n_tables, 2 * d))
+                       * 10.0 ** rng.uniform(-3, 3, (n_tables, 2 * d)) for _ in range(2))
+        rest[rng.random(rest.shape) < 0.05] = -np.inf
+        for tables in ((), (rest,), (rest, first)):
+            got = level_table(spec, k, *tables)
+            want = level_table_reference(spec, k, *tables)
+            for g, w in zip(got, want):
+                if w is None:
+                    assert g is None
+                    continue
+                assert g.dtype == w.dtype and g.shape == w.shape
+                if g.dtype == np.float64:
+                    g, w = g.view(np.uint64), w.view(np.uint64)
+                assert np.array_equal(g, w)
