@@ -526,6 +526,7 @@ FULL_BOX_DIGESTS = {
     "report-verify": "a29e1dbe4d8a4cc0f108021fb4a8e33c4e2d1e3cf554c5dc085f536abee96022",
     "validate": "837ac569e52f0df9fff6c60cf9706f2f5d6d29c685eee3280db90247326c0e60",
     "project-dim": "a73488c8363f061f7ed51c6abda3c89ba4e36ec73b21f2850c75d7ba118ec913",
+    "sample": "460877c3327e411c583c459e1b76f7c773df22bcf59b8e8e9e468b70f188fffe",
 }
 
 
@@ -573,6 +574,17 @@ class TestFullBox:
             for mode in (["auto"], ["ssc"], ["expected"], ["user", "--value", "0.3"]):
                 digest_run(digest, "project-dim", "--spec", str(path), "--mode", *mode)
         assert digest.hexdigest() == FULL_BOX_DIGESTS["project-dim"]
+
+    def test_draw_head_sample_digest(self, tmp_path):
+        # the sampler's CSV on the first 100 systems, seeded by the system's index:
+        # d up to 6, ratios down to 1e-300, the diagonal-first sort and uint8 words
+        path = tmp_path / "box.json"
+        digest = hashlib.sha256()
+        for k, config in enumerate(full_box_draw(100)):
+            path.write_text(json.dumps(config))
+            digest_run(digest, "sample", "--spec", str(path), "--count", "300",
+                       "--depth", "12", "--seed", str(k))
+        assert digest.hexdigest() == FULL_BOX_DIGESTS["sample"]
 
     @pytest.mark.filterwarnings("ignore::UserWarning")  # degenerate-system notices
     @settings(max_examples=100, derandomize=True, deadline=None)
