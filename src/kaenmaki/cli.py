@@ -227,6 +227,8 @@ def cmd_estimate(args) -> int:
     radii = _parse_radii(args.radii)
     if args.target != "box" and args.centers < 1:
         raise ValueError(f"--centers {args.centers} must be at least 1")
+    if args.target != "box" and 0 < args.count < args.centers:  # else the centres repeat
+        raise ValueError(f"--centers {args.centers} exceeds --count {args.count}")
     samples = _draw(args)
     if args.target == "local":
         centers = sampling.default_centers(samples, args.centers)

@@ -175,10 +175,12 @@ def signature_arrays(words: np.ndarray, spec: IfsSpec):
 
 
 def _swap_rows(first, second, where):
-    """Swap the entries of two arrays in place at the rows where ``where`` holds."""
-    keep = first.copy()
-    np.copyto(first, second, where=where)
-    np.copyto(second, keep, where=where)
+    """Swap two float64 arrays' entries in place where ``where`` holds, bit for bit."""
+    first, second = first.view(np.uint64), second.view(np.uint64)
+    diff = first ^ second
+    diff *= where
+    first ^= diff
+    second ^= diff
 
 
 def tau_arrays(words: np.ndarray, spec: IfsSpec) -> np.ndarray:

@@ -11,10 +11,10 @@ cylinder rectangle up to the reported accuracy bound.
 All randomness flows through a counter-based generator seeded once per
 sample set, with a fixed draw schedule (one branch draw, one initial-state
 draw, then one transition draw per step, each vectorized over points and
-inverting a cumulative row by one take per threshold), so identical inputs
-give bit-identical outputs.  Each step's 0-based letter j is the word's
-symbol j + 1.  Words are column-major.  A CSV coordinate is exactly its repr,
-from an integer shortest-digit kernel on [1e-4, 1) and from repr elsewhere.
+inverting a cumulative row by one take per threshold, counted into the word
+column in place), so identical inputs give bit-identical outputs.  Words are
+column-major.  A CSV coordinate is exactly its repr, from an integer
+shortest-digit kernel on [1e-4, 1) and from repr elsewhere.
 
 Local dimensions are estimated on sup-metric squares: the empirical measure
 of the square of half-side r around a center is the fraction of sample
@@ -91,18 +91,17 @@ class SampleSet:
         return columns
 
 
-def _lifted_columns(nu, count: int, depth: int, rng):
-    """Yield (c, j) per column of ``count`` sampled words: lifted state c * d + j.
+def _draw_words(nu, count: int, depth: int, rng) -> np.ndarray:
+    """(count, depth) words over 1..d, column-major, of dtype np.min_scalar_type(2d).
 
     Follows the draw schedule: one branch draw, one initial-state draw, then
-    one transition draw per further column.  Rows of one class c of a chain
-    are equal and move into half c, so the next state is c * d + j: c is the
-    anti-diagonal parity so far, and j = #{k < d - 1 : u > row[k]} is the inverse
-    CDF of the (nondecreasing) cumulative (chain, c) row at u, capped at d - 1.
-    Neither yielded array is written to afterwards.
+    one transition draw per further column.  Rows of one class of a chain are
+    equal, so a column's letter is 1 + #{k < d - 1 : u > row[k]}, the inverse
+    CDF of the (nondecreasing) cumulative row of (chain, class) at u, capped at
+    d; the class is the anti-diagonal parity of the letters before it.
     """
     d = nu.spec.d
-    dtype = np.min_scalar_type(2 * d)  # the words' dtype: it holds every lifted state
+    dtype = np.min_scalar_type(2 * d)  # it also holds every tau-lifted symbol
     chain = (rng.random(count) >= nu.tau_start_mass()).astype(dtype)  # 0: m1, 1: m2
     # cumulative rows by key, one column each: 0, 1 the initial laws of m1, m2;
     # 2 + 2 chain + class the chain's row of that class
@@ -110,15 +109,15 @@ def _lifted_columns(nu, count: int, depth: int, rng):
     laws = ([_log_normalized(g.log_stationary[:d]) for g in chains]
             + [row for g in chains for row in g.log_rows])
     cum = np.cumsum(np.exp(laws), axis=1).T.copy()
+    words = np.ones((count, depth), dtype=dtype, order="F")
     key, cls = chain, np.zeros(count, dtype=dtype)
-    for _ in range(depth):
+    for col in words.T:
         u = rng.random(count)
-        j = np.zeros(count, dtype=dtype)
         for thresholds in cum[:d - 1]:
-            j += u > thresholds.take(key)
-        yield cls, j
-        cls = cls ^ (j >= nu.spec.l - 1)
+            col += u > thresholds.take(key)
+        cls ^= col >= nu.spec.l
         key = 2 + 2 * chain + cls
+    return words
 
 
 def sample_symbolic(spec: IfsSpec, s: float, count: int, depth: int, seed: int) -> SampleSet:
@@ -128,9 +127,7 @@ def sample_symbolic(spec: IfsSpec, s: float, count: int, depth: int, seed: int) 
     if not 0 <= seed < 2 ** 64:
         raise ValueError(f"seed {seed} must lie in [0, 2^64)")
     rng = np.random.Generator(np.random.Philox(np.uint64(seed)))
-    words = np.empty((count, depth), dtype=np.min_scalar_type(2 * spec.d), order="F")
-    for t, (_, j) in enumerate(_lifted_columns(kaenmaki_measure(spec, s), count, depth, rng)):
-        np.add(j, 1, out=words[:, t])
+    words = _draw_words(kaenmaki_measure(spec, s), count, depth, rng)
     log_p, log_q, _, x, y = signature_arrays(words, spec)
     accuracy = float(np.exp(np.maximum(log_p, log_q).max()) * math.sqrt(2.0) / 2.0)
     del log_p, log_q, _  # before the points' copy, which would otherwise set the peak

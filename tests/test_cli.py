@@ -792,6 +792,24 @@ class TestSampleRenderEstimate:
         assert (code, out) == (2, "")
         assert err == f"BadArgument: --centers {centers} must be at least 1\n"
 
+    @pytest.mark.parametrize("target", ["local", "projected"])
+    def test_estimate_centers_above_the_count_are_refused_before_the_draw(
+            self, capsys, monkeypatch, ex1_path, target):
+        # evenly strided centres once repeated points past the count, and the
+        # stderr treated the repeats as independent: 0.00057 at 5000 of 2000
+        self.refuse_draws(monkeypatch)
+        code, out, err = run(capsys, "estimate", "--spec", ex1_path, "--target", target,
+                             "--count", "2000", "--centers", "2001")
+        assert (code, out) == (2, "")
+        assert err == "BadArgument: --centers 2001 exceeds --count 2000\n"
+
+    @pytest.mark.parametrize("target", ["local", "projected"])
+    def test_estimate_centers_equal_to_the_count_run(self, capsys, ex1_path, target):
+        code, out, err = run(capsys, "estimate", "--spec", ex1_path, "--target", target,
+                             "--count", "2000", "--depth", "5", "--centers", "2000",
+                             "--radii", "0.3:0.9:3")
+        assert (code, err) == (0, "") and out.startswith("slope: ")
+
     def test_estimate_box_ignores_the_centers(self, capsys, ex1_path):
         draw = ["estimate", "--spec", ex1_path, "--count", "20000", "--depth", "20",
                 "--target", "box"]
@@ -799,6 +817,7 @@ class TestSampleRenderEstimate:
         assert (code, err) == (0, "")
         assert run(capsys, *draw, "--centers", "0") == (0, out, "")
         assert run(capsys, *draw, "--centers", "-3") == (0, out, "")
+        assert run(capsys, *draw, "--centers", "20001") == (0, out, "")
 
     @pytest.mark.parametrize("px", [5, 15, 8193])
     def test_render_px_out_of_range_is_refused_before_the_draw(self, capsys, monkeypatch,

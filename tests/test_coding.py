@@ -18,7 +18,7 @@ from conftest import (
 )
 from kaenmaki import check_mixing, coding, make_spec, transition_matrix
 from kaenmaki.coding import (
-    encode_tau, level_table, product_signature, signature_arrays, tau_arrays)
+    _swap_rows, encode_tau, level_table, product_signature, signature_arrays, tau_arrays)
 from kaenmaki.errors import BadShape, DegenerateSystemWarning
 
 
@@ -286,6 +286,30 @@ class TestSuffixTable:
         for n_rows in (7 * m + r for m in (1, 2, 3) for r in (-1, 0, 1)):
             words = rng.integers(1, d + 1, (n_rows, 6)).astype(np.min_scalar_type(2 * d))
             self.assert_bitwise_reference(np.asfortranarray(words), spec)
+
+
+# bit patterns of +-0, +-inf, quiet and signalling NaNs with payloads, and subnormals
+SPECIAL_BITS = [0, 1 << 63, 0x7FF0 << 48, 0xFFF0 << 48, 0x7FF8000000000001, 0xFFF8DEADBEEF0000,
+                0x7FF0000000000001, 1, (1 << 52) - 1, (1 << 63) | 1]
+
+
+class TestSwapRows:
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(st.data())
+    def test_bitwise_equal_to_where(self, data):
+        # any float bits, swapped where the mask holds, as np.where's on uint64 views
+        n = data.draw(st.integers(0, 40), label="n")
+        bits = st.one_of(st.integers(0, 2 ** 64 - 1), st.sampled_from(SPECIAL_BITS))
+        first, second = (np.array(data.draw(st.lists(bits, min_size=n, max_size=n)), np.uint64)
+                         for _ in range(2))
+        where = np.array(data.draw(st.one_of(
+            st.just([False] * n), st.just([True] * n),
+            st.lists(st.booleans(), min_size=n, max_size=n))), bool)
+        want = np.where(where, second, first), np.where(where, first, second)
+        got = first.view(np.float64).copy(), second.view(np.float64).copy()
+        _swap_rows(*got, where)
+        for g, w in zip(got, want):
+            assert g.dtype == np.float64 and np.array_equal(g.view(np.uint64), w)
 
 
 class TestLevelTable:

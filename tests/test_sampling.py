@@ -50,7 +50,7 @@ from kaenmaki import sampling
 from kaenmaki.errors import DegenerateSystemWarning, TooFewHits
 from kaenmaki.coding import product_signature, signature_arrays, tau_arrays
 from kaenmaki.ifs import parse_ifs
-from kaenmaki.sampling import _lifted_columns, _repr_matrix, csv_lines, default_centers
+from kaenmaki.sampling import _draw_words, _repr_matrix, csv_lines, default_centers
 
 
 def synthetic_samples(points):
@@ -112,15 +112,16 @@ def draw_estimator_input(data):
 
 class StubGenerator:
     """Stands in for the sampler's generator: call k of random(n) returns
-    values[(k + i) % len(values)] at row i."""
+    values[(k + i) % len(values)] at row i.  sizes lists each call's n."""
 
     def __init__(self, values):
         self.values = np.asarray(values, dtype=float)
-        self.calls = 0
+        self.calls, self.sizes = 0, []
 
     def random(self, n):
         out = self.values[(self.calls + np.arange(n)) % len(self.values)]
         self.calls += 1
+        self.sizes.append(n)
         return out
 
 
@@ -137,15 +138,14 @@ def inverse_cdf(probs, u):
 
 
 def lifted_states(nu, count, depth, rng):
-    """The lifted states c * d + j rebuilt from sampling._lifted_columns' (c, j)
-    columns, stacked as one (count, depth) array."""
-    return np.column_stack([cls * nu.spec.d + j
-                            for cls, j in _lifted_columns(nu, count, depth, rng)])
+    """The 0-based lifted states of sampling._draw_words' words: their tau lift
+    less one, a (count, depth) array."""
+    return tau_arrays(_draw_words(nu, count, depth, rng), nu.spec) - 1
 
 
 def lifted_columns_dense(nu, count, depth, rng):
     """The sampler's lifted states from a full (count, d) comparison table per
-    column, with the draw schedule of sampling._lifted_columns: its reference."""
+    column, with the draw schedule of sampling._draw_words: its reference."""
     d = nu.spec.d
     chain = (rng.random(count) >= nu.tau_start_mass()).astype(np.int64)
     init = np.array([np.cumsum(g.stationary[:d] / g.stationary[:d].sum())
@@ -231,6 +231,19 @@ class TestSampler:
         want = np.column_stack(list(lifted_columns_dense(nu, count, depth,
                                                          StubGenerator(values))))
         assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("d", [2, 3, 6, 127, 128, 200])
+    def test_draw_words_schedule_dtype_and_layout(self, d):
+        # one branch draw and one per column, each of random(count); the words
+        # over 1..d, column-major, in the narrowest dtype that holds 2d
+        spec = grid_spec(d, n_anti=1 + d // 3, seed=d)
+        nu, count, depth = kaenmaki_measure(spec, 1.0), 500, 7
+        draws = StubGenerator(np.random.default_rng(d).random(997))
+        words = _draw_words(nu, count, depth, draws)
+        assert draws.calls == depth + 1 and draws.sizes == [count] * (depth + 1)
+        assert words.shape == (count, depth) and words.flags.f_contiguous
+        assert words.dtype == np.min_scalar_type(2 * d)
+        assert words.min() >= 1 and words.max() <= d
 
     def test_composer_peak_stays_near_the_row_by_row_pass(self, ex1):
         # the suffix table and its gather may add little to the row-by-row peak
