@@ -213,6 +213,14 @@ class KaenmakiMeasure:
         """m1-mass of coded words starting in the unshifted half."""
         return float(self.m1.stationary[:self.spec.d].sum())
 
+    def log_betas(self) -> np.ndarray:
+        """beta[t - 1, e] = P - log sum(l_t r_t) + log r_t(class e): log m_t([tau(w)])
+        = S_t(w) - nP + beta_t(e) for w of length n and parity e, S_t the Birkhoff sum
+        of chain t's weights along tau(w).  The step products telescope, as r is
+        constant on each row class and tau starts where log_left equals the weights."""
+        return np.array([m.log_pressure - np.logaddexp.reduce(m.log_left + m.log_right)
+                         + m.log_right[[0, m.l - 1]] for m in (self.m1, self.m2)])
+
     @np.errstate(invalid="ignore")  # a NaN operand gives NaN, quietly
     def log_envelope(self) -> tuple[float, float]:
         """Logs of two-sided bounds for nu([w]) / (phi^s(w) exp(-n P)) over all words."""
@@ -326,17 +334,39 @@ def level_log_measures(spec: IfsSpec, s: float, n: int):
     return log_phi, log_nu
 
 
+@np.errstate(invalid="ignore")  # a NaN operand gives NaN, quietly
 def level_log_ratio_extremes(spec: IfsSpec, s: float, n: int) -> tuple[float, float]:
-    """(min, max) of log nu - log phi over all d^n words, one block at a time.
+    """(min, max) of log nu - log phi over all d^n words, from the two half
+    levels' signatures; a NaN ratio makes both NaN.
 
-    Every word is visited, but no array longer than a block is held.  A NaN
-    ratio makes both NaN.
+    By log_betas, log nu - log phi + nP = R_e(D) = logaddexp(beta1(e) + min(D, 0),
+    beta2(e) - max(D, 0)) on words of parity e, D = min(s, 2 - s)(log p - log q)
+    the difference of the two Birkhoff sums.  R_e rises up to D = 0 and falls
+    after it: the minimum is at a parity class's smallest or largest D, the
+    maximum at the D nearest 0 from either side.  D(uv) = D(u) + (-1)^parity(u) D(v),
+    so per suffix parity each prefix u takes the two ends and the two sorted
+    neighbours of the D(v) that cancels D(u), at the word's composed (log p, log q).
     """
+    _guard_enumeration(spec, n)
+    nu = kaenmaki_measure(spec, s)
+    (beta1, beta2), c = nu.log_betas(), min(s, 2.0 - s)
+    u_p, u_q, u_odd, *_ = level_table(spec, n - n // 2)
+    v_p, v_q, v_odd, *_ = level_table(spec, n // 2)
+    v_gap, target = v_p - v_q, np.where(u_odd, u_p - u_q, u_q - u_p)
     lo, hi = np.inf, -np.inf
-    for log_phi, log_nu in level_log_blocks(spec, s, n):
-        x = np.subtract(log_nu, log_phi, out=log_nu)  # log_nu is _logaddexp's fresh buffer
-        lo, hi = np.minimum(lo, x.min()), np.maximum(hi, x.max())
-    return float(lo), float(hi)
+    for f in (False, True):  # the empty suffix of n = 1 has no odd class
+        if not (v := np.flatnonzero(v_odd == f)).size:
+            continue
+        v = v[np.argsort(v_gap[v])]
+        near, last = np.searchsorted(v_gap[v], target), len(v) - 1
+        picks = v[np.stack(np.broadcast_arrays(0, last, near - 1, near)).clip(0, last)]
+        # an odd prefix swaps its suffix's sides
+        delta = c * ((np.where(u_odd, v_q[picks], v_p[picks]) + u_p)
+                     - (np.where(u_odd, v_p[picks], v_q[picks]) + u_q))
+        e = (u_odd ^ f).astype(np.intp)
+        r = np.logaddexp(beta1[e] + np.minimum(delta, 0.0), beta2[e] - np.maximum(delta, 0.0))
+        lo, hi = np.minimum(lo, r.min()), np.maximum(hi, r.max())
+    return float(lo - n * nu.m1.log_pressure), float(hi - n * nu.m1.log_pressure)
 
 
 # -- derived thermodynamic quantities -----------------------------------------

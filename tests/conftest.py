@@ -24,6 +24,7 @@ from kaenmaki.thermo import (
     _perron,
     _side_logs,
     _weight_vector,
+    level_log_blocks,
 )
 
 EX1_JSON = """
@@ -180,6 +181,17 @@ def level_table_reference(spec, k, rest=None, first=None):
             sums = (t.reshape(len(t), 2, -1, 1)
                     + np.where(swap, sums[:, ::-1, None], sums[:, :, None])).reshape(len(t), 2, -1)
     return log_p, log_q, parity, x, y, sums
+
+
+def level_ratio_extremes_reference(spec, s, n):
+    """(min, max) of log nu - log phi over all d^n words, every word visited one
+    block at a time: the enumeration that thermo.level_log_ratio_extremes
+    replaces with its search over half levels.  A NaN ratio makes both NaN."""
+    lo, hi = np.inf, -np.inf
+    for log_phi, log_nu in level_log_blocks(spec, s, n):
+        x = np.subtract(log_nu, log_phi, out=log_nu)  # log_nu is _logaddexp's fresh buffer
+        lo, hi = np.minimum(lo, x.min()), np.maximum(hi, x.max())
+    return float(lo), float(hi)
 
 
 def log_svf_phi(spec, s, w):

@@ -295,6 +295,39 @@ ULP_PHI_JSON = json.dumps({"maps": [
          0.8046333295231883)]]})
 
 
+# verify-enum pool ratio sets for d = 2, 3, 4, placed as its seed 1 places
+# them: (depth at the enumeration cap, s, config)
+CAP_DEPTH_RUNS = [
+    (22, 0.4614958127019768, {"maps": [
+        {"kind": "diag", "a": 0.49182507835946315, "b": 0.07938061693189076,
+         "tx": 0.0011784935377131447, "ty": 0.3990203452027704},
+        {"kind": "anti", "a": 0.11451908056074533, "b": 0.11904580897946258,
+         "tx": 0.12020507483107976, "ty": 0.6612679849059444}]}),
+    (14, 0.3595906033514783, {"maps": [
+        {"kind": "diag", "a": 0.24724614106523868, "b": 0.059545166609391804,
+         "tx": 0.13891192540555175, "ty": 0.5121385446318686},
+        {"kind": "diag", "a": 0.29999746083045103, "b": 0.17060952962231643,
+         "tx": 0.1507045350325016, "ty": 0.17725927907190314},
+        {"kind": "anti", "a": 0.10048542863999275, "b": 0.30891930282410207,
+         "tx": 0.6317326253809342, "ty": 0.15065350632458877}]}),
+    (11, 1.6741624405475541, {"maps": [
+        {"kind": "diag", "a": 0.11720622718626002, "b": 0.28277580510421224,
+         "tx": 0.0513103270035993, "ty": 0.5875658939330143},
+        {"kind": "diag", "a": 0.2379210835859222, "b": 0.40534028209648604,
+         "tx": 0.5533213290151707, "ty": 0.5248305068085539},
+        {"kind": "anti", "a": 0.3294795216931519, "b": 0.07479984896147633,
+         "tx": 0.6279525428814381, "ty": 0.119229846248189},
+        {"kind": "anti", "a": 0.13790089053892784, "b": 0.4841612305779542,
+         "tx": 0.17568721976024487, "ty": 0.015533670371274698}]}),
+]
+# SHA-256 of each run's exit code and stdout, as the per-word enumeration printed them
+CAP_DEPTH_DIGESTS = [
+    "48d4bb7fbe97f3b3d00dd37391ee799f569d056f432ad886bbeac69c8808952a",
+    "b3709304f0c2c8504b5e94c27a090c400b7905c900f66c27482c333eb64149ef",
+    "0249cc703ee9a0158378706b63bbcdc61b59da8dce18276ea576e246d08355fc",
+]
+
+
 class TestVerify:
     def test_passes(self, capsys, ex1_path):
         code, out, _ = run(capsys, "verify", "--spec", ex1_path, "--max-depth", "8")
@@ -494,6 +527,19 @@ class TestVerify:
     def test_depth_too_large(self, capsys, ex1_path):
         code, _, err = run(capsys, "verify", "--spec", ex1_path, "--max-depth", "40")
         assert code == 2 and "TooLarge" in err
+
+    @pytest.mark.parametrize("run_index", range(len(CAP_DEPTH_RUNS)))
+    def test_cap_depth_digest(self, tmp_path, run_index):
+        # d^depth just below the cap: the envelope row's search over half levels
+        # prints what the enumeration of all d^depth words printed
+        depth, s, config = CAP_DEPTH_RUNS[run_index]
+        p = tmp_path / "cap.json"
+        p.write_text(json.dumps(config))
+        digest = hashlib.sha256()
+        code, out = digest_run(digest, "verify", "--spec", str(p), "--max-depth", str(depth),
+                               "--s", repr(s))
+        assert code == 0 and "FAIL" not in out, out
+        assert digest.hexdigest() == CAP_DEPTH_DIGESTS[run_index]
 
     @pytest.mark.parametrize("depth", ["0", "-3"])
     def test_depth_below_one(self, capsys, ex1_path, monkeypatch, depth):

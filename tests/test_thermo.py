@@ -3,6 +3,7 @@ import json
 import tracemalloc
 import warnings
 from decimal import Decimal, localcontext
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -21,6 +22,7 @@ from conftest import (
     diag,
     full_box_draw,
     grid_spec,
+    level_ratio_extremes_reference,
     log_svf_phi,
     random_spec,
     rho_symbol,
@@ -394,6 +396,28 @@ def draw_tiny_ratio_system(data, ratio=TINY_RATIO):
     return spec, data.draw(st.floats(0.0, 2.0, exclude_min=True, exclude_max=True), label="s")
 
 
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DegenerateSystemWarning)
+    # square maps of unequal sizes: every word's rectangle is a square
+    SQUARE_MAPS = make_spec([diag(0.3, 0.3, 0.0, 0.0), diag(1e-200, 1e-200, 0.5, 0.0),
+                             anti(0.2, 0.2, 0.5, 0.5)])
+    # at its root, level 5's smallest ratio is -log 2 to within 1e-16 (a 3000-digit
+    # evaluation of the closed form), and the enumeration reads it 1.08e-12 lower
+    ULP_RATIO_MAPS = make_spec([
+        diag(np.exp(-1.0), np.exp(-1.0), 0.0, 0.0),
+        anti(np.exp(-1.0), 8.75651076269652e-27, 0.0, 0.0),
+        anti(1.990299484539727e-58, np.exp(-1.0), 0.0, 0.0),
+        anti(np.exp(-1.0), 2.031092662734811e-42, 0.0, 0.0),
+        anti(2.0769322043867094e-128, 8.76141754643084e-298, 0.0, 0.0),
+        anti(0.8824969025845953, 0.8824969025845953, 0.0, 0.0)])
+
+
+@st.composite
+def tiny_ratio_systems(draw):
+    """draw_tiny_ratio_system as a strategy of (spec, s), so that @example can name one."""
+    return draw_tiny_ratio_system(SimpleNamespace(draw=lambda strategy, label=None: draw(strategy)))
+
+
 class TestKaenmakiCylinder:
     def test_uniform_is_bernoulli(self, uniform2):
         nu = kaenmaki_measure(uniform2, 1.0)
@@ -509,7 +533,7 @@ class TestLevelBlocks:
         with mock.patch.object(thermo, "LEVEL_BLOCK", block):
             sizes = [(len(phi), len(nu)) for phi, nu in level_log_blocks(spec, s, n)]
             log_phi, log_nu = level_log_measures(spec, s, n)
-            extremes = level_log_ratio_extremes(spec, s, n)
+            extremes = level_ratio_extremes_reference(spec, s, n)
             halves = level_table(spec, n - n // 2, w), level_table(spec, n // 2, w)
             larger = np.concatenate([m for _, m in thermo._lifted_blocks(s, *halves, np.maximum)])
         *_, table = level_table(spec, n, w)
@@ -577,17 +601,50 @@ class TestLevelBlocks:
         assert peak < 8 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MB"
 
     def test_nan_ratio_makes_extremes_nan(self, ex1):
-        # one NaN chain sum in either half table; the prefix's at start parity 0,
-        # the suffix's at start parity 1, which only odd prefixes read
-        for first_given, index in ((True, (1, 0, 2)), (False, (0, 1, 3))):
-            def with_nan(spec, k, rest=None, first=None):
-                *columns, sums = level_table(spec, k, rest, first)
-                if (first is not None) == first_given:
-                    sums[index] = np.nan
-                return (*columns, sums)
+        # one NaN side in either half level: a prefix's log p, or the log q of a
+        # suffix of odd parity, which sorts last and is read as a parity class's end;
+        # np.minimum and np.maximum keep the NaN where min(inf, nan) drops it
+        for half in (0, 1):
+            calls = []
+
+            def with_nan(spec, k):
+                log_p, log_q, odd, *rest = level_table(spec, k)
+                if len(calls) == half == 0:  # the prefix level comes first
+                    log_p[2] = np.nan
+                elif len(calls) == half == 1:
+                    log_q[np.flatnonzero(odd)[-1]] = np.nan
+                calls.append(k)
+                return (log_p, log_q, odd, *rest)
 
             with mock.patch.object(thermo, "level_table", with_nan):
-                assert np.isnan(level_log_ratio_extremes(ex1, 0.9, 4)).all()
+                extremes = level_log_ratio_extremes(ex1, 0.9, 4)
+            assert calls == [2, 2] and np.isnan(extremes).all(), (half, extremes)
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(system=tiny_ratio_systems(), at_root=st.booleans(), n=st.integers(1, 8))
+    # a == b on every map: D = 0 on every word, so every search lands on a tie
+    @example(system=(SQUARE_MAPS, 0.8), at_root=False, n=5)
+    @example(system=(ULP_RATIO_MAPS, 1.0), at_root=True, n=5)
+    @example(system=(uniform_spec(2, 1 / 3), 1.3), at_root=True, n=1)
+    @example(system=(uniform_spec(4, 1 / 2, n_anti=2), 0.6), at_root=False, n=6)
+    @example(system=(uniform_spec(3, 1e-150, n_anti=2), 1.9), at_root=False, n=7)
+    def test_extremes_match_enumeration(self, system, at_root, n):
+        # the search over half levels against every word of the level, s on
+        # both pieces and at the root; n = 1 pairs each prefix with the empty
+        # suffix, whose odd parity class is empty
+        spec, s = system
+        if at_root and (root := affinity_dimension(spec)) < 2.0:
+            s = root
+        got = level_log_ratio_extremes(spec, s, n)
+        want = level_ratio_extremes_reference(spec, s, n)
+        log_phi, log_nu = level_log_measures(spec, s, n)
+        x = log_nu - log_phi
+        assert np.isfinite(want).all() and want == (x.min(), x.max())
+        # the reference subtracts two sums of up to n logs of tiny ratios, each held
+        # to 1e-12 max(1, |.|) of its per-word oracle: where |log phi| is in the
+        # thousands it is itself off by about 1e-12 from the exact ratio
+        for g, i in zip(got, (x.argmin(), x.argmax())):
+            assert abs(g - x[i]) <= 1e-12 * max(1.0, abs(x[i]), abs(log_phi[i])), (got, want)
 
 
 class TestSvf:
