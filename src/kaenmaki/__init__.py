@@ -39,7 +39,6 @@ from .sampling import (
 from .thermo import (
     KaenmakiMeasure,
     MarkovGibbs,
-    PotentialIndex,
     ThermoSummary,
     affinity_dimension,
     affinity_dimension_detail,

@@ -21,7 +21,6 @@ from . import dimension, sampling, thermo
 from .coding import as_word, check_mixing, transition_matrix
 from .errors import KaenmakiError, MissingValue, SOutOfRange, TooLarge
 from .ifs import IfsSpec, check_strong_separation, check_transversality, parse_ifs
-from .thermo import PotentialIndex
 
 
 def _read_spec(path: str) -> IfsSpec:
@@ -97,8 +96,7 @@ def cmd_report(args) -> int:
 def cmd_pressure(args) -> int:
     spec = _read_spec(args.spec)
     s, _ = _resolve_s(spec, args.s)
-    t = PotentialIndex(args.t)
-    print(repr(thermo.pressure(spec, s, t)))
+    print(repr(thermo.pressure(spec, s)))  # --t 1 and 2: one root, as m2 = m1 o sigma
     return 0
 
 
@@ -151,11 +149,11 @@ def cmd_verify(args) -> int:
                     f"ratios in [{np.exp(log_min):.6f}, {np.exp(log_max):.6f}] "
                     f"vs [{lo:.6f}, {up:.6f}]"))
 
-    w11 = thermo._weight_vector(spec, 1.0, PotentialIndex.ONE)
-    w21 = thermo._weight_vector(spec, 1.0, PotentialIndex.TWO)
-    int_11_m1 = float(nu.m1.stationary @ w11)
-    int_21_m2 = float(nu.m2.stationary @ w21)
-    int_21_m1 = float(nu.m1.stationary @ w21)
+    # f21 = f11 o sigma and m2 = m1 o sigma, each a roll by d
+    w11, pi, d = thermo._weight_vector(spec, 1.0), nu.m1.stationary, spec.d
+    int_11_m1 = float(pi @ w11)
+    int_21_m2 = float(np.roll(pi, d) @ np.roll(w11, d))
+    int_21_m1 = float(pi @ np.roll(w11, d))
     chi_ok = abs(int_11_m1 - int_21_m2) <= 1e-12 and int_11_m1 >= int_21_m1 - 1e-12
     results.append(("side-length integrals ordered", chi_ok,
                     f"int f11 dm1 = {int_11_m1:.9f} >= int f21 dm1 = {int_21_m1:.9f}"))

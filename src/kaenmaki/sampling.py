@@ -103,11 +103,9 @@ def _draw_words(nu, count: int, depth: int, rng) -> np.ndarray:
     d = nu.spec.d
     dtype = np.min_scalar_type(2 * d)  # it also holds every tau-lifted symbol
     chain = (rng.random(count) >= nu.tau_start_mass()).astype(dtype)  # 0: m1, 1: m2
-    # cumulative rows by key, one column each: 0, 1 the initial laws of m1, m2;
-    # 2 + 2 chain + class the chain's row of that class
-    chains = (nu.m1, nu.m2)
-    laws = ([_log_normalized(g.log_stationary[:d]) for g in chains]
-            + [row for g in chains for row in g.log_rows])
+    # cumulative rows by key, one column each, all m1's, as m2 = m1 o sigma: 0, 1 the
+    # initial laws on its two halves; 2 + (chain ^ class) its row of that class
+    laws = np.vstack([_log_normalized(nu.m1.log_stationary.reshape(2, d)), nu.m1.log_rows])
     cum = np.cumsum(np.exp(laws), axis=1).T.copy()
     words = np.ones((count, depth), dtype=dtype, order="F")
     key, cls = chain, np.zeros(count, dtype=dtype)
@@ -116,7 +114,7 @@ def _draw_words(nu, count: int, depth: int, rng) -> np.ndarray:
         for thresholds in cum[:d - 1]:
             col += u > thresholds.take(key)
         cls ^= col >= nu.spec.l
-        key = 2 + 2 * chain + cls
+        key = 2 + (chain ^ cls)
     return words
 
 
@@ -333,7 +331,7 @@ class StripOracleResult:
 
 
 @np.errstate(invalid="ignore")  # a NaN operand gives NaN, quietly
-def _frame_walk(spec: IfsSpec, prefix, rel_width: float, cap: int, chains):
+def _frame_walk(spec: IfsSpec, prefix, rel_width: float, cap: int, g, halves):
     """Stopping-time sums of a strip query over suffix cells, in the prefix's frame.
 
     The strip of a nonempty prefix w is the set of points of the cylinder
@@ -354,7 +352,9 @@ def _frame_walk(spec: IfsSpec, prefix, rel_width: float, cap: int, chains):
     Fractions: its exact sides pick the primary axis, and its exact fixed
     point decides the empty word's cover and, rounded, gives the slab's
     edges.  A cell v is its extent [lo, lo + side] on the axis, its parity
-    and, per chain, the log masses of the lifts of w v and v.  Appending j,
+    and, per chain, the log masses of the lifts of w v and v: chain h of
+    halves is g started in half h, which reads g's two halves swapped if h is
+    1 (so m1's halves (0, 1) are m1 and m2 = m1 o sigma).  Appending j,
     f_vj = f_v o f_j, takes (offset, ratio) = (tx_j, a_j) or (ty_j, b_j) on
     the axis f_v maps onto the walk's: lo += side * offset, side *= ratio,
     parity ^= anti_j; the w v sums add the chain's log row at j + d (w's
@@ -366,8 +366,8 @@ def _frame_walk(spec: IfsSpec, prefix, rel_width: float, cap: int, chains):
     first order for n >= 1, and slack more than covers the slab edges'
     rounding: rounding only makes a cell straddle.  Returns
     (covered, log_w, decided, undecided): whether the empty word's exact cell
-    [0, 1] is inside the slab (its v mass: every lift), per MarkovGibbs chain
-    the log mass of w's lift, and the logs of the two parts as pairs (sum of
+    [0, 1] is inside the slab (its v mass: every lift), per chain the log
+    mass of w's lift, and the logs of the two parts as pairs (sum of
     mass(w v), sum of mass(v)), -inf for an empty part.
     """
     prefix = np.array([as_word(prefix, spec.d)])
@@ -393,12 +393,14 @@ def _frame_walk(spec: IfsSpec, prefix, rel_width: float, cap: int, chains):
     lo_s, hi_s = float(centre - half), float(centre + half)
     slack = 8.0 * EPS * (prefix.shape[1] + 1) / (1.0 - float(k))  # the slab's rounding
 
-    log_w = np.array([g.log_cylinder_batch(tau_arrays(prefix, spec) - 1)[0] for g in chains])
-    rows = np.stack([g.log_rows for g in chains])  # (chain, half, letter)
-    first = np.stack([g.log_stationary.reshape(2, -1) for g in chains])  # for v's first letter
+    swap = np.array(halves)[:, None] ^ np.arange(2)  # per chain, g's half read as each half
+    lifts = tau_arrays(prefix, spec) - 1 + spec.d * swap[:, :1]  # w's lift started in half h
+    log_w = g.log_cylinder_batch(lifts % (2 * spec.d))
+    rows = g.log_rows[swap]  # (chain, half, letter)
+    first = g.log_stationary.reshape(2, -1)[swap]  # for v's first letter
     if centre - half <= 0 and 1 <= centre + half:  # covered by the empty word: every lift
         log_u = np.logaddexp.reduce(first[:, 0], axis=1)
-        return True, log_w, np.stack([log_w, log_u], axis=1), np.full((len(chains), 2), -np.inf)
+        return True, log_w, np.stack([log_w, log_u], axis=1), np.full((len(halves), 2), -np.inf)
     anti = np.arange(spec.d) >= spec.l - 1
     # (a, b) and (tx, ty), each by v's parity: the walk's axis, then the other one
     ratios, offsets = np.array([(spec.a, spec.b), (spec.tx, spec.ty)])[:, [1 - on_x, on_x]]
@@ -414,7 +416,7 @@ def _frame_walk(spec: IfsSpec, prefix, rel_width: float, cap: int, chains):
             lo = (lo[:, None] + side[:, None] * offsets[odd]).ravel()
             side = (side[:, None] * ratios[odd]).ravel()
             step = np.stack([rows[:, odd ^ odd_w], (rows if depth else first)[:, odd]], axis=1)
-            sums = (sums[..., None] + step).reshape(len(chains), 2, -1)
+            sums = (sums[..., None] + step).reshape(len(halves), 2, -1)
             odd = (odd[:, None] ^ anti).ravel()
     return False, log_w, decided, np.logaddexp.reduce(sums, axis=2)
 
@@ -435,7 +437,7 @@ def strip_measure_oracle(spec: IfsSpec, s: float, prefix, rel_width: float,
         raise NoCertificate("strip enumeration requires certified strong separation")
     nu = kaenmaki_measure(spec, s)
     log_lo, log_up = nu.log_envelope()
-    covered, log_w, *parts = _frame_walk(spec, prefix, rel_width, extension_cap, (nu.m1, nu.m2))
+    covered, log_w, *parts = _frame_walk(spec, prefix, rel_width, extension_cap, nu.m1, (0, 1))
     decided, undecided = (np.logaddexp(*part) for part in parts)  # nu = m1 + m2
     log_mu, log_proj = np.logaddexp(decided, undecided).tolist()
     return StripOracleResult(
@@ -455,7 +457,7 @@ class StripReverseResult:
 @np.errstate(invalid="ignore")  # a NaN operand gives NaN, quietly
 def strip_reverse_oracle(spec: IfsSpec, s: float, prefix, rel_width: float,
                          extension_cap: int, t: int = 1) -> StripReverseResult:
-    """Lower-bound counterpart for one lifted Gibbs chain, at axis-preserving prefixes.
+    """Lower-bound counterpart for lifted Gibbs chain t, 1 or 2, at axis-preserving prefixes.
 
     Valid only when the prefix composition preserves the axes (even number of
     anti-diagonal letters), where concatenation of lifts is again a lift and
@@ -464,10 +466,12 @@ def strip_reverse_oracle(spec: IfsSpec, s: float, prefix, rel_width: float,
     >= c * chain mass of the prefix * projected chain mass of the blown
     interval, bracket by bracket, over the same stopped family.  In logs.
     """
-    nu = kaenmaki_measure(spec, s)
-    g = nu.m1 if t == 1 else nu.m2
-    log_c = float(np.min(g.log_rows.ravel() - g.log_stationary))
-    _, (log_w,), (lower,), (rest,) = _frame_walk(spec, prefix, rel_width, extension_cap, (g,))
+    if t not in (1, 2):
+        raise ValueError(f"chain t={t} must be 1 or 2")
+    g = kaenmaki_measure(spec, s).m1
+    log_c = float(np.min(g.log_rows.ravel() - g.log_stationary))  # m2 = m1 o sigma: the same
+    _, (log_w,), (lower,), (rest,) = _frame_walk(spec, prefix, rel_width, extension_cap,
+                                                 g, [t - 1])
     if sum(i >= spec.l for i in prefix) % 2:  # a valid word now: the walk checked it
         raise ValueError("reverse bound applies only to axis-preserving prefixes")
     lower, upper = lower.tolist(), np.logaddexp(lower, rest).tolist()

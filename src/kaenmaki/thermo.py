@@ -10,11 +10,12 @@ horizontal and log vertical side lengths of cylinder rectangles.  Each has a
 unique Gibbs measure, realized here as the stationary Markov chain built from
 the Perron eigendata of the weighted transition matrix (transfer matrix
 convention: T(i,j) = A(i,j) * exp(weight_j)).  Every state is followed by one
-whole half of the alphabet, so each chain is two log rows, one per row class,
+whole half of the alphabet, so a chain is two log rows, one per row class,
 and the log probability of a step depends on the symbol stepped into only.
-The equilibrium measure nu of phi^s is the sum of the two lifted Gibbs
-measures, and all of its cylinder masses, entropy and Lyapunov exponents are
-computed from that Markov data.
+The swap sigma of the two halves, i <-> i +- d, carries the first potential
+to the second and keeps the transitions, so only m1 is solved: m2 = m1 o sigma.
+The equilibrium measure nu of phi^s, nu([w]) = m1([tau(w)]) + m1([sigma(tau(w))]),
+and its entropy and Lyapunov exponents all come from that one chain.
 
 Measures and phi-values are accumulated in log space throughout; ratios are
 differences of logs exponentiated at the end.
@@ -23,7 +24,6 @@ differences of logs exponentiated at the end.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import IntEnum
 from functools import lru_cache
 
 import numpy as np
@@ -41,11 +41,6 @@ from .ifs import IfsSpec
 ENUMERATION_CAP = 10 ** 7
 
 
-class PotentialIndex(IntEnum):
-    ONE = 1
-    TWO = 2
-
-
 def _log_phi_from_alphas(log_a1, log_a2, s: float):
     """log alpha1^s for s < 1, log(alpha1 alpha2^(s-1)) for s >= 1."""
     if s < 1.0:
@@ -53,17 +48,16 @@ def _log_phi_from_alphas(log_a1, log_a2, s: float):
     return log_a1 + (s - 1.0) * log_a2
 
 
-def _side_logs(spec: IfsSpec, t: PotentialIndex) -> tuple[np.ndarray, np.ndarray]:
-    """Per doubled symbol, the log side lengths playing alpha1 and alpha2 for t."""
+def _side_logs(spec: IfsSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Per doubled symbol, the log side lengths playing alpha1 and alpha2 (swapped: f2)."""
     la, lb = np.log(spec.a), np.log(spec.b)
-    log_r1, log_r2 = np.concatenate([la, lb]), np.concatenate([lb, la])
-    return (log_r2, log_r1) if t == PotentialIndex.TWO else (log_r1, log_r2)
+    return np.concatenate([la, lb]), np.concatenate([lb, la])
 
 
-def _weight_vector(spec: IfsSpec, s: float, t: PotentialIndex) -> np.ndarray:
-    """Log-weights per doubled symbol of side-length potential t, s in (0, 2]: the
-    log phi^s of each symbol's side lengths as _side_logs assigns them for t."""
-    return _log_phi_from_alphas(*_side_logs(spec, t), s)
+def _weight_vector(spec: IfsSpec, s: float) -> np.ndarray:
+    """Log-weights w per doubled symbol of the first side-length potential, s in
+    (0, 2], from _side_logs; the second potential's are w o sigma = np.roll(w, d)."""
+    return _log_phi_from_alphas(*_side_logs(spec), s)
 
 
 def _log_normalized(x: np.ndarray) -> np.ndarray:
@@ -124,7 +118,6 @@ class MarkovGibbs:
     """
 
     s: float
-    t: PotentialIndex
     d: int
     l: int
     log_pressure: float
@@ -162,79 +155,81 @@ class MarkovGibbs:
 
 
 @lru_cache(maxsize=256)
-def gibbs_markov(spec: IfsSpec, s: float, t: PotentialIndex = PotentialIndex.ONE) -> MarkovGibbs:
-    """Build the Gibbs measure of one potential as explicit Markov chain data."""
+def gibbs_markov(spec: IfsSpec, s: float) -> MarkovGibbs:
+    """Build the Gibbs measure m1 of the first potential as explicit Markov chain data."""
     if not (0.0 < s < 2.0):
         raise SOutOfRange(f"s={s} must lie in (0,2)")
-    w = _weight_vector(spec, s, t)
+    w = _weight_vector(spec, s)
     log_root, log_right, log_left = _perron(w, spec.d, spec.l)
     # P(i,j) = T(i,j) r(j) / (lambda r(i)), and T(i,.) r sums to lambda r(i): the
     # row of a class-c state is exp(w + log r) on half c, normalized to sum 1
     return MarkovGibbs(
-        s=s, t=PotentialIndex(t), d=spec.d, l=spec.l,
+        s=s, d=spec.d, l=spec.l,
         log_pressure=log_root,
         log_right=log_right, log_left=log_left,
         log_rows=_log_normalized((w + log_right).reshape(2, spec.d)),
         log_stationary=_log_normalized(log_left + log_right), weights=w)
 
 
-def pressure(spec: IfsSpec, s: float, t: PotentialIndex = PotentialIndex.ONE) -> float:
+def pressure(spec: IfsSpec, s: float) -> float:
     """Log spectral radius of the weighted transition matrix, in closed form from
     the rank-2 structure (see _perron): the root of the cached chain
-    gibbs_markov(spec, s, t), so P(s) is solved once per (system, s, t).  The
-    t=ONE and t=TWO values are bit-identical, since the two 2x2 matrices are
-    conjugate by the swap of the two halves."""
-    return gibbs_markov(spec, s, t).log_pressure  # t positional: lru_cache keys t=... apart
+    gibbs_markov(spec, s), so P(s) is solved once per (system, s).  The second
+    potential has the same root, as its matrix is conjugate by sigma."""
+    return gibbs_markov(spec, s).log_pressure
 
 
 @dataclass(frozen=True)
 class KaenmakiMeasure:
     """The equilibrium measure nu: sum of the two lifted Gibbs measures.
 
-    nu([w]) = m1([tau(w)]) + m2([tau(w)]) for words over the base alphabet.
+    nu([w]) = m1([tau(w)]) + m2([tau(w)]) for words over the base alphabet; m2 =
+    m1 o sigma has rows m1.log_rows[::-1] and law np.roll(m1.log_stationary, d).
     """
 
     spec: IfsSpec
     s: float
     m1: MarkovGibbs
-    m2: MarkovGibbs
 
     def log_cylinder(self, w) -> float:
         return float(self.log_cylinder_batch(np.array([as_word(w, self.spec.d)]))[0])
 
     @np.errstate(invalid="ignore")  # a NaN operand gives NaN, quietly
     def log_cylinder_batch(self, words: np.ndarray) -> np.ndarray:
-        """Vectorized log nu over an (N, n) array of words (values 1..d)."""
+        """Vectorized log nu over an (N, n) array of words (values 1..d): m1 at
+        each lift and its swap, gathered as intp (i + d wraps uint8)."""
         coded = tau_arrays(words, self.spec) - 1
+        sigma = np.roll(np.arange(2 * self.spec.d), self.spec.d)
         return np.logaddexp(self.m1.log_cylinder_batch(coded),
-                            self.m2.log_cylinder_batch(coded))
+                            self.m1.log_cylinder_batch(sigma[coded]))
 
     def tau_start_mass(self) -> float:
         """m1-mass of coded words starting in the unshifted half."""
         return float(self.m1.stationary[:self.spec.d].sum())
 
     def log_betas(self) -> np.ndarray:
-        """beta[t - 1, e] = P - log sum(l_t r_t) + log r_t(class e): log m_t([tau(w)])
-        = S_t(w) - nP + beta_t(e) for w of length n and parity e, S_t the Birkhoff sum
-        of chain t's weights along tau(w).  The step products telescope, as r is
-        constant on each row class and tau starts where log_left equals the weights."""
-        return np.array([m.log_pressure - np.logaddexp.reduce(m.log_left + m.log_right)
-                         + m.log_right[[0, m.l - 1]] for m in (self.m1, self.m2)])
+        """beta[t - 1, e]: log m_t([tau(w)]) = S_t(w) - nP + beta_t(e) for w of length n
+        and parity e, S_t the Birkhoff sum of potential t along tau(w).  beta_1(e) =
+        P - log sum(l r) + log r(class e): the step products telescope, as r is constant
+        on each row class and tau starts where log_left equals the weights.  m2 = m1 o
+        sigma swaps the classes and starts in m1's shifted half, where log_left - weights
+        is not 0: beta_2(e) = beta_1(1 - e) + (log_left - weights)[d]."""
+        m = self.m1
+        shift = m.log_pressure - np.logaddexp.reduce(m.log_left + m.log_right)
+        beta = shift + m.log_right[[0, m.l - 1]]
+        return np.array([beta, beta[::-1] + (m.log_left - m.weights)[m.d]])
 
     @np.errstate(invalid="ignore")  # a NaN operand gives NaN, quietly
     def log_envelope(self) -> tuple[float, float]:
-        """Logs of two-sided bounds for nu([w]) / (phi^s(w) exp(-n P)) over all words."""
-        (lo1, up1), (lo2, up2) = self.m1.log_gibbs_bounds(), self.m2.log_gibbs_bounds()
-        lo = lo2 if np.isnan(lo2) else min(lo1, lo2)  # min drops a NaN second argument
-        return lo, float(np.logaddexp(up1, up2))
+        """Logs of two-sided bounds for nu([w]) / (phi^s(w) exp(-n P)) over all words:
+        m2 = m1 o sigma has m1's bounds, so lo is m1's and up is m1's plus log 2."""
+        lo, up = self.m1.log_gibbs_bounds()
+        return lo, up + float(np.log(2.0))
 
 
 @lru_cache(maxsize=64)
 def kaenmaki_measure(spec: IfsSpec, s: float) -> KaenmakiMeasure:
-    return KaenmakiMeasure(
-        spec=spec, s=s,
-        m1=gibbs_markov(spec, s, PotentialIndex.ONE),
-        m2=gibbs_markov(spec, s, PotentialIndex.TWO))
+    return KaenmakiMeasure(spec=spec, s=s, m1=gibbs_markov(spec, s))
 
 
 # -- exhaustive enumeration over all words of one length ----------------------
@@ -303,9 +298,9 @@ def level_log_blocks(spec: IfsSpec, s: float, n: int):
     chain's log mass is its stationary law at the first lifted symbol plus its
     rows at the others."""
     _guard_enumeration(spec, n)
-    nu = kaenmaki_measure(spec, s)
-    rows = np.stack([nu.m1.log_rows.ravel(), nu.m2.log_rows.ravel()])
-    starts = np.stack([nu.m1.log_stationary, nu.m2.log_stationary])
+    m = kaenmaki_measure(spec, s).m1  # and m2 = m1 o sigma
+    rows = np.stack([m.log_rows.ravel(), m.log_rows[::-1].ravel()])
+    starts = np.stack([m.log_stationary, np.roll(m.log_stationary, spec.d)])
     halves = level_table(spec, n - n // 2, rows, starts), level_table(spec, n // 2, rows)
     return _lifted_blocks(s, *halves, _logaddexp)
 
@@ -317,7 +312,8 @@ def phi_identity_check(spec: IfsSpec, s: float, max_len: int) -> tuple[float, bo
     (1e-12 is an ulp near 4700).  One block of a level at a time; both halves
     of every level come from the same few tables."""
     _guard_enumeration(spec, max_len)
-    w = np.stack([_weight_vector(spec, s, t) for t in PotentialIndex])
+    w = _weight_vector(spec, s)
+    w = np.stack([w, np.roll(w, spec.d)])  # the second potential is w o sigma
     tables = [level_table(spec, k, w) for k in range(max_len - max_len // 2 + 1)]
     worst, ok = 0.0, True
     for n in range(1, max_len + 1):
@@ -394,7 +390,7 @@ def affinity_dimension_detail(spec: IfsSpec) -> AffinityResult:
     ConvergenceFailure is raised when |P| at the root exceeds 1e-12 max(1, |dP/ds|).
     """
     trace = []
-    sides = _side_logs(spec, PotentialIndex.ONE)
+    sides = _side_logs(spec)
 
     def p(s):
         """(P(s), dP/ds), with dw/ds = log_r1 for s < 1 and log_r2 for s >= 1."""
@@ -430,16 +426,16 @@ def lyapunov_exponents(spec: IfsSpec, s: float) -> tuple[float, float]:
     first Gibbs chain at parameter s.  chi1 <= chi2; dimension_report notes
     a gap below 1e-12 on a non-degenerate system, where it is positive.
     """
-    pi = gibbs_markov(spec, s, PotentialIndex.ONE).stationary
-    chi1, chi2 = (float(-(pi @ side)) for side in _side_logs(spec, PotentialIndex.ONE))
+    pi = gibbs_markov(spec, s).stationary
+    chi1, chi2 = (float(-(pi @ side)) for side in _side_logs(spec))
     if chi1 > chi2 + 1e-12:
         raise InternalMismatch(f"chi1={chi1} exceeds chi2={chi2}")
     return chi1, chi2
 
 
-def entropy(spec: IfsSpec, s: float, t: PotentialIndex = PotentialIndex.ONE) -> float:
-    """h = pressure - integral of the potential; same value for either t."""
-    g = gibbs_markov(spec, s, t)
+def entropy(spec: IfsSpec, s: float) -> float:
+    """h = pressure - integral of the potential against m1; the same for m2 = m1 o sigma."""
+    g = gibbs_markov(spec, s)
     h = g.log_pressure - float(g.stationary @ g.weights)
     return max(h, 0.0)
 
@@ -517,9 +513,9 @@ class ThermoSummary:
 
 
 def thermo_summary(spec: IfsSpec, s: float, affinity_dim: float | None = None) -> ThermoSummary:
-    """Quantities at s, all from the one chain gibbs_markov(spec, s, ONE): the
-    dimension formula needs only P(s), h, chi1 and chi2, so the second chain is
-    not built.  The pressure root is searched for unless given as affinity_dim."""
+    """Quantities at s, all from the one chain gibbs_markov(spec, s): the
+    dimension formula needs only P(s), h, chi1 and chi2, so nu is not built.
+    The pressure root is searched for unless given as affinity_dim."""
     chi1, chi2 = lyapunov_exponents(spec, s)
     return ThermoSummary(
         s=s,

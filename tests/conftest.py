@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 from fractions import Fraction
 from typing import NamedTuple
@@ -18,7 +19,7 @@ from kaenmaki.errors import (
 )
 from kaenmaki.thermo import (
     ENUMERATION_CAP,
-    PotentialIndex,
+    MarkovGibbs,
     _log_normalized,
     _log_phi_from_alphas,
     _perron,
@@ -209,11 +210,46 @@ def log_svf_phi(spec, s, w):
     log_p, log_q, _ = product_signature(w, spec)
     via_svd = _log_phi_from_alphas(max(log_p, log_q), min(log_p, log_q), s)
     coded = np.asarray(encode_tau(w, spec)) - 1
-    via_birkhoff = max(float(_weight_vector(spec, s, t)[coded].sum()) for t in PotentialIndex)
+    via_birkhoff = max(float(w_t[coded].sum())
+                       for w_t in (_weight_vector(spec, s), weight_vector_two(spec, s)))
     if abs(via_svd - via_birkhoff) > 1e-12 * max(1.0, abs(via_svd)):
         raise InternalMismatch(
             f"phi routes disagree: {via_svd!r} vs {via_birkhoff!r} for word {w}")
     return float(via_svd)
+
+
+def weight_vector_two(spec, s):
+    """Log-weights of the second side-length potential, from the side lengths
+    swapped: the direct form of np.roll(thermo._weight_vector(spec, s), d)."""
+    log_r1, log_r2 = _side_logs(spec)
+    return _log_phi_from_alphas(log_r2, log_r1, s)
+
+
+def gibbs_markov_two(spec, s):
+    """The second potential's Gibbs chain m2 from its own Perron solve, built as
+    thermo.gibbs_markov builds m1: the oracle for m2 = m1 o sigma, which the
+    program reads from m1 alone.  Its log_left equals the weights on the
+    unshifted half, where tau starts."""
+    if not (0.0 < s < 2.0):
+        raise SOutOfRange(f"s={s} must lie in (0,2)")
+    w = weight_vector_two(spec, s)
+    log_root, log_right, log_left = _perron(w, spec.d, spec.l)
+    return MarkovGibbs(
+        s=s, d=spec.d, l=spec.l, log_pressure=log_root, log_right=log_right,
+        log_left=log_left, log_rows=_log_normalized((w + log_right).reshape(2, spec.d)),
+        log_stationary=_log_normalized(log_left + log_right), weights=w)
+
+
+def shifted_chain(g):
+    """The chain g read through sigma (i <-> i +- d), as the program reads m2 from
+    m1: rows swapped, every vector rolled by d, and log_left shifted so that
+    it equals the weights on the unshifted half again.  Its arrays give m2's
+    masses with m1's floats, so it is the bitwise reference for m2's part."""
+    d = g.d
+    return dataclasses.replace(
+        g, log_right=np.roll(g.log_right, d),
+        log_left=np.roll(g.log_left, d) - (g.log_left - g.weights)[d], log_rows=g.log_rows[::-1],
+        log_stationary=np.roll(g.log_stationary, d), weights=np.roll(g.weights, d))
 
 
 def level_signature_logs(spec, n):
@@ -250,7 +286,7 @@ def bisection_root(spec):
     trace = []
 
     def p(s):
-        v = _perron(_weight_vector(spec, s, PotentialIndex.ONE), spec.d, spec.l)[0]
+        v = _perron(_weight_vector(spec, s), spec.d, spec.l)[0]
         trace.append((s, v))
         return v
 
@@ -267,11 +303,9 @@ def bisection_root(spec):
         else:
             hi = mid
     root = 0.5 * (lo + hi)
-    p_root, log_right, log_left = _perron(
-        _weight_vector(spec, root, PotentialIndex.ONE), spec.d, spec.l)
+    p_root, log_right, log_left = _perron(_weight_vector(spec, root), spec.d, spec.l)
     trace.append((root, p_root))
-    slope = np.exp(_log_normalized(log_left + log_right)) @ _side_logs(
-        spec, PotentialIndex.ONE)[0 if root < 1.0 else 1]
+    slope = np.exp(_log_normalized(log_left + log_right)) @ _side_logs(spec)[0 if root < 1.0 else 1]
     if abs(p_root) > 1e-12 * max(1.0, abs(slope)):
         raise ConvergenceFailure(f"|P(s*)|={abs(p_root):.3e} above tolerance")
     by_s = sorted(trace)

@@ -38,15 +38,15 @@ from conftest import (
     anti,
     dense_stochastic,
     diag,
+    gibbs_markov_two,
     level_signature_logs,
     random_spec,
     subadditive_pressure_bruteforce,
+    weight_vector_two,
 )
 from kaenmaki.cli import main as cli_main
 from kaenmaki.coding import signature_arrays, tau_arrays
-from kaenmaki.thermo import PotentialIndex, _weight_vector
-
-ONE, TWO = PotentialIndex.ONE, PotentialIndex.TWO
+from kaenmaki.thermo import _weight_vector
 
 
 def _passed(num, msg):
@@ -72,8 +72,8 @@ def ex1_samples(ex1, sstar):
 
 def _dual_route_worst(spec, s, max_len):
     """Worst log disagreement of the two phi routes over all words <= max_len."""
-    w1 = _weight_vector(spec, s, ONE)
-    w2 = _weight_vector(spec, s, TWO)
+    w1 = _weight_vector(spec, s)
+    w2 = weight_vector_two(spec, s)
     worst = 0.0
     for n in range(1, max_len + 1):
         words = all_words(spec.d, n)
@@ -151,14 +151,17 @@ def test_criterion_02_pressure_oracle(ex1):
 
 
 def test_criterion_03_symmetry(ex1):
-    """Pressure and entropy agree between the two potentials to 1e-10."""
+    """Pressure and entropy agree between the two potentials to 1e-10: the program's,
+    from the one chain m1, against the second potential's own Perron solve."""
     rng = np.random.default_rng(33)
     specs = [ex1] + [random_spec(rng) for _ in range(20)]
     worst_p = worst_h = 0.0
     for spec in specs:
         for s in (0.3, 0.9, 1.4):
-            worst_p = max(worst_p, abs(K.pressure(spec, s, ONE) - K.pressure(spec, s, TWO)))
-            worst_h = max(worst_h, abs(K.entropy(spec, s, ONE) - K.entropy(spec, s, TWO)))
+            two = gibbs_markov_two(spec, s)
+            h2 = max(two.log_pressure - float(two.stationary @ two.weights), 0.0)
+            worst_p = max(worst_p, abs(K.pressure(spec, s) - two.log_pressure))
+            worst_h = max(worst_h, abs(K.entropy(spec, s) - h2))
     assert worst_p <= 1e-10, f"pressure asymmetry {worst_p:.3e}"
     assert worst_h <= 1e-10, f"entropy asymmetry {worst_h:.3e}"
     _passed(3, f"21 specs x 3 s-values: max pressure diff {worst_p:.2e}, "
@@ -211,11 +214,12 @@ def test_criterion_05_gibbs_envelope(ex1, sstar):
         nu_max[n] = float(ratio.max())
         coded = tau_arrays(all_words(ex1.d, n), ex1) - 1
         log_m = []
-        for g in (nu.m1, nu.m2):
+        # m2 from the second potential's own Perron solve
+        for name, g in (("ONE", nu.m1), ("TWO", gibbs_markov_two(ex1, sstar))):
             lm, log_ratio = _component_logs(g, coded)
             log_m.append(lm)
-            component[g.t.name, n] = (float(np.exp(log_ratio.min())),
-                                      float(np.exp(log_ratio.max())))
+            component[name, n] = (float(np.exp(log_ratio.min())),
+                                  float(np.exp(log_ratio.max())))
         tie = float(np.abs(np.logaddexp(*log_m) - log_nu).max())
         assert tie <= 1e-12, f"m1 + m2 differs from nu by {tie:.3e} in log at n={n}"
     max_drift = abs(nu_max[10] / nu_max[6] - 1.0)

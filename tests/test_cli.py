@@ -160,8 +160,8 @@ class TestReport:
 
     @pytest.mark.parametrize("s_args", [(), ("--s", "0.7")])
     def test_builds_one_chain(self, capsys, tmp_path, s_args):
-        # P(s), h, chi1 and chi2 all come from chain ONE; the second chain and the
-        # equilibrium measure are built only for cylinder masses
+        # P(s), h, chi1 and chi2 all come from the one chain m1; the equilibrium
+        # measure, which reads m2 from m1, is built only for cylinder masses
         p = tmp_path / "fresh.json"
         p.write_text('{"maps": [{"kind": "diag", "a": 0.3172, "b": 0.2141, "tx": 0, "ty": 0},'
                      ' {"kind": "anti", "a": 0.2713, "b": 0.1931, "tx": 0.5, "ty": 0.5}]}')
@@ -215,9 +215,11 @@ class TestScalarCommands:
         assert float(out.strip()) == pytest.approx(-0.6931471805599453, abs=1e-12)
 
     def test_pressure_t2_matches(self, capsys, ex1_path):
+        # --t is accepted, and both values are the one chain's root, bit for bit
         _, out1, _ = run(capsys, "pressure", "--spec", ex1_path, "--s", "0.7", "--t", "1")
         _, out2, _ = run(capsys, "pressure", "--spec", ex1_path, "--s", "0.7", "--t", "2")
         assert abs(float(out1) - float(out2)) <= 1e-10
+        assert out1 == out2
 
     def test_affinity(self, capsys, ex1_path):
         code, out, _ = run(capsys, "affinity", "--spec", ex1_path)
@@ -335,28 +337,31 @@ class TestVerify:
         assert "FAIL" not in out
 
     def test_corrupt_potential_fails(self, capsys, ex1_path, monkeypatch):
-        # negative control: symbol 1 of the first potential off by 1e-6 wherever
-        # thermo reads it; the key-identity and side-length rows FAIL, and no
-        # per-word phi check inside thermo stops the run before they print
+        # negative controls on the first potential wherever thermo reads it, and no
+        # per-word phi check inside thermo stops the run before the rows print.
+        # Symbol 1 off by 1e-6 FAILs the key-identity row.  The side-length row
+        # reads the second potential as the first through sigma, so it sees that
+        # offset on both sides; it FAILs when the s = 1 weights, which only it
+        # reads, are the second potential's (the halves swapped): chi1 > chi2
         weights = thermo._weight_vector
-
-        def corrupted(spec, s, t):
-            w = weights(spec, s, t)
-            return w + np.eye(w.size)[0] * 1e-6 if t == thermo.PotentialIndex.ONE else w
-
-        monkeypatch.setattr(thermo, "_weight_vector", corrupted)
+        corruptions = {
+            "phi max-of-sides identity": lambda w, s: w + np.eye(w.size)[0] * 1e-6,
+            "side-length integrals ordered":
+                lambda w, s: np.roll(w, w.size // 2) if s == 1.0 else w}
         caches = (thermo.gibbs_markov, thermo.kaenmaki_measure)
-        for cache in caches:
-            cache.cache_clear()
-        try:
-            code, out, _ = run(capsys, "verify", "--spec", ex1_path, "--max-depth", "6")
-        finally:
-            for cache in caches:  # they hold chains built from the corrupted weights
+        for row, corrupt in corruptions.items():
+            monkeypatch.setattr(thermo, "_weight_vector",
+                                lambda spec, s, corrupt=corrupt: corrupt(weights(spec, s), s))
+            for cache in caches:
                 cache.cache_clear()
-        rows = {r[6:].split("  ")[0]: r for r in out.splitlines()}
-        assert rows["phi max-of-sides identity"].startswith("FAIL"), out
-        assert rows["side-length integrals ordered"].startswith("FAIL"), out
-        assert code == 1
+            try:
+                code, out, _ = run(capsys, "verify", "--spec", ex1_path, "--max-depth", "6")
+            finally:
+                for cache in caches:  # they hold chains built from the corrupted weights
+                    cache.cache_clear()
+            rows = {r[6:].split("  ")[0]: r for r in out.splitlines()}
+            assert rows[row].startswith("FAIL"), out
+            assert code == 1
 
     def test_phi_identity_relative_to_log_phi(self, capsys, tmp_path):
         p = tmp_path / "ulp.json"
@@ -371,7 +376,7 @@ class TestVerify:
         # tables of the Birkhoff route keep the uncorrupted phi of each symbol
         log_phi = thermo._log_phi_from_alphas
         monkeypatch.setattr(thermo, "_weight_vector",
-                            lambda spec, s, t: log_phi(*thermo._side_logs(spec, t), s))
+                            lambda spec, s: log_phi(*thermo._side_logs(spec), s))
         monkeypatch.setattr(thermo, "_log_phi_from_alphas",
                             lambda log_a1, log_a2, s: log_phi(log_a1, log_a2, s) + 1e-9)
         code, out, _ = run(capsys, "verify", "--spec", ex1_path, "--max-depth", "6")

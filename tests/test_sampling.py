@@ -26,6 +26,7 @@ from conftest import (
     full_box_draw,
     full_box_system,
     grid_spec,
+    shifted_chain,
     signature_rows_reference,
     strip_family_oracle,
 )
@@ -145,14 +146,15 @@ def lifted_states(nu, count, depth, rng):
 
 def lifted_columns_dense(nu, count, depth, rng):
     """The sampler's lifted states from a full (count, d) comparison table per
-    column, with the draw schedule of sampling._draw_words: its reference."""
+    column, with the draw schedule of sampling._draw_words: its reference.  The
+    second chain is m1 read through sigma, with m1's floats."""
     d = nu.spec.d
     chain = (rng.random(count) >= nu.tau_start_mass()).astype(np.int64)
-    init = np.array([np.cumsum(g.stationary[:d] / g.stationary[:d].sum())
-                     for g in (nu.m1, nu.m2)])
+    chains = nu.m1, shifted_chain(nu.m1)
+    init = np.array([np.cumsum(g.stationary[:d] / g.stationary[:d].sum()) for g in chains])
     state = np.minimum((rng.random(count)[:, None] > init[chain]).sum(axis=1), d - 1)
     yield state
-    tables = np.array([np.cumsum(np.exp(g.log_rows), axis=1) for g in (nu.m1, nu.m2)])
+    tables = np.array([np.cumsum(np.exp(g.log_rows), axis=1) for g in chains])
     row_class = transition_matrix(d, nu.spec.l)
     for _ in range(1, depth):
         u = rng.random(count)
@@ -203,7 +205,7 @@ class TestSampler:
         tm = dense_transition(d, spec.l)
         zero_after_shifted_row = top_above_row_sum = 0
         for i in range(count):
-            g = nu.m1 if branch[i] < nu.tau_start_mass() else nu.m2
+            g = nu.m1 if branch[i] < nu.tau_start_mass() else shifted_chain(nu.m1)
             path = [inverse_cdf(g.stationary[:d] / g.stationary[:d].sum(), cols[0][i])]
             P = chain_matrix(g)
             for t in range(1, depth):
@@ -480,18 +482,16 @@ class TestStripOracle:
 
     def test_interval_mass_in_logs_below_the_smallest_double(self, ex1):
         # every mass scaled by e^-2000 walks the same cells, and both logs shift
-        nu = kaenmaki_measure(ex1, 0.8)
-        chains = nu.m1, nu.m2
-        low_chains = tuple(dataclasses.replace(g, log_stationary=g.log_stationary - 2000.0)
-                           for g in chains)
+        m1 = kaenmaki_measure(ex1, 0.8).m1
+        low = dataclasses.replace(m1, log_stationary=m1.log_stationary - 2000.0)
         log_p, log_q, _ = product_signature((1,), ex1)
         alpha1, alpha2 = np.exp(max(log_p, log_q)), np.exp(min(log_p, log_q))
         finite = []
         for rel in (1e-2, 1e-6 * alpha2 / alpha1):  # decided, then undecided mass
-            _, _, *base = sampling._frame_walk(ex1, (1,), rel, 6, chains)
-            _, _, *low = sampling._frame_walk(ex1, (1,), rel, 6, low_chains)
-            assert np.array(low) == pytest.approx(np.subtract(base, 2000.0), rel=1e-14)
-            finite.append(np.isfinite(low))
+            _, _, *base = sampling._frame_walk(ex1, (1,), rel, 6, m1, (0, 1))
+            _, _, *lowered = sampling._frame_walk(ex1, (1,), rel, 6, low, (0, 1))
+            assert np.array(lowered) == pytest.approx(np.subtract(base, 2000.0), rel=1e-14)
+            finite.append(np.isfinite(lowered))
         assert np.array(finite).any(axis=0).all()
 
     def test_full_cover_returns_prefix_mass_exactly(self, central_fixture):
@@ -522,7 +522,7 @@ class TestStripOracle:
         log_lo, log_up = nu.log_envelope()
         log_proj = res.log_bound - (log_up - 2.0 * log_lo) - nu.log_cylinder((1,))
         assert res.covered and log_proj == pytest.approx(0.0, abs=1e-14)
-        for t, g in ((1, nu.m1), (2, nu.m2)):
+        for t, g in ((1, nu.m1), (2, shifted_chain(nu.m1))):
             rev = strip_reverse_oracle(central_fixture, 0.9, (1,), 1.0, extension_cap=5, t=t)
             log_c = np.min(g.log_rows.ravel() - g.log_stationary)
             log_w = g.log_cylinder_batch(np.array([[0]]))[0]
@@ -587,7 +587,7 @@ class TestStripOracle:
         assert contains((res.log_mu_lower, res.log_mu_upper), brackets(nu.log_cylinder, prefix))
         if sum(i >= spec.l for i in prefix) % 2:
             return
-        for t, g in ((1, nu.m1), (2, nu.m2)):
+        for t, g in ((1, nu.m1), (2, shifted_chain(nu.m1))):
             def log_mt(word):  # the chain's mass of the word's lift; of every lift if empty
                 if not word:
                     return np.logaddexp.reduce(g.log_stationary[:spec.d])
@@ -602,6 +602,12 @@ class TestStripOracle:
     def test_reverse_rejects_odd_prefix(self, ex1):
         with pytest.raises(ValueError, match="axis-preserving"):
             strip_reverse_oracle(ex1, 1.0, (2,), 0.1, extension_cap=4)
+
+    @pytest.mark.parametrize("t", [0, 3, -1])
+    def test_reverse_rejects_a_chain_other_than_one_or_two(self, ex1, t):
+        # nu has the two chains m1 and m2 only: no other t reads one of them
+        with pytest.raises(ValueError, match=f"chain t={t} must be 1 or 2"):
+            strip_reverse_oracle(ex1, 1.0, (1,), 0.5, extension_cap=4, t=t)
 
     @pytest.mark.parametrize("oracle", [strip_measure_oracle, strip_reverse_oracle])
     @pytest.mark.parametrize("prefix, rel", [((1,), 0.0), ((1,), 1.5), ((1,), float("nan")),

@@ -21,16 +21,19 @@ from conftest import (
     dense_transition,
     diag,
     full_box_draw,
+    full_box_system,
+    gibbs_markov_two,
     grid_spec,
     level_ratio_extremes_reference,
     log_svf_phi,
     random_spec,
     rho_symbol,
+    shifted_chain,
     subadditive_pressure_bruteforce,
     uniform_spec,
+    weight_vector_two,
 )
 from kaenmaki import (
-    PotentialIndex,
     affinity_dimension,
     affinity_dimension_detail,
     entropy,
@@ -55,8 +58,6 @@ from kaenmaki.coding import encode_tau, level_table, signature_arrays, tau_array
 from kaenmaki.errors import BadMapKinds, DegenerateSystemWarning, SOutOfRange, TooLarge
 from kaenmaki.thermo import _weight_vector, level_log_blocks
 
-ONE, TWO = PotentialIndex.ONE, PotentialIndex.TWO
-
 # hand value: at s=1 on EX1 the weighted matrix has constant 2x2 block
 # structure whose top eigenvalue solves x^2 - (8/15) x + 1/60 = 0, i.e. 1/2
 EX1_PRESSURE_AT_1 = np.log(0.5)
@@ -79,15 +80,15 @@ def unit_exp(x):
     return e / e.sum()
 
 
-def dense_transfer(spec, s, t):
+def dense_transfer(spec, w):
     """The dense 2d x 2d weighted transition matrix T(i,j) = A(i,j) exp(w_j)."""
     A = dense_transition(spec.d, spec.l)
-    return A * np.exp(_weight_vector(spec, s, t))[None, :]
+    return A * np.exp(w)[None, :]
 
 
-def dense_eig_oracle(spec, s, t):
-    """Independent dense eigensolve of the weighted transition matrix."""
-    T = dense_transfer(spec, s, t)
+def dense_eig_oracle(spec, w):
+    """Independent dense eigensolve of the weighted transition matrix of weights w."""
+    T = dense_transfer(spec, w)
     vals, vecs = np.linalg.eig(T)
     k = int(np.argmax(vals.real))
     lam = float(vals.real[k])
@@ -95,6 +96,12 @@ def dense_eig_oracle(spec, s, t):
     valsl, vecsl = np.linalg.eig(T.T)
     kl = int(np.argmax(valsl.real))
     left = np.abs(vecsl[:, kl].real)
+    # power steps from the dense vectors: T has rank 2, so each shrinks their error
+    # by the ratio of its two nonzero eigenvalues (eig's r was 1e-12 off in the
+    # P rows of diag(e^-2, e^-1), anti(e^-11, e^-2) at s = 1, by a 60-digit solve)
+    for _ in range(30):
+        r, left = T @ r, left @ T
+        r, left = r / r.max(), left / left.max()
     pi = left * r / (left @ r)
     # each row of T(i,.) r normalized: equal to T r / (lam r(i)) since T r = lam r,
     # without the rounding error of lam and r(i), which reached 7e-9 on d <= 40 draws
@@ -104,12 +111,12 @@ def dense_eig_oracle(spec, s, t):
 
 class TestPotential:
     def test_ex1_s1_weights(self, ex1):
-        w = _weight_vector(ex1, 1.0, ONE)
+        w = _weight_vector(ex1, 1.0)
         assert w == pytest.approx(np.log([1 / 3, 1 / 4, 1 / 5, 1 / 5]), rel=1e-15)
 
     def test_uniform_collapses(self, uniform2):
-        w1 = _weight_vector(uniform2, 0.5, ONE)
-        w2 = _weight_vector(uniform2, 0.5, TWO)
+        w1 = _weight_vector(uniform2, 0.5)
+        w2 = weight_vector_two(uniform2, 0.5)
         assert w1 == pytest.approx(np.full(4, 0.5 * np.log(1 / 3)), rel=1e-15)
         assert (w1 == w2).all()
 
@@ -118,21 +125,23 @@ class TestPotential:
         for _ in range(20):
             spec = random_spec(rng)
             s = float(rng.uniform(0.1, 1.9))
-            w1 = _weight_vector(spec, s, ONE)
-            w2 = _weight_vector(spec, s, TWO)
+            w1 = _weight_vector(spec, s)
+            w2 = weight_vector_two(spec, s)
             perm = [rho_symbol(i, spec.d) - 1 for i in range(1, 2 * spec.d + 1)]
             assert w2 == pytest.approx(w1[perm], rel=1e-15)
+            # the program reads the second potential as this roll, bit for bit
+            assert (np.roll(w1, spec.d) == w2).all()
 
     def test_branches_agree_at_one(self, ex1):
-        below = _weight_vector(ex1, 1.0 - 1e-12, ONE)
-        at = _weight_vector(ex1, 1.0, ONE)
+        below = _weight_vector(ex1, 1.0 - 1e-12)
+        at = _weight_vector(ex1, 1.0)
         assert below == pytest.approx(at, abs=1e-11)
 
     def test_s_out_of_range(self, ex1):
         for s in (0.0, 2.0, -1.0, 2.5):
             for fn in (pressure, gibbs_markov):
                 with pytest.raises(SOutOfRange):
-                    fn(ex1, s, ONE)
+                    fn(ex1, s)
 
 
 class TestPressure:
@@ -143,18 +152,18 @@ class TestPressure:
                 assert pressure(spec, s) == pytest.approx(np.log(d * c ** s), abs=1e-12)
 
     def test_ex1_closed_form_at_one(self, ex1):
-        assert pressure(ex1, 1.0, ONE) == pytest.approx(EX1_PRESSURE_AT_1, abs=1e-13)
+        assert pressure(ex1, 1.0) == pytest.approx(EX1_PRESSURE_AT_1, abs=1e-13)
 
     def test_symmetry_in_t(self, ex1):
         for s in (0.3, 0.7, 1.0, 1.5):
-            assert abs(pressure(ex1, s, ONE) - pressure(ex1, s, TWO)) <= 1e-10
+            assert abs(pressure(ex1, s) - gibbs_markov_two(ex1, s).log_pressure) <= 1e-10
 
     def test_matches_dense_oracle(self):
         rng = np.random.default_rng(41)
         for _ in range(10):
             spec = random_spec(rng)
             s = float(rng.uniform(0.2, 1.8))
-            lam, _, _ = dense_eig_oracle(spec, s, ONE)
+            lam, _, _ = dense_eig_oracle(spec, _weight_vector(spec, s))
             assert pressure(spec, s) == pytest.approx(np.log(lam), abs=1e-11)
 
     def test_strictly_decreasing_grid(self, ex1):
@@ -170,7 +179,7 @@ def dense_root(spec):
     lo, hi = 1e-9, 2.0
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        if dense_eig_oracle(spec, mid, ONE)[0] > 1.0:
+        if dense_eig_oracle(spec, _weight_vector(spec, mid))[0] > 1.0:
             lo = mid
         else:
             hi = mid
@@ -178,7 +187,7 @@ def dense_root(spec):
 
 
 def decimal_log_root(a1, b1, a2, b2, s):
-    """50-digit log Perron root for d = 2 (diag (a1, b1), anti (a2, b2)), t=ONE.
+    """50-digit log Perron root for d = 2 (diag (a1, b1), anti (a2, b2)).
 
     For d = 2 the nonzero spectrum of T is that of
     [[phi(a1, b1), phi(a2, b2)], [phi(b2, a2), phi(b1, a1)]], phi the weight
@@ -215,7 +224,7 @@ class TestPerronClosedForm:
         assert not detail.clamped
         assert abs(detail.value - dense_root(spec)) <= 1e-9
         for s in (0.1, 0.5, 1.0, 1.5, 1.9):
-            lam, _, _ = dense_eig_oracle(spec, s, ONE)
+            lam, _, _ = dense_eig_oracle(spec, _weight_vector(spec, s))
             assert pressure(spec, s) == pytest.approx(np.log(lam), abs=1e-12)
 
     @settings(max_examples=80, derandomize=True, deadline=None)
@@ -231,19 +240,19 @@ class TestPerronClosedForm:
             warnings.simplefilter("ignore", DegenerateSystemWarning)
             spec = make_spec(maps)
         s = data.draw(st.floats(0.0, 2.0, exclude_min=True, exclude_max=True), label="s")
-        lam, _, _ = dense_eig_oracle(spec, s, ONE)
+        lam, _, _ = dense_eig_oracle(spec, _weight_vector(spec, s))
         assert pressure(spec, s) == pytest.approx(np.log(lam), abs=1e-12)
-        assert pressure(spec, s, TWO) == pressure(spec, s, ONE)
-        for t in (ONE, TWO):
-            g = gibbs_markov(spec, s, t)
+        # the second potential's own solve has the same root, bit for bit
+        assert gibbs_markov_two(spec, s).log_pressure == pressure(spec, s)
+        for g in (gibbs_markov(spec, s), gibbs_markov_two(spec, s)):
             # P(s) is the chain's own root, the closed form's value bit for bit
-            assert pressure(spec, s, t) == g.log_pressure
-            assert g.log_pressure == thermo._perron(_weight_vector(spec, s, t), d, spec.l)[0]
+            assert pressure(spec, s) == g.log_pressure
+            assert g.log_pressure == thermo._perron(g.weights, d, spec.l)[0]
             P = chain_matrix(g)
-            assert np.abs(P - dense_eig_oracle(spec, s, t)[2]).max() <= 1e-12
+            assert np.abs(P - dense_eig_oracle(spec, g.weights)[2]).max() <= 1e-12
             assert np.abs(np.exp(g.log_rows).sum(axis=1) - 1.0).max() <= 1e-12
             assert np.abs(g.stationary @ P - g.stationary).max() <= 1e-12
-            T = dense_transfer(spec, s, t)
+            T = dense_transfer(spec, g.weights)
             root, r, left = np.exp(g.log_pressure), unit_exp(g.log_right), unit_exp(g.log_left)
             assert np.abs(T @ r - root * r).max() <= 1e-12 * root * r.max()
             assert np.abs(left @ T - root * left).max() <= 1e-12 * root * left.max()
@@ -297,14 +306,14 @@ class TestBruteForcePressure:
 
 class TestGibbsMarkov:
     def test_uniform_structure(self, uniform2):
-        g = gibbs_markov(uniform2, 1.0, ONE)
+        g = gibbs_markov(uniform2, 1.0)
         assert g.stationary == pytest.approx(np.full(4, 0.25), abs=1e-13)
         A = dense_transition(2, 2)
         assert chain_matrix(g) == pytest.approx(A / 2.0, abs=1e-13)
 
     def test_ex1_matches_dense_oracle(self, ex1):
-        lam, pi, P = dense_eig_oracle(ex1, 1.0, ONE)
-        g = gibbs_markov(ex1, 1.0, ONE)
+        lam, pi, P = dense_eig_oracle(ex1, _weight_vector(ex1, 1.0))
+        g = gibbs_markov(ex1, 1.0)
         assert np.exp(g.log_pressure) == pytest.approx(lam, rel=1e-12)
         assert g.stationary == pytest.approx(pi, abs=1e-10)
         assert chain_matrix(g) == pytest.approx(P, abs=1e-10)
@@ -312,7 +321,7 @@ class TestGibbsMarkov:
     def test_eigen_invariants(self, ex1):
         rng = np.random.default_rng(4)
         for spec, s in [(ex1, 0.7), (ex1, 1.3), (random_spec(rng), 0.9)]:
-            g = gibbs_markov(spec, s, ONE)
+            g = gibbs_markov(spec, s)
             A = dense_transition(spec.d, spec.l)
             T = A * np.exp(g.weights)[None, :]
             lam, r, left = np.exp(g.log_pressure), unit_exp(g.log_right), unit_exp(g.log_left)
@@ -323,9 +332,45 @@ class TestGibbsMarkov:
             assert np.abs(chain_matrix(g).sum(axis=1) - 1.0).max() <= 1e-12
             assert np.abs(chain_matrix(g) - dense_stochastic(g)).max() <= 1e-12
 
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(maps=full_box_system(),
+           s=st.one_of(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                       st.floats(1.0, 2.0, exclude_max=True)),
+           n=st.integers(1, 4))
+    def test_swap_matches_direct_solve(self, maps, s, n):
+        # m2 read from the one chain, m1 o sigma, against the second potential's own
+        # Perron solve: rows, stationary law, beta and each chain's cylinder logs
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegenerateSystemWarning)
+            spec = make_spec(maps)
+        nu, two, d = kaenmaki_measure(spec, s), gibbs_markov_two(spec, s), spec.d
+
+        def close(got, want):
+            tol = 1e-12 * np.maximum(1.0, np.abs(want))
+            assert got.shape == want.shape and ((got == want) | (np.abs(got - want) <= tol)).all()
+
+        close(nu.m1.log_rows[::-1], two.log_rows)
+        close(np.roll(nu.m1.log_stationary, d), two.log_stationary)
+        shift = two.log_pressure - np.logaddexp.reduce(two.log_left + two.log_right)
+        close(nu.log_betas()[1], shift + two.log_right[[0, spec.l - 1]])
+        words = all_words(d, n)
+        coded = tau_arrays(words, spec) - 1
+        m2_part = shifted_chain(nu.m1).log_cylinder_batch(coded)
+        close(m2_part, two.log_cylinder_batch(coded))
+        close(nu.log_cylinder_batch(words),
+              np.logaddexp(nu.m1.log_cylinder_batch(coded), two.log_cylinder_batch(coded)))
+
+    def test_one_measure_is_one_perron_solve(self):
+        # a fresh equilibrium measure solves the one chain m1 and nothing more
+        spec = make_spec([diag(0.2718, 0.3141, 0.0, 0.0), anti(0.1414, 0.1732, 0.5, 0.5)])
+        chains, measures = gibbs_markov.cache_info(), kaenmaki_measure.cache_info()
+        kaenmaki_measure(spec, 0.6180339887)
+        assert kaenmaki_measure.cache_info().misses == measures.misses + 1
+        assert gibbs_markov.cache_info().misses == chains.misses + 1
+
     def test_m2_equals_m1_on_involuted_words(self, ex1):
-        g1 = gibbs_markov(ex1, 0.8, ONE)
-        g2 = gibbs_markov(ex1, 0.8, TWO)
+        g1 = gibbs_markov(ex1, 0.8)
+        g2 = gibbs_markov_two(ex1, 0.8)
         row_class = transition_matrix(2, 2)
         rng = np.random.default_rng(9)
         for _ in range(25):
@@ -339,17 +384,17 @@ class TestGibbsMarkov:
 
 class TestCylinderMeasures:
     def test_uniform_length2(self, uniform2):
-        g = gibbs_markov(uniform2, 1.0, ONE)
+        g = gibbs_markov(uniform2, 1.0)
         row_class = transition_matrix(2, 2)
         assert cylinder_measure_mt(g, coded_word((1, 2), row_class)) == pytest.approx(1 / 8, abs=1e-14)
 
     def test_inadmissible_is_zero(self, uniform2):
-        g = gibbs_markov(uniform2, 1.0, ONE)
+        g = gibbs_markov(uniform2, 1.0)
         row_class = transition_matrix(2, 2)
         assert cylinder_measure_mt(g, coded_word((1, 3), row_class)) == 0.0
 
     def test_additivity(self, ex1):
-        g = gibbs_markov(ex1, 1.2, ONE)
+        g = gibbs_markov(ex1, 1.2)
         row_class = transition_matrix(2, 2)
         for c in [(1,), (2, 3), (1, 2, 4)]:
             parent = cylinder_measure_mt(g, coded_word(c, row_class))
@@ -358,7 +403,7 @@ class TestCylinderMeasures:
             assert kids == pytest.approx(parent, abs=1e-14)
 
     def test_gibbs_bound_exhaustive(self, ex1):
-        g = gibbs_markov(ex1, 1.0, ONE)
+        g = gibbs_markov(ex1, 1.0)
         lo, up = np.exp(g.log_gibbs_bounds())
         assert 0 < lo <= up
         row_class = transition_matrix(2, 2)
@@ -453,12 +498,13 @@ class TestKaenmakiCylinder:
         rows = dataclasses.replace(nu, m1=dataclasses.replace(
             nu.m1, log_rows=np.full_like(nu.m1.log_rows, np.nan)))
         assert np.isnan(rows.log_cylinder_batch(np.array([[1, 2, 1], [2, 2, 2]]))).all()
-        # the envelope reads the eigenvectors, not log_rows
-        for chain in ("m1", "m2"):
-            m = getattr(nu, chain)
-            right = dataclasses.replace(nu, **{chain: dataclasses.replace(
-                m, log_right=np.full_like(m.log_right, np.nan))})
-            assert np.isnan(right.log_envelope()).all(), chain
+        # the envelope reads the one chain's eigenvectors, not log_rows: NaN in all of
+        # log_right, or only where m2 = m1 o sigma starts (m1's shifted half)
+        for where in (slice(None), ex1.d):
+            log_right = nu.m1.log_right.copy()
+            log_right[where] = np.nan
+            right = dataclasses.replace(nu, m1=dataclasses.replace(nu.m1, log_right=log_right))
+            assert np.isnan(right.log_envelope()).all(), where
 
     def test_envelope_finite_down_to_tiny_ratios(self):
         # the normalized right vector underflows on some of these draws; the
@@ -490,7 +536,7 @@ class TestKaenmakiCylinder:
 
     def test_shift_invariance(self, ex1):
         # summing the measure over allowed one-symbol prefixes reproduces it
-        g = gibbs_markov(ex1, 0.9, ONE)
+        g = gibbs_markov(ex1, 0.9)
         row_class = transition_matrix(2, 2)
         for c in [(1,), (2, 4), (1, 2, 3)]:
             target = cylinder_measure_mt(g, coded_word(c, row_class))
@@ -526,7 +572,7 @@ class TestLevelBlocks:
         log_p, log_q, *_ = signature_arrays(words, spec)
         log_a1, log_a2 = np.maximum(log_p, log_q), np.minimum(log_p, log_q)
         want_phi = s * log_a1 if s < 1.0 else log_a1 + (s - 1.0) * log_a2
-        w = np.stack([_weight_vector(spec, s, t) for t in PotentialIndex])
+        w = np.stack([_weight_vector(spec, s), weight_vector_two(spec, s)])
         # the Birkhoff sums of each potential along the lift started unshifted and shifted
         coded = tau_arrays(words, spec) - 1
         want_sums = [w_t[(coded + spec.d * e) % (2 * spec.d)].sum(1) for e in (0, 1) for w_t in w]
@@ -655,8 +701,8 @@ class TestSvf:
 
     def test_key_identity_exhaustive(self, ex1):
         for s in (0.5, 1.0, 1.5):
-            w1 = _weight_vector(ex1, s, ONE)
-            w2 = _weight_vector(ex1, s, TWO)
+            w1 = _weight_vector(ex1, s)
+            w2 = weight_vector_two(ex1, s)
             for n in range(1, 9):
                 words = all_words(2, n)
                 lp, lq, *_ = signature_arrays(words, ex1)
@@ -778,16 +824,18 @@ class TestLyapunovEntropy:
         # at s = 1 each weight is its side log exactly (log a1 + 0 * log a2)
         for cfg in full_box_draw(100):
             spec = parse_ifs(json.dumps(cfg))
-            pi = gibbs_markov(spec, 0.9, ONE).stationary
+            pi = gibbs_markov(spec, 0.9).stationary
             assert lyapunov_exponents(spec, 0.9) == tuple(
-                float(-(pi @ _weight_vector(spec, 1.0, t))) for t in (ONE, TWO))
+                float(-(pi @ w)) for w in (_weight_vector(spec, 1.0), weight_vector_two(spec, 1.0)))
 
     def test_entropy_symmetric_in_t(self):
         rng = np.random.default_rng(78)
         for _ in range(20):
             spec = random_spec(rng)
             s = float(rng.uniform(0.2, 1.8))
-            assert abs(entropy(spec, s, ONE) - entropy(spec, s, TWO)) <= 1e-10
+            two = gibbs_markov_two(spec, s)  # the second potential's own solve
+            h2 = max(two.log_pressure - float(two.stationary @ two.weights), 0.0)
+            assert abs(entropy(spec, s) - h2) <= 1e-10
 
     def test_ex1_chain_oracle(self, ex1):
         # ergodic averages along long sampled trajectories
