@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import re
 import warnings
 
@@ -579,6 +580,11 @@ FULL_BOX_DIGESTS = {
     "project-dim": "a73488c8363f061f7ed51c6abda3c89ba4e36ec73b21f2850c75d7ba118ec913",
     "sample": "460877c3327e411c583c459e1b76f7c773df22bcf59b8e8e9e468b70f188fffe",
 }
+# the same for verify --max-depth 4 and report --output json on all 3000 systems
+WHOLE_DRAW_DIGESTS = {
+    "verify": "bf46cdd766c4ade7af1cc04d4595b62eb937ec79fd5e0b8b0176104ee1b5aa5e",
+    "report": "f3982f56a39cd2198f9346c9bb71d7304aba47cb318b07d0149137cc35df1515",
+}
 
 
 class TestFullBox:
@@ -636,6 +642,20 @@ class TestFullBox:
             digest_run(digest, "sample", "--spec", str(path), "--count", "300",
                        "--depth", "12", "--seed", str(k))
         assert digest.hexdigest() == FULL_BOX_DIGESTS["sample"]
+
+    @pytest.mark.skipif(os.environ.get("KAENMAKI_FULL_BOX") != "1",
+                        reason="6000 commands on the whole full-box draw; "
+                               "set KAENMAKI_FULL_BOX=1 to run them")
+    def test_whole_draw_digests(self, tmp_path):
+        # verify --max-depth 4 and report --output json on all 3000 full-box
+        # systems, each command's exit codes and stdout hashed on their own
+        path = tmp_path / "box.json"
+        digests = {"verify": hashlib.sha256(), "report": hashlib.sha256()}
+        for config in full_box_draw(3000):
+            path.write_text(json.dumps(config))
+            digest_run(digests["verify"], "verify", "--spec", str(path), "--max-depth", "4")
+            digest_run(digests["report"], "report", "--spec", str(path), "--output", "json")
+        assert {k: v.hexdigest() for k, v in digests.items()} == WHOLE_DRAW_DIGESTS
 
     @pytest.mark.filterwarnings("ignore::UserWarning")  # degenerate-system notices
     @settings(max_examples=100, derandomize=True, deadline=None)
