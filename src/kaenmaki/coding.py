@@ -15,9 +15,9 @@ v, lv likewise with a, b and tx, ty exchanged.  A sum S_e(w) of a table T over
 the doubled alphabet along w's tau lift from parity e is held as
 R_f(w) = S_(f xor parity)(w), so R_f(j w) = T[j - 1 + d (f xor o)] + R_f(w).
 Each value is the global frame step's float, in another slot (IEEE * and +
-commute).  level_table lists all words of one length; signature_arrays
-gathers a batch's trailing columns from the same frame-held table and
-prepends the rest row by row.  Each leaves the frame once, at the end.
+commute).  level_table lists all words of each length up to k from one walk;
+signature_arrays gathers a batch's trailing columns from the same frame-held
+walk's last level and prepends the rest row by row, leaving the frame at the end.
 
 The doubled alphabet {1..2d} records, per position, whether the composition so
 far preserves the axes: the lift tau (tau_arrays; encode_tau for one word)
@@ -30,6 +30,7 @@ it is mixing for every system with both map kinds.
 
 from __future__ import annotations
 
+from collections import deque
 from functools import lru_cache
 
 import numpy as np
@@ -93,20 +94,21 @@ def product_signature(w, spec: IfsSpec) -> tuple[float, float, int]:
     return float(log_p[0]), float(log_q[0]), int(parity[0])
 
 
-def level_table(spec: IfsSpec, k: int, rest=None, first=None):
-    """(log_p, log_q, bool parity, x, y, sums) of all d^k words of length k, lexicographic;
-    given rest, a (K, 2d) stack of tables over the doubled alphabet, sums[i, e] (shape
-    (K, 2, d^k)) is the sum along each word's tau lift started at parity e of first[i]
-    (default rest[i]) at the first symbol and rest[i] at the others."""
-    log_p, log_q, parity, x, y, sums = _frame_table(spec, k, rest, first)
-    for pair in [(log_p, log_q), (x, y), *zip(sums[0::2], sums[1::2])]:
-        _swap_rows(*pair, parity)  # out of the frame; S_e = R_(e xor parity)
-    return log_p, log_q, parity, x, y, None if rest is None else sums.reshape(len(rest), 2, -1)
+def level_table(spec: IfsSpec, k: int, rest=None) -> list:
+    """The levels 0..k from one walk: entry j is (log_p, log_q, bool parity, x, y, sums)
+    of all d^j words of length j, lexicographic; sums[i, e] (shape (K, 2, d^j), K = 0
+    without rest) is the sum of rest[i], a (K, 2d) stack of tables over the doubled
+    alphabet, along each word's tau lift started at parity e."""
+    levels = list(_frame_table(spec, k, rest))  # each level's arrays are its own
+    for log_p, log_q, parity, x, y, sums in levels:
+        for pair in [(log_p, log_q), (x, y), *zip(sums[0::2], sums[1::2])]:
+            _swap_rows(*pair, parity)  # out of the frame; S_e = R_(e xor parity)
+    return [(*level[:5], level[5].reshape(-1, 2, len(level[2]))) for level in levels]
 
 
 def _prepend_steps(spec: IfsSpec, tables=None) -> np.ndarray:
-    """The step's coefficients at column 2 j + o (j = 0 a zero pad): u's factor and
-    term, v's factor and term, lu's and lv's terms, then each table's R_0 and R_1 terms."""
+    """The step's coefficients at column 2 j + o (j = 0 a zero pad), one table for every
+    step: u's and v's factors and terms, lu's and lv's terms, each table's R_0 and R_1 terms."""
     a, b, tx, ty, la, lb = spec.a, spec.b, spec.tx, spec.ty, np.log(spec.a), np.log(spec.b)
     halves = np.reshape(() if tables is None else tables, (-1, 2, spec.d))[:, [[0, 1], [1, 0]]]
     rows = np.concatenate([[(a, b), (tx, ty), (b, a), (ty, tx), (la, lb), (lb, la)],
@@ -114,14 +116,14 @@ def _prepend_steps(spec: IfsSpec, tables=None) -> np.ndarray:
     return np.concatenate([np.zeros((len(rows), 2)), rows.reshape(len(rows), -1)], axis=1)
 
 
-def _frame_table(spec: IfsSpec, k: int, rest=None, first=None):
-    """level_table's cells in their frames: lu, lv, parity, u, v, then R_0, R_1 per table."""
+def _frame_table(spec: IfsSpec, k: int, rest=None):
+    """Yield level_table's levels 0..k in their frames, each as lu, lv, parity, u, v,
+    then R_0, R_1 per table: level j + 1 is one step from level j, into fresh arrays."""
     letters, steps = np.arange(1, spec.d + 1)[:, None], _prepend_steps(spec, rest)
     lu, lv, odd, u, v = *np.zeros((2, 1)), np.zeros(1, bool), *np.full((2, 1), 0.5)
     sums = np.zeros((len(steps) - 6, 1))
-    for step in range(k):
-        if step == k - 1 and first is not None and rest is not None:
-            steps = _prepend_steps(spec, first)
+    yield lu, lv, odd, u, v, sums
+    for _ in range(k):
         odd = odd ^ (letters >= spec.l)
         key = 2 * letters + odd  # letter-major: the new letter is the most significant digit
         u, v = steps[0].take(key) * u, steps[2].take(key) * v
@@ -132,7 +134,7 @@ def _frame_table(spec: IfsSpec, k: int, rest=None, first=None):
             t += c  # in place: no temporary at table size
         lu, lv, sums = new[0].ravel(), new[1].ravel(), new[2].reshape(len(sums), key.size)
         odd, u, v = odd.ravel(), u.ravel(), v.ravel()
-    return lu, lv, odd, u, v, sums
+        yield lu, lv, odd, u, v, sums
 
 
 def signature_arrays(words: np.ndarray, spec: IfsSpec):
@@ -155,7 +157,8 @@ def signature_arrays(words: np.ndarray, spec: IfsSpec):
         key *= d
         np.add(key, words[:, t], out=key, dtype=np.intp)  # uint64 + intp would be float
     key -= (d ** k - 1) // (d - 1)  # the 1-based digits' offset
-    table = list(_frame_table(spec, k)[:5])  # popped one at a time: each freed once gathered
+    # the walk's last level, popped one array at a time: each freed once gathered
+    table = list(deque(_frame_table(spec, k), maxlen=1).pop()[:5])
     lu, lv, odd, u, v = (table.pop(0).take(key) for _ in range(5))
     steps, ops = _prepend_steps(spec), (np.multiply, np.add) * 2 + (np.add,) * 2
     for lo in range(0, n_rows, ROW_BLOCK):

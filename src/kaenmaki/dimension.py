@@ -72,19 +72,19 @@ class ProjectedDim:
     ssc_certified: bool
 
 
-def projected_dimension(spec: IfsSpec, s: float,
-                        mode_request: ProjectedMode | None = None) -> ProjectedDim | None:
+def projected_dimension(spec: IfsSpec, s: float, mode_request: ProjectedMode | None = None,
+                        transversality: TransversalityReport | None = None) -> ProjectedDim | None:
     """The projected dimension of the formula: h/chi1, that of the m1 part on x.
 
     Resolves the formula's two modes.  With no mode requested, the separation
     certificate selects SscFormula, the h/chi1 value, below 1 since each
     certified family's ratios sum to less than 1 (rounding past 1 is clamped;
     InternalMismatch above 1 + 1e-12); failing that, the pairwise norm
-    conditions select ExpectedMin, min(h/chi1, 1) (an almost-every-translation
-    value, flagged as such); otherwise None is returned and the caller reports
-    the value as unknown.  A requested SscFormula raises NoCertificate without
-    the certificate.  A user-supplied or Monte Carlo value is not a formula
-    mode: its caller builds the ProjectedDim itself.
+    conditions (a given transversality report) select ExpectedMin, min(h/chi1, 1)
+    (an almost-every-translation value, flagged as such); otherwise None is returned
+    and the caller reports the value as unknown.  A requested SscFormula raises
+    NoCertificate without the certificate.  A user-supplied or Monte Carlo value
+    is not a formula mode: its caller builds the ProjectedDim itself.
     """
     if not (0.0 < s < 2.0):
         raise SOutOfRange(f"s={s} must lie in (0,2)")
@@ -92,7 +92,7 @@ def projected_dimension(spec: IfsSpec, s: float,
     if mode_request is None:
         if certified:
             mode_request = ProjectedMode.SSC_FORMULA
-        elif check_transversality(spec).holds:
+        elif (transversality or check_transversality(spec)).holds:
             mode_request = ProjectedMode.EXPECTED_MIN
         else:
             return None
@@ -162,7 +162,7 @@ def dimension_report(spec: IfsSpec, s: float,
         notes.append("degenerate system: every diagonal map has a == b")
     elif (gap := summary.chi2 - summary.chi1) < 1e-12:
         notes.append(f"Lyapunov gap {gap:.3e} below 1e-12 on a non-degenerate system")
-    projected = projected_dimension(spec, s)
+    projected = projected_dimension(spec, s, transversality=transversality)
     if projected is None:
         notes.append("projected dimension unknown: no separation certificate and "
                      "the pairwise norm conditions fail; dimension omitted")

@@ -262,20 +262,14 @@ def _logaddexp(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _lifted_blocks(s: float, prefixes, suffixes, combine):
-    """Yield (log_phi, combine(sum1, sum2)) in lexicographic blocks over the
-    words u v, u and v from two coding.level_table results with two tables:
-    sum_i is the lifted sum of the prefix's table i on u and the suffix's on v.
-
-    A word's log sides and sums are a term for u plus one for v, which depends
-    on u only through the parity after u: odd parity swaps v's sides and
-    starts v's lift in the shifted half.  So each half level is tabulated
-    once, v under both start parities, and each block pairs a run of prefixes
-    with every suffix, about LEVEL_BLOCK cells.
-    """
+    """Yield (log_phi, combine(sum1, sum2)) in lexicographic blocks of about LEVEL_BLOCK
+    cells over the words u v, u and v from two coding.level_table levels with two
+    tables: sum_i is the lifted sum of table i along u v.  That is a term for u plus one
+    for v, as are the log sides, and odd parity after u swaps v's sides and starts v's
+    lift in the shifted half: so each block pairs a run of prefixes with every suffix."""
     log_p, log_q, odd_u, _, _, heads = prefixes
-    v_p, v_q, _, _, _, tails = suffixes
-    sides, odd_u = np.stack([v_p, v_q]), odd_u.astype(np.intp)
-    per_block = max(1, LEVEL_BLOCK // len(v_p))
+    sides, tails, odd_u = np.stack(suffixes[:2]), suffixes[5], odd_u.astype(np.intp)
+    per_block = max(1, LEVEL_BLOCK // sides.shape[1])
     for i in range(0, len(odd_u), per_block):
         u = slice(i, i + per_block)
         odd = odd_u[u]
@@ -292,32 +286,37 @@ def _lifted_blocks(s: float, prefixes, suffixes, combine):
         yield log_phi.ravel(), combine(sum1, sum2).ravel()
 
 
+def _log_nu_levels(nu: KaenmakiMeasure, max_len: int):
+    """Yield level n's (log_phi, log_nu) blocks, n = 1..max_len, from one walk summing m1's and
+    m2's log rows (m1's, classes swapped): their right-vector factors telescope, so log
+    m_t([tau(w)]) = beta_t(0) + that sum (log_betas), of log probabilities that never cancel."""
+    rows = nu.m1.log_rows.ravel()
+    levels = level_table(nu.spec, max_len - max_len // 2, np.stack([rows, np.roll(rows, nu.m1.d)]))
+    for n in range(1, max_len + 1):
+        *prefix, heads = levels[n - n // 2]
+        heads = heads + nu.log_betas()[:, :1, None]  # a copy: the level serves other n
+        yield _lifted_blocks(nu.s, (*prefix, heads), levels[n // 2], _logaddexp)
+
+
 def level_log_blocks(spec: IfsSpec, s: float, n: int):
-    """Yield (log_phi, log_nu) over all d^n words in lexicographic blocks, each
-    word a prefix of length n - n // 2 and a suffix of length n // 2: each
-    chain's log mass is its stationary law at the first lifted symbol plus its
-    rows at the others."""
+    """Yield (log_phi, log_nu) over all d^n words in lexicographic blocks, each word
+    a prefix of length n - n // 2 and a suffix of length n // 2 (_log_nu_levels)."""
     _guard_enumeration(spec, n)
-    m = kaenmaki_measure(spec, s).m1  # and m2 = m1 o sigma
-    rows = np.stack([m.log_rows.ravel(), m.log_rows[::-1].ravel()])
-    starts = np.stack([m.log_stationary, np.roll(m.log_stationary, spec.d)])
-    halves = level_table(spec, n - n // 2, rows, starts), level_table(spec, n // 2, rows)
-    return _lifted_blocks(s, *halves, _logaddexp)
+    return list(_log_nu_levels(kaenmaki_measure(spec, s), n))[-1]
 
 
 def phi_identity_check(spec: IfsSpec, s: float, max_len: int) -> tuple[float, bool]:
     """Worst log disagreement between phi^s of the side lengths and the larger
     Birkhoff sum of the two potentials along the tau lift, over the words of
     lengths 1..max_len, and whether each word agrees to 1e-12 max(1, |log phi|)
-    (1e-12 is an ulp near 4700).  One block of a level at a time; both halves
-    of every level come from the same few tables."""
+    (1e-12 is an ulp near 4700).  One block of a level at a time, both halves
+    of every level from one walk; the second potential is w o sigma."""
     _guard_enumeration(spec, max_len)
     w = _weight_vector(spec, s)
-    w = np.stack([w, np.roll(w, spec.d)])  # the second potential is w o sigma
-    tables = [level_table(spec, k, w) for k in range(max_len - max_len // 2 + 1)]
+    levels = level_table(spec, max_len - max_len // 2, np.stack([w, np.roll(w, spec.d)]))
     worst, ok = 0.0, True
     for n in range(1, max_len + 1):
-        for log_phi, larger in _lifted_blocks(s, tables[n - n // 2], tables[n // 2], np.maximum):
+        for log_phi, larger in _lifted_blocks(s, levels[n - n // 2], levels[n // 2], np.maximum):
             diff = np.abs(log_phi - larger)
             worst = max(worst, float(diff.max()))
             ok &= bool((diff <= 1e-12 * np.maximum(1.0, np.abs(log_phi))).all())
@@ -326,14 +325,13 @@ def phi_identity_check(spec: IfsSpec, s: float, max_len: int) -> tuple[float, bo
 
 def level_log_measures(spec: IfsSpec, s: float, n: int):
     """(log_phi, log_nu) over all d^n words in lexicographic order."""
-    log_phi, log_nu = (np.concatenate(parts) for parts in zip(*level_log_blocks(spec, s, n)))
-    return log_phi, log_nu
+    return tuple(np.concatenate(parts) for parts in zip(*level_log_blocks(spec, s, n)))
 
 
 @np.errstate(invalid="ignore")  # a NaN operand gives NaN, quietly
 def level_log_ratio_extremes(spec: IfsSpec, s: float, n: int) -> tuple[float, float]:
-    """(min, max) of log nu - log phi over all d^n words, from the two half
-    levels' signatures; a NaN ratio makes both NaN.
+    """(min, max) of log nu - log phi over all d^n words, from the signatures of
+    the two half levels of one walk; a NaN ratio makes both NaN.
 
     By log_betas, log nu - log phi + nP = R_e(D) = logaddexp(beta1(e) + min(D, 0),
     beta2(e) - max(D, 0)) on words of parity e, D = min(s, 2 - s)(log p - log q)
@@ -341,13 +339,12 @@ def level_log_ratio_extremes(spec: IfsSpec, s: float, n: int) -> tuple[float, fl
     after it: the minimum is at a parity class's smallest or largest D, the
     maximum at the D nearest 0 from either side.  D(uv) = D(u) + (-1)^parity(u) D(v),
     so per suffix parity each prefix u takes the two ends and the two sorted
-    neighbours of the D(v) that cancels D(u), at the word's composed (log p, log q).
-    """
+    neighbours of the D(v) that cancels D(u), at the word's composed (log p, log q)."""
     _guard_enumeration(spec, n)
     nu = kaenmaki_measure(spec, s)
     (beta1, beta2), c = nu.log_betas(), min(s, 2.0 - s)
-    u_p, u_q, u_odd, *_ = level_table(spec, n - n // 2)
-    v_p, v_q, v_odd, *_ = level_table(spec, n // 2)
+    levels = level_table(spec, n - n // 2)
+    (u_p, u_q, u_odd, *_), (v_p, v_q, v_odd, *_) = levels[-1], levels[n // 2]
     v_gap, target = v_p - v_q, np.where(u_odd, u_p - u_q, u_q - u_p)
     lo, hi = np.inf, -np.inf
     for f in (False, True):  # the empty suffix of n = 1 has no odd class
@@ -360,7 +357,7 @@ def level_log_ratio_extremes(spec: IfsSpec, s: float, n: int) -> tuple[float, fl
         delta = c * ((np.where(u_odd, v_q[picks], v_p[picks]) + u_p)
                      - (np.where(u_odd, v_p[picks], v_q[picks]) + u_q))
         e = (u_odd ^ f).astype(np.intp)
-        r = np.logaddexp(beta1[e] + np.minimum(delta, 0.0), beta2[e] - np.maximum(delta, 0.0))
+        r = _logaddexp(beta1[e] + np.minimum(delta, 0.0), beta2[e] - np.maximum(delta, 0.0))
         lo, hi = np.minimum(lo, r.min()), np.maximum(hi, r.max())
     return float(lo - n * nu.m1.log_pressure), float(hi - n * nu.m1.log_pressure)
 
@@ -480,13 +477,13 @@ def submultiplicativity_check(spec: IfsSpec, s: float, max_len: int) -> tuple[fl
     The upper extreme stays below the Gibbs-derived constant; the lower one
     decays along anti-diagonal insertions and admits no uniform positive
     bound.  Both are logs because either may leave the range of a double at
-    tiny ratios; a NaN ratio makes both NaN.
-    """
+    tiny ratios; a NaN ratio makes both NaN.  All levels come from one
+    table walk (_log_nu_levels)."""
     _guard_enumeration(spec, max_len)
     logs = {}  # log nu only, each level filled block by block
-    for n in range(1, max_len + 1):
+    for n, blocks in enumerate(_log_nu_levels(kaenmaki_measure(spec, s), max_len), 1):
         logs[n], i = np.empty(spec.d ** n), 0
-        for _, log_nu in level_log_blocks(spec, s, n):
+        for _, log_nu in blocks:
             logs[n][i:i + len(log_nu)] = log_nu
             i += len(log_nu)
     ups, los = [-np.inf], [np.inf]

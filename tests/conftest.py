@@ -17,6 +17,7 @@ from kaenmaki.errors import (
     TooFewHits,
     TooLarge,
 )
+from kaenmaki import thermo
 from kaenmaki.thermo import (
     ENUMERATION_CAP,
     MarkovGibbs,
@@ -25,7 +26,7 @@ from kaenmaki.thermo import (
     _perron,
     _side_logs,
     _weight_vector,
-    level_log_blocks,
+    kaenmaki_measure,
 )
 
 EX1_JSON = """
@@ -162,10 +163,12 @@ def signature_rows_reference(words, spec):
 def level_table_reference(spec, k, rest=None, first=None):
     """(log_p, log_q, parity, x, y, sums) of all d^k words of length k by
     prepend steps in the global frame, each coordinate picked by an np.where
-    select: the bitwise reference for coding.level_table, which steps in each
-    word's frame and leaves it once at the end.  Prepending letter j flips
-    the start parity of the rest of the word when j is anti-diagonal, so with
-    T = first in the last step and rest before it,
+    select: without first, the bitwise reference for level k of
+    coding.level_table, which steps in each word's frame and leaves it once
+    at the end.  Prepending letter j flips the start parity of the rest of
+    the word when j is anti-diagonal, so with T = first in the last step (the
+    chain products' stationary law, level_log_blocks_reference) and rest
+    before it,
     S_e(j w) = T[j + d e] + S_(e xor anti_j)(w), from S_e(empty word) = 0."""
     a, b, tx, ty = (v[:, None] for v in (spec.a, spec.b, spec.tx, spec.ty))  # letter columns
     la, lb, swap = np.log(a), np.log(b), np.arange(spec.d)[:, None] >= spec.l - 1
@@ -184,12 +187,57 @@ def level_table_reference(spec, k, rest=None, first=None):
     return log_p, log_q, parity, x, y, sums
 
 
+def level_log_blocks_reference(spec, s, n):
+    """Yield (log_phi, log_nu) over all d^n words in lexicographic blocks of about
+    thermo.LEVEL_BLOCK cells, log nu from the chain products: each chain's log
+    mass is its stationary law at the first lifted symbol plus its rows at the
+    others, in two walks.  The reference for thermo.level_log_blocks, which reads
+    log nu from one walk's row sums, the same table at every letter, plus
+    beta_t(0) (KaenmakiMeasure.log_betas); its log_phi is bitwise the same.
+
+    A word is a prefix u of length n - n // 2 and a suffix v of length n // 2.
+    Its log sides and sums are a term for u plus one for v, which depends on u
+    only through the parity after u: odd parity swaps v's sides and starts v's
+    lift in the shifted half.  So each half level is tabulated once
+    (level_table_reference), v under both start parities, and each block pairs
+    a run of prefixes with every suffix."""
+    if spec.d ** n > ENUMERATION_CAP:
+        raise TooLarge(f"{spec.d}^{n} words exceed the enumeration cap {ENUMERATION_CAP}")
+    m = kaenmaki_measure(spec, s).m1  # and m2 = m1 o sigma
+    rows = np.stack([m.log_rows.ravel(), m.log_rows[::-1].ravel()])
+    starts = np.stack([m.log_stationary, np.roll(m.log_stationary, spec.d)])
+    log_p, log_q, odd_u, _, _, heads = level_table_reference(spec, n - n // 2, rows, starts)
+    v_p, v_q, _, _, _, tails = level_table_reference(spec, n // 2, rows)
+    sides, odd_u = np.stack([v_p, v_q]), odd_u.astype(np.intp)
+    per_block = max(1, thermo.LEVEL_BLOCK // len(v_p))
+    for i in range(0, len(odd_u), per_block):
+        u = slice(i, i + per_block)
+        odd = odd_u[u]
+        lp, lq = sides[odd], sides[1 - odd]
+        lp += log_p[u, None]
+        lq += log_q[u, None]
+        log_phi = _log_phi_from_alphas(np.maximum(lp, lq), np.minimum(lp, lq), s)
+        sum1, sum2 = tails[0][odd], tails[1][odd]
+        sum1 += heads[0, 0, u, None]
+        sum2 += heads[1, 0, u, None]
+        yield log_phi.ravel(), thermo._logaddexp(sum1, sum2).ravel()
+
+
+def level_log_measures_reference(spec, s, n):
+    """(log_phi, log_nu) over all d^n words in lexicographic order, from
+    level_log_blocks_reference."""
+    log_phi, log_nu = (np.concatenate(p) for p in zip(*level_log_blocks_reference(spec, s, n)))
+    return log_phi, log_nu
+
+
 def level_ratio_extremes_reference(spec, s, n):
     """(min, max) of log nu - log phi over all d^n words, every word visited one
-    block at a time: the enumeration that thermo.level_log_ratio_extremes
-    replaces with its search over half levels.  A NaN ratio makes both NaN."""
+    block at a time, log nu from the chain products (level_log_blocks_reference):
+    the enumeration that thermo.level_log_ratio_extremes replaces with its search
+    over half levels, independent of the closed form it searches.  A NaN ratio
+    makes both NaN."""
     lo, hi = np.inf, -np.inf
-    for log_phi, log_nu in level_log_blocks(spec, s, n):
+    for log_phi, log_nu in level_log_blocks_reference(spec, s, n):
         x = np.subtract(log_nu, log_phi, out=log_nu)  # log_nu is _logaddexp's fresh buffer
         lo, hi = np.minimum(lo, x.min()), np.maximum(hi, x.max())
     return float(lo), float(hi)

@@ -16,7 +16,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import EX1_JSON, anti, diag, full_box_draw, full_box_system, grid_spec
-from kaenmaki import cli, dimension, errors, lyapunov_exponents, parse_ifs, sampling, thermo
+from kaenmaki import (cli, coding, dimension, errors, lyapunov_exponents, parse_ifs, sampling,
+                      thermo)
 from kaenmaki.cli import main
 
 
@@ -529,6 +530,20 @@ class TestVerify:
         rows = {r[6:].split("  ")[0]: r for r in out.splitlines()}
         assert rows["cylinder envelope"].startswith("FAIL"), out
         assert "ratios in [0.000000, " in rows["cylinder envelope"] and code == 1
+
+    def test_one_table_walk_per_level_row(self, capsys, ex1_path, ex1, monkeypatch):
+        # the phi identity, envelope and submultiplicativity rows each take every
+        # level they read from one walk; the sampler's composer still builds one
+        # suffix table
+        walks, frame_table = [], coding._frame_table
+        monkeypatch.setattr(coding, "_frame_table",
+                            lambda *args: walks.append(args[1]) or frame_table(*args))
+        code, out, _ = run(capsys, "verify", "--spec", ex1_path, "--max-depth", "8")
+        assert code == 0 and "FAIL" not in out
+        assert len(walks) <= 3, walks
+        walks.clear()
+        coding.signature_arrays(np.ones((1000, 12), np.uint8), ex1)
+        assert walks == [9]
 
     def test_depth_too_large(self, capsys, ex1_path):
         code, _, err = run(capsys, "verify", "--spec", ex1_path, "--max-depth", "40")

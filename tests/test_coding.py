@@ -314,7 +314,7 @@ class TestSwapRows:
 
 class TestLevelTable:
     """level_table steps in each word's frame and leaves it once, bitwise as
-    the global frame's np.where selects do."""
+    the global frame's np.where selects do, at every level of its one walk."""
 
     @settings(max_examples=120, derandomize=True, deadline=None)
     @given(st.data())
@@ -325,17 +325,18 @@ class TestLevelTable:
         k = data.draw(st.integers(0, int(np.log(5000) / np.log(d))), label="k")
         # K lifted-sum tables over the doubled alphabet, magnitudes 1e-3..1e3 and some -inf
         n_tables = data.draw(st.integers(1, 3), label="K")
-        rest, first = (rng.standard_normal((n_tables, 2 * d))
-                       * 10.0 ** rng.uniform(-3, 3, (n_tables, 2 * d)) for _ in range(2))
+        shape = (n_tables, 2 * d)
+        rest = rng.standard_normal(shape) * 10.0 ** rng.uniform(-3, 3, shape)
         rest[rng.random(rest.shape) < 0.05] = -np.inf
-        for tables in ((), (rest,), (rest, first)):
-            got = level_table(spec, k, *tables)
-            want = level_table_reference(spec, k, *tables)
-            for g, w in zip(got, want):
-                if w is None:
-                    assert g is None
-                    continue
-                assert g.dtype == w.dtype and g.shape == w.shape
-                if g.dtype == np.float64:
-                    g, w = g.view(np.uint64), w.view(np.uint64)
-                assert np.array_equal(g, w)
+        for tables in ((), (rest,)):
+            levels = level_table(spec, k, *tables)
+            assert len(levels) == k + 1
+            for j, got in enumerate(levels):
+                for g, w in zip(got, level_table_reference(spec, j, *tables), strict=True):
+                    if w is None:  # no tables: no sums
+                        assert g.shape == (0, 2, d ** j)
+                        continue
+                    assert g.dtype == w.dtype and g.shape == w.shape
+                    if g.dtype == np.float64:
+                        g, w = g.view(np.uint64), w.view(np.uint64)
+                    assert np.array_equal(g, w)

@@ -200,6 +200,18 @@ class TestDimensionReport:
         assert rep.projected is None and rep.ly_dim is None
         assert any("unknown" in w for w in rep.warnings)
 
+    @pytest.mark.parametrize("maps, mode", [
+        ([diag(0.3, 0.25, 0.0, 0.0), anti(0.3, 0.25, 0.1, 0.6)], ProjectedMode.EXPECTED_MIN),
+        ([diag(0.6, 0.3, 0.0, 0.0), diag(0.6, 0.3, 0.1, 0.5), anti(0.3, 0.3, 0.7, 0.05)], None)])
+    def test_transversality_checked_once(self, monkeypatch, maps, mode):
+        # no interval certificate: the projected value's mode reads the report's
+        # own transversality result
+        calls, check = [], dimension.check_transversality
+        monkeypatch.setattr(dimension, "check_transversality",
+                            lambda spec: calls.append(spec) or check(spec))
+        rep = dimension_report(make_spec(maps), 1.0)
+        assert len(calls) == 1 and (rep.projected and rep.projected.mode) is mode
+
     def test_json_roundtrip(self, ex1):
         rep = dimension_report(ex1, 1.0)
         decoded = json.loads(json.dumps(rep.to_dict()))

@@ -24,6 +24,8 @@ from conftest import (
     full_box_system,
     gibbs_markov_two,
     grid_spec,
+    level_log_blocks_reference,
+    level_log_measures_reference,
     level_ratio_extremes_reference,
     log_svf_phi,
     random_spec,
@@ -576,21 +578,50 @@ class TestLevelBlocks:
         # the Birkhoff sums of each potential along the lift started unshifted and shifted
         coded = tau_arrays(words, spec) - 1
         want_sums = [w_t[(coded + spec.d * e) % (2 * spec.d)].sum(1) for e in (0, 1) for w_t in w]
+        levels = level_table(spec, n, w)
         with mock.patch.object(thermo, "LEVEL_BLOCK", block):
             sizes = [(len(phi), len(nu)) for phi, nu in level_log_blocks(spec, s, n)]
             log_phi, log_nu = level_log_measures(spec, s, n)
+            ref_phi, ref_nu = level_log_measures_reference(spec, s, n)
             extremes = level_ratio_extremes_reference(spec, s, n)
-            halves = level_table(spec, n - n // 2, w), level_table(spec, n // 2, w)
+            halves = levels[n - n // 2], levels[n // 2]
             larger = np.concatenate([m for _, m in thermo._lifted_blocks(s, *halves, np.maximum)])
-        *_, table = level_table(spec, n, w)
-        sums = list(table.transpose(1, 0, 2).reshape(4, -1))  # start parity major, as want_sums
+        sums = list(levels[n][5].transpose(1, 0, 2).reshape(4, -1))  # start parity major
         assert all(a == b for a, b in sizes) and sum(a for a, _ in sizes) == spec.d ** n
-        for got, want in ((log_phi, want_phi), (log_nu, want_nu), *zip(sums, want_sums),
-                          (larger, np.maximum(*want_sums[:2]))):
+        for got, want in ((log_phi, want_phi), (log_nu, want_nu), (ref_nu, want_nu),
+                          *zip(sums, want_sums), (larger, np.maximum(*want_sums[:2]))):
             assert got.shape == want.shape
             assert (np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want))).all()
-        x = log_nu - log_phi
+        x = ref_nu - ref_phi
         assert extremes == (x.min(), x.max())
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(system=tiny_ratio_systems(), at_root=st.booleans(), n=st.integers(1, 8),
+           block=st.sampled_from([1, 7, 100, thermo.LEVEL_BLOCK]))
+    # full-box system 127 at s = 1.7, n = 6: log nu near -1e-6 where log phi is near
+    # -3135, so a log nu formed as log phi + R_e(D) - nP loses about 1e-12 to the
+    # cancellation, past the bound; sums of log probabilities cancel nothing
+    @example(system=(make_spec([diag(2.0760103391928798e-47, 2.1129663221968493e-267,
+                                     0.520687481769238, 0.7898445020877963),
+                                anti(0.16399246390200525, 6.6266100132503e-267,
+                                     0.6207892849476218, 0.509303084753167)]), 1.7),
+             at_root=False, n=6, block=thermo.LEVEL_BLOCK)
+    @example(system=(uniform_spec(3, 1e-150, n_anti=2), 1.9), at_root=False, n=7, block=7)
+    def test_closed_form_matches_chain_products(self, system, at_root, n, block):
+        # the one-walk blocks against the chain products of the stationary law and
+        # the rows (two walks, the first letter's own table), s on both pieces and at
+        # the root: log phi bitwise, log nu to 1e-12 relative, block for block
+        spec, s = system
+        if at_root and (root := affinity_dimension(spec)) < 2.0:
+            s = root
+        with mock.patch.object(thermo, "LEVEL_BLOCK", block):
+            got, want = (list(blocks(spec, s, n))
+                         for blocks in (level_log_blocks, level_log_blocks_reference))
+        assert [len(phi) for phi, _ in got] == [len(phi) for phi, _ in want]
+        (log_phi, log_nu), (ref_phi, ref_nu) = (
+            [np.concatenate(p) for p in zip(*blocks)] for blocks in (got, want))
+        assert np.array_equal(log_phi.view(np.uint64), ref_phi.view(np.uint64))
+        assert (np.abs(log_nu - ref_nu) <= 1e-12 * np.maximum(1.0, np.abs(ref_nu))).all()
 
     @settings(max_examples=300, derandomize=True, deadline=None)
     @given(LOGADDEXP_PAIRS)
@@ -647,24 +678,26 @@ class TestLevelBlocks:
         assert peak < 8 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MB"
 
     def test_nan_ratio_makes_extremes_nan(self, ex1):
-        # one NaN side in either half level: a prefix's log p, or the log q of a
-        # suffix of odd parity, which sorts last and is read as a parity class's end;
-        # np.minimum and np.maximum keep the NaN where min(inf, nan) drops it
-        for half in (0, 1):
+        # one NaN side in either half level of n = 5, both from the one walk to level
+        # 3: a prefix's log p, or the log q of a suffix of odd parity, which sorts
+        # last and is read as a parity class's end; np.minimum and np.maximum keep
+        # the NaN where min(inf, nan) drops it
+        for half in (3, 2):
             calls = []
 
             def with_nan(spec, k):
-                log_p, log_q, odd, *rest = level_table(spec, k)
-                if len(calls) == half == 0:  # the prefix level comes first
+                levels = level_table(spec, k)
+                log_p, log_q, odd, *_ = levels[half]
+                if half == 3:
                     log_p[2] = np.nan
-                elif len(calls) == half == 1:
+                else:
                     log_q[np.flatnonzero(odd)[-1]] = np.nan
                 calls.append(k)
-                return (log_p, log_q, odd, *rest)
+                return levels
 
             with mock.patch.object(thermo, "level_table", with_nan):
-                extremes = level_log_ratio_extremes(ex1, 0.9, 4)
-            assert calls == [2, 2] and np.isnan(extremes).all(), (half, extremes)
+                extremes = level_log_ratio_extremes(ex1, 0.9, 5)
+            assert calls == [3] and np.isnan(extremes).all(), (half, extremes)
 
     @settings(max_examples=100, derandomize=True, deadline=None)
     @given(system=tiny_ratio_systems(), at_root=st.booleans(), n=st.integers(1, 8))
@@ -683,7 +716,7 @@ class TestLevelBlocks:
             s = root
         got = level_log_ratio_extremes(spec, s, n)
         want = level_ratio_extremes_reference(spec, s, n)
-        log_phi, log_nu = level_log_measures(spec, s, n)
+        log_phi, log_nu = level_log_measures_reference(spec, s, n)
         x = log_nu - log_phi
         assert np.isfinite(want).all() and want == (x.min(), x.max())
         # the reference subtracts two sums of up to n logs of tiny ratios, each held
@@ -956,6 +989,19 @@ class TestSubmultiplicativity:
                   for na in range(1, 8) for nb in range(1, 9 - na))
         ups, los = zip(*((r.max(), r.min()) for r in ratios))
         assert log_wu == max(ups) and log_wl == min(los)
+
+    def test_nan_ratio_makes_both_nan(self, ex1):
+        # NaN in m1's row of symbol 1, which m2 reads as its row of symbol 1 + d: the
+        # words whose lift steps into either have NaN mass, the others do not
+        nu = kaenmaki_measure(ex1, 0.9)
+        log_rows = nu.m1.log_rows.copy()
+        log_rows[0, 0] = np.nan
+        bad = dataclasses.replace(nu, m1=dataclasses.replace(nu.m1, log_rows=log_rows))
+        with mock.patch.object(thermo, "kaenmaki_measure", lambda spec, s: bad):
+            _, log_nu = level_log_measures(ex1, 0.9, 3)
+            extremes = submultiplicativity_check(ex1, 0.9, 4)
+        assert np.isnan(log_nu).any() and not np.isnan(log_nu).all()
+        assert np.isnan(extremes).all(), extremes
 
     def test_lower_decays_along_sandwich_family(self, ex1):
         sstar = affinity_dimension(ex1)
