@@ -161,7 +161,7 @@ def cmd_verify(args) -> int:
     log_c = log_up - 2.0 * log_lo  # C = up / lo^2 in logs: lo underflows at tiny ratios
     log_wu, log_wl = thermo.submultiplicativity_check(spec, s, min(depth, 8))
     results.append(("submultiplicativity", bool(log_wu <= log_c + np.log1p(1e-9)),
-                    f"log worst upper {log_wu:.4f} <= log C {log_c:.4f}; "
+                    f"log worst upper {round(log_wu, 4) + 0.0:.4f} <= log C {log_c:.4f}; "
                     f"worst lower {np.exp(log_wl):.3e}"))
 
     # make_spec puts the diagonal maps first, so map l is the first anti-diagonal one

@@ -470,33 +470,33 @@ def quasi_bernoulli_ratio(spec: IfsSpec, s: float, i: int, j: int, n: int) -> fl
     return float(np.exp(log_quasi_bernoulli_ratio(spec, s, i, j, n)))
 
 
+@np.errstate(invalid="ignore")  # a NaN operand gives NaN, quietly
 def submultiplicativity_check(spec: IfsSpec, s: float, max_len: int) -> tuple[float, float]:
-    """Logs of the extremes of nu([uv]) / (nu([u]) nu([v])) over word pairs
-    with |u|+|v| <= max_len.
-
-    The upper extreme stays below the Gibbs-derived constant; the lower one
-    decays along anti-diagonal insertions and admits no uniform positive
-    bound.  Both are logs because either may leave the range of a double at
-    tiny ratios; a NaN ratio makes both NaN.  All levels come from one
-    table walk (_log_nu_levels)."""
+    """Logs of the extremes of nu([uv]) / (nu([u]) nu([v])) over word pairs with
+    |u|+|v| <= max_len: logs, as either may leave a double's range at tiny ratios, and a
+    NaN ratio makes both NaN.  By log_betas the ratio is the sum over t of p_t(u) p_t'(v)
+    exp(beta_t(e) - beta_t(parity(u)) - beta_t'(parity(v))), t' = t after an even u and
+    the other chain after an odd one, with chain 1's share p_1(w) = m1([w]) / nu([w]) =
+    sigma(beta1(e) - beta2(e) + D(w)) = 1 - p_2(w), sigma the logistic and D = min(s, 2 - s)
+    (log p - log q).  Affine in p_1(u) and p_1(v), which rise with D, it depends only on
+    the (D, parity) of u and v and is monotone in each D: over two levels and parities
+    its extremes lie at the corners of their D ranges, from D(jw) = D(j) +- D(w), minus
+    and the parity flipped for anti-diagonal j.  Shares are log sigma, so no large D is
+    added and then cancelled."""
     _guard_enumeration(spec, max_len)
-    logs = {}  # log nu only, each level filled block by block
-    for n, blocks in enumerate(_log_nu_levels(kaenmaki_measure(spec, s), max_len), 1):
-        logs[n], i = np.empty(spec.d ** n), 0
-        for _, log_nu in blocks:
-            logs[n][i:i + len(log_nu)] = log_nu
-            i += len(log_nu)
-    ups, los = [-np.inf], [np.inf]
-    for na in range(1, max_len):
-        for nb in range(1, max_len - na + 1):
-            # runs of about LEVEL_BLOCK cells, so no temporary spans a level
-            joint = logs[na + nb].reshape(-1, spec.d ** nb)
-            rows = max(1, LEVEL_BLOCK // spec.d ** nb)
-            for i in range(0, len(joint), rows):
-                ratio = joint[i:i + rows] - logs[na][i:i + rows, None] - logs[nb]
-                ups.append(ratio.max())
-                los.append(ratio.min())
-    return float(np.max(ups)), float(np.min(los))
+    betas, c = kaenmaki_measure(spec, s).log_betas(), min(s, 2.0 - s)
+    gap, anti = c * (np.log(spec.a) - np.log(spec.b)), np.arange(spec.d) >= spec.l - 1
+    ends = [np.array([[0.0, np.inf], [0.0, -np.inf]])]  # [min, max] of D per parity
+    for _ in range(max_len - 1):  # an anti-diagonal letter negates the other parity's ends
+        steps = gap[:, None, None] + np.where(anti[:, None, None], -ends[-1][::-1, ::-1], ends[-1])
+        ends.append(np.stack([steps[:, 0].min(axis=0), steps[:, 1].max(axis=0)]))
+    # log p_1 and log p_2 at the ends: axes (chain, level, min/max, parity)
+    shares = -np.logaddexp(0, np.multiply.outer([-1.0, 1.0], betas[0] - betas[1] + np.stack(ends)))
+    i, j = np.tril_indices(max_len - 1)  # the pairs |u| = j + 1, |v| = i - j + 1
+    t, k, eu, ev, pu, pv = np.ix_(*map(range, (2, len(i), 2, 2, 2, 2)))  # v's chain: t xor pu
+    r = np.logaddexp(*(betas[t, pu ^ pv] - betas[t, pu] - betas[t ^ pu, pv]
+                       + shares[t, j[k] + 1, eu, pu] + shares[t ^ pu, i[k] - j[k] + 1, ev, pv]))
+    return float(r.max(initial=-np.inf)), float(r.min(initial=np.inf))
 
 
 @dataclass(frozen=True)

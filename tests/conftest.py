@@ -243,6 +243,27 @@ def level_ratio_extremes_reference(spec, s, n):
     return float(lo), float(hi)
 
 
+def submultiplicativity_reference(spec, s, max_len):
+    """(max, min) of log nu(uv) - log nu(u) - log nu(v) over every pair of words
+    with |u| + |v| <= max_len, and the largest |log nu| of a word of length up to
+    max_len, log nu from the chain products (level_log_blocks_reference): the pair
+    grid that thermo.submultiplicativity_check replaces with the corners of each
+    level's D range, a run of about thermo.LEVEL_BLOCK cells at a time.  A NaN
+    ratio makes both extremes NaN."""
+    logs = {n: level_log_measures_reference(spec, s, n)[1] for n in range(1, max_len + 1)}
+    ups, los = [-np.inf], [np.inf]
+    for na in range(1, max_len):
+        for nb in range(1, max_len - na + 1):
+            joint = logs[na + nb].reshape(-1, spec.d ** nb)  # prefix-major
+            rows = max(1, thermo.LEVEL_BLOCK // spec.d ** nb)
+            for i in range(0, len(joint), rows):
+                ratio = joint[i:i + rows] - logs[na][i:i + rows, None] - logs[nb]
+                ups.append(ratio.max())
+                los.append(ratio.min())
+    largest = max(float(np.abs(x).max()) for x in logs.values())
+    return float(np.max(ups)), float(np.min(los)), largest
+
+
 def log_svf_phi(spec, s, w):
     """log phi^s(w) of one word, computed two ways with mandatory agreement.
 

@@ -437,6 +437,17 @@ class TestVerify:
         log_upper = float(sub.split("log worst upper ")[1].split()[0])
         assert np.isfinite(log_upper) and log_upper > 900.0  # e^937: beyond a double
 
+    def test_submultiplicativity_line_prints_no_negative_zero(self, capsys, tmp_path):
+        # full-box system 140 clamps its root to s = 2 - 1e-12: the worst upper ratio
+        # is 1 to about 1e-18, and its log comes out a few 1e-15 below 0, which
+        # `:.4f` alone prints as -0.0000
+        p = tmp_path / "box.json"
+        p.write_text(json.dumps(list(full_box_draw(141))[140]))
+        code, out, _ = run(capsys, "verify", "--spec", str(p), "--max-depth", "4")
+        assert code == 0, out
+        assert ("PASS  submultiplicativity            log worst upper 0.0000 <= log C 1.3863; "
+                "worst lower 1.000e+00") in out.splitlines(), out
+
     def test_tiny_ratios_rows_decided_in_logs(self, capsys, tmp_path):
         # the comparability ratios underflow to 0.0 after n = 1 and failed on
         # 0 == 0; the strip bound C nu([prefix]) overflowed to inf

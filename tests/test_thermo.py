@@ -32,6 +32,7 @@ from conftest import (
     rho_symbol,
     shifted_chain,
     subadditive_pressure_bruteforce,
+    submultiplicativity_reference,
     uniform_spec,
     weight_vector_two,
 )
@@ -457,6 +458,9 @@ with warnings.catch_warnings():
         anti(np.exp(-1.0), 2.031092662734811e-42, 0.0, 0.0),
         anti(2.0769322043867094e-128, 8.76141754643084e-298, 0.0, 0.0),
         anti(0.8824969025845953, 0.8824969025845953, 0.0, 0.0)])
+    # full-box system 140: its root clamps to 2, and at s = 2 - 1e-12 the worst upper
+    # submultiplicativity ratio is 1 to about 1e-18
+    FULL_BOX_140 = parse_ifs(json.dumps(list(full_box_draw(141))[140]))
 
 
 @st.composite
@@ -983,12 +987,35 @@ class TestSubmultiplicativity:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MB"
-        # bitwise the extremes of the whole (d^|u|, d^|v|) ratio arrays
-        logs = {n: level_log_measures(spec, 0.7, n)[1] for n in range(1, 9)}
-        ratios = (logs[na + nb].reshape(5 ** na, 5 ** nb) - logs[na][:, None] - logs[nb]
-                  for na in range(1, 8) for nb in range(1, 9 - na))
-        ups, los = zip(*((r.max(), r.min()) for r in ratios))
-        assert log_wu == max(ups) and log_wl == min(los)
+        # the values against the pair grid: test_corners_match_pair_grid's first example
+        assert np.isfinite([log_wu, log_wl]).all() and log_wl <= log_wu
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(system=tiny_ratio_systems(), s_at=st.sampled_from(["drawn", "root", "near two"]),
+           max_len=st.integers(2, 8))
+    @example(system=(grid_spec(5, 2, seed=5), 0.7), s_at="drawn", max_len=8)
+    # a == b on every map: D = 0 on every word, so all four corners coincide
+    @example(system=(SQUARE_MAPS, 0.8), s_at="drawn", max_len=8)
+    @example(system=(ULP_RATIO_MAPS, 1.0), s_at="root", max_len=6)
+    @example(system=(uniform_spec(3, 1e-150, n_anti=2), 1.9), s_at="drawn", max_len=7)
+    @example(system=(FULL_BOX_140, 1.0), s_at="root", max_len=4)
+    def test_corners_match_pair_grid(self, system, s_at, max_len):
+        # the corners of each level's D range against every pair of words, s drawn on
+        # both pieces, at the root (clamped below 2 as verify does) and at 2 - 1e-12;
+        # the pair grid's log nu are sums of up to max_len chain steps, each about
+        # 1e-12 off where |log nu| is in the thousands, hence the bound's last term
+        spec, s = system
+        if s_at == "root":
+            s = min(affinity_dimension(spec), 2.0 - 1e-12)
+        elif s_at == "near two":
+            s = 2.0 - 1e-12
+        while spec.d ** max_len > 5 ** 8:
+            max_len -= 1
+        got = submultiplicativity_check(spec, s, max_len)
+        *want, largest = submultiplicativity_reference(spec, s, max_len)
+        assert np.isfinite(want).all()
+        for g, w in zip(got, want):
+            assert abs(g - w) <= 1e-12 * max(1.0, abs(w), largest), (got, want)
 
     def test_nan_ratio_makes_both_nan(self, ex1):
         # NaN in m1's row of symbol 1, which m2 reads as its row of symbol 1 + d: the
@@ -997,7 +1024,12 @@ class TestSubmultiplicativity:
         log_rows = nu.m1.log_rows.copy()
         log_rows[0, 0] = np.nan
         bad = dataclasses.replace(nu, m1=dataclasses.replace(nu.m1, log_rows=log_rows))
-        with mock.patch.object(thermo, "kaenmaki_measure", lambda spec, s: bad):
+        # the ratios read beta1 at odd parity only where u, v or uv is odd: the
+        # pairs of even words keep finite ratios
+        betas = nu.log_betas()
+        betas[0, 1] = np.nan
+        with mock.patch.object(thermo, "kaenmaki_measure", lambda spec, s: bad), \
+                mock.patch.object(thermo.KaenmakiMeasure, "log_betas", lambda self: betas.copy()):
             _, log_nu = level_log_measures(ex1, 0.9, 3)
             extremes = submultiplicativity_check(ex1, 0.9, 4)
         assert np.isnan(log_nu).any() and not np.isnan(log_nu).all()
